@@ -2,7 +2,8 @@
 
 Subpackages by concern:
 
-- series: truncated power-series arithmetic and Cesaro numbers
+- series: truncated power-series arithmetic, Cesaro numbers and the
+  generators' tail certificates
 - conditions: decidable/trend checks for the standing hypotheses
 - operators: dense exemplars, shift sections, hereditary calculus
 - model: defect operator, transform, complement and isometry construction

@@ -8,6 +8,7 @@ Exit codes: 0 all verdicts hold (possibly as trends), 1 any failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,11 +33,7 @@ from .operators import (
     shift_membership_forward,
     shift_section,
 )
-from .series import (
-    TruncatedSeries,
-    invert_kernel,
-    reciprocal,
-)
+from .series import TruncatedSeries, invert_kernel, kernel_underflow_index, reciprocal
 from .specdsl import SpecSemanticError, SpecSyntaxError, elaborate, parse_kernel_spec
 
 __all__ = ["main", "RunConfig", "dumps_canonical"]
@@ -59,8 +56,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.psd_tol, self.model_tol, self.rank_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        tolerances = (self.psd_tol, self.model_tol, self.rank_tol)
+        if not all(math.isfinite(t) and t > 0 for t in tolerances):
+            raise ValueError("tolerances must be finite and positive")
 
 
 # --- canonical JSON ----------------------------------------------------------
@@ -108,19 +106,24 @@ def _emit(payload: dict, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _write_trend_csvs(reports: Sequence[ConditionReport], config: RunConfig) -> None:
+def _write_csv(config: RunConfig, name: str, rows, key: str = "index") -> None:
+    """(index, value) rows as a CSV sidecar under --csv-dir, when one is given."""
     if not config.csv_dir:
         return
     os.makedirs(config.csv_dir, exist_ok=True)
+    with open(os.path.join(config.csv_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(f"{key},value\n")
+        for index, value in rows:
+            fh.write(f"{int(index)},{format(float(value), '.17g')}\n")
+
+
+def _write_trend_csvs(reports: Sequence[ConditionReport], config: RunConfig) -> None:
+    if config.csv_dir:  # the directory exists even when no report has a table
+        os.makedirs(config.csv_dir, exist_ok=True)
     for report in reports:
         table = report.trend_table()
-        if not table:
-            continue
-        path = os.path.join(config.csv_dir, f"{report.condition_id}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("index,value\n")
-            for index, value in table:
-                fh.write(f"{int(index)},{format(float(value), '.17g')}\n")
+        if table:
+            _write_csv(config, f"{report.condition_id}.csv", table)
 
 
 def _exit_code(verdicts: Sequence[Verdict]) -> int:
@@ -157,18 +160,32 @@ def _series_from_flags(args, what: str = "spec") -> TruncatedSeries:
 # --- subcommand runners -------------------------------------------------------
 
 
-def _run_kernel_check(args, config: RunConfig) -> int:
-    alpha = _series_from_flags(args)
-    pair = reciprocal(alpha, config.truncation)
+def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> int:
+    """The four pair conditions; `report bundle` adds the six kernel-side ones."""
+    pair = reciprocal(_series_from_flags(args), config.truncation)
     reports = [
         cond.check_hypotheses_A(pair, config.circle_samples),
         cond.check_hypotheses_B(pair),
         cond.classify_np(pair.alpha),
         cond.classify_critical(pair),
     ]
+    if bundle and np.all(pair.k.coeffs > 0.0) and kernel_underflow_index(pair.k.coeffs) is None:
+        # the kernel-side conditions presume positive coefficients above
+        # float underflow (1/k_n must stay finite)
+        omega = TruncatedSeries(1.0 / pair.k.coeffs, None)
+        m_grid = [m for m in config.m_grid if 2 * m <= config.truncation]
+        reports += [
+            cond.muller_condition_estimate(pair.k, m_grid),
+            cond.muller_sufficient_check(pair.k, [1.5, 2.0, 3.0]),
+            cond.banach_algebra_condition(omega),
+            cond.tau_condition_check(omega),
+            cond.reciprocal_summability_check(omega),
+            cond.holder_exponent_estimate(pair.k, [0.1, 0.2, 0.3, 0.4, 0.5]),
+        ]
     reports.sort(key=lambda r: r.condition_id)
     _write_trend_csvs(reports, config)
-    _emit(_payload("kernel check", config, reports, violations=list(pair.violations)), config)
+    command = "report bundle" if bundle else "kernel check"
+    _emit(_payload(command, config, reports, violations=list(pair.violations)), config)
     return _exit_code([r.verdict for r in reports])
 
 
@@ -187,12 +204,7 @@ def _run_kernel_invert(args, config: RunConfig) -> int:
         "k_head": [float(v) for v in pair.k.coeffs[:head]],
         "violations": list(pair.violations),
     }
-    if config.csv_dir:
-        os.makedirs(config.csv_dir, exist_ok=True)
-        with open(os.path.join(config.csv_dir, "kernel.csv"), "w", encoding="utf-8") as fh:
-            fh.write("index,value\n")
-            for i, v in enumerate(pair.k.coeffs):
-                fh.write(f"{i},{format(float(v), '.17g')}\n")
+    _write_csv(config, "kernel.csv", enumerate(pair.k.coeffs))
     _emit(_payload("kernel invert", config, [], **extra), config)
     return 0 if not pair.violations else 1
 
@@ -300,6 +312,8 @@ def _run_ergodic_probe(args, config: RunConfig) -> int:
     if args.q is not None:
         args.p = args.q
     n_max = args.nmax
+    if n_max < 9:  # the probe grid starts at n = 8 and needs two points
+        raise ValueError(f"--nmax must be at least 9, got {n_max}")
     kappa = elaborate(parse_kernel_spec(spec_text), max(n_max + 1, config.truncation))
     section = shift_section(kappa, Direction.BACKWARD, n_max + 1)
     grid = default_n_grid(n_max)
@@ -321,13 +335,7 @@ def _run_ergodic_probe(args, config: RunConfig) -> int:
                     "values": [float(v) for v in values],
                 }
             )
-            if config.csv_dir:
-                os.makedirs(config.csv_dir, exist_ok=True)
-                path = os.path.join(config.csv_dir, f"probe_{label}.csv")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write("n,value\n")
-                    for n, v in zip(probe.n_grid, values):
-                        fh.write(f"{n},{format(float(v), '.17g')}\n")
+            _write_csv(config, f"probe_{label}.csv", zip(probe.n_grid, values), key="n")
     _emit(
         _payload(
             "ergodic probe",
@@ -366,33 +374,6 @@ def _run_example_signs(args, config: RunConfig) -> int:
         config,
     )
     return _exit_code([report.verdict])
-
-
-def _run_report_bundle(args, config: RunConfig) -> int:
-    alpha = _series_from_flags(args)
-    pair = reciprocal(alpha, config.truncation)
-    reports = [
-        cond.check_hypotheses_A(pair, config.circle_samples),
-        cond.check_hypotheses_B(pair),
-        cond.classify_np(pair.alpha),
-        cond.classify_critical(pair),
-    ]
-    if np.all(pair.k.coeffs > 0.0):
-        # the kernel-side conditions presume positive coefficients
-        omega = TruncatedSeries(1.0 / pair.k.coeffs, None)
-        m_grid = [m for m in config.m_grid if 2 * m <= config.truncation]
-        reports += [
-            cond.muller_condition_estimate(pair.k, m_grid),
-            cond.muller_sufficient_check(pair.k, [1.5, 2.0, 3.0]),
-            cond.banach_algebra_condition(omega),
-            cond.tau_condition_check(omega),
-            cond.reciprocal_summability_check(omega),
-            cond.holder_exponent_estimate(pair.k, [0.1, 0.2, 0.3, 0.4, 0.5]),
-        ]
-    reports.sort(key=lambda r: r.condition_id)
-    _write_trend_csvs(reports, config)
-    _emit(_payload("report bundle", config, reports, violations=list(pair.violations)), config)
-    return _exit_code([r.verdict for r in reports])
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -490,7 +471,7 @@ _RUNNERS = {
     ("model", "build"): _run_model_build,
     ("ergodic", "probe"): _run_ergodic_probe,
     ("example", "signs"): _run_example_signs,
-    ("report", "bundle"): _run_report_bundle,
+    ("report", "bundle"): functools.partial(_run_kernel_check, bundle=True),
 }
 
 
@@ -500,15 +481,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = RunConfig(
-        truncation=args.truncation,
-        model_tol=args.tol,
-        out=args.out,
-        csv_dir=args.csv_dir,
-        seed=args.seed,
-    )
     runner = _RUNNERS[(args.group, args.action)]
     try:
+        config = RunConfig(
+            truncation=args.truncation,
+            model_tol=args.tol,
+            out=args.out,
+            csv_dir=args.csv_dir,
+            seed=args.seed,
+        )
         return runner(args, config)
     except (SpecSyntaxError, SpecSemanticError, FileNotFoundError) as exc:
         sys.stderr.write(f"herop: error: {exc}\n")

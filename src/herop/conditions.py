@@ -17,14 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .series import (
-    Binomial,
     Derived,
     KernelPair,
     Polynomial,
     PowerTail,
     TruncatedSeries,
     abs_tail_bound,
-    alpha_at_one,
     cauchy_product,
     evaluate_on_circle,
     invert_kernel,
@@ -76,31 +74,13 @@ class ConditionReport:
         return {
             "condition_id": self.condition_id,
             "verdict": self.verdict.value,
-            "witness": _jsonable(self.witness),
+            "witness": self.witness,
             "N_used": self.N_used,
         }
 
     def trend_table(self) -> Optional[list]:
         """(index, value) rows when the witness carries a trend table."""
         return self.witness.get("trend")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, Verdict):
-        return obj.value
-    return obj
 
 
 def _trend_rows(indices: np.ndarray, values: np.ndarray) -> list:
@@ -113,15 +93,6 @@ _CIRCLE_RADII = (0.5, 0.9, 0.99, 1.0)
 
 
 # --- standing hypotheses ---------------------------------------------------
-
-
-def _poly_root_min_modulus(coeffs: np.ndarray) -> Optional[float]:
-    """Smallest root modulus of the polynomial, or None when degree 0."""
-    trimmed = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if trimmed.size <= 1:
-        return None
-    roots = np.roots(trimmed[::-1])
-    return float(np.min(np.abs(roots)))
 
 
 def check_hypotheses_A(pair: KernelPair, circle_samples: int = 2048) -> ConditionReport:
@@ -157,17 +128,11 @@ def check_hypotheses_A(pair: KernelPair, circle_samples: int = 2048) -> Conditio
     interior_min = min(v for r, v in grid_min.items() if r < 1.0)
     scale = float(np.max(np.abs(alpha.coeffs)))
 
-    gen = alpha.generator
-    if isinstance(gen, Polynomial):
-        rmin = _poly_root_min_modulus(alpha.coeffs)
-        witness["min_root_modulus"] = rmin
-        if rmin is not None and rmin < 1.0 - 1e-12:
-            return ConditionReport("HypA", Verdict.FAILS, witness, n)
-        return ConditionReport("HypA", Verdict.HOLDS, witness, n)
-    if isinstance(gen, Binomial):
-        # (1-t)**e vanishes only at t = 1, which sits on the boundary
-        witness["binomial_exponent"] = gen.exponent
-        return ConditionReport("HypA", Verdict.HOLDS, witness, n)
+    certified = alpha.certifier.disc_zero_free(alpha.coeffs)
+    if certified is not None:
+        zero_free, facts = certified
+        witness.update(facts)
+        return ConditionReport("HypA", Verdict.HOLDS if zero_free else Verdict.FAILS, witness, n)
     # dominated-coefficient route: |alpha(z)| >= 1 - sum_{n>=1}|alpha_n| on
     # the open disc, certified when the absolute tail is known
     tail = abs_tail_bound(alpha)

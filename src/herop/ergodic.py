@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import ModelBundle
 from .operators import DenseOperator, ShiftSection, as_matrix
-from .series import Binomial, TruncatedSeries, cesaro_number, cesaro_numbers
+from .series import cesaro_number, cesaro_numbers
 
 __all__ = [
     "MOVING_BASIS",
@@ -281,13 +281,12 @@ def trichotomy_test(
     smallest power norm (liminf surrogate), the order-b quadratic mean at
     n_max, and the norm of the complement applied to the vector."""
     if b is None:
-        gen = bundle.k.generator
-        if isinstance(gen, Binomial) and gen.exponent < 0:
-            b = 1.0 + gen.exponent + 0.25  # b > 1 - a for k = (1-t)^(-a)
-            if b <= 0:
-                b = 0.5
-        else:
+        order = bundle.k.certifier.kernel_order()
+        if order is None:
             raise ValueError("pass b explicitly when the kernel order is unknown")
+        b = 1.0 - order + 0.25  # b > 1 - a for k = (1-t)^(-a)
+        if b <= 0:
+            b = 0.5
     w_mat = bundle.W.entries
     w_scale = float(np.linalg.norm(w_mat, 2))
     rows = []

@@ -16,8 +16,9 @@ from .conditions import Verdict, classify_np
 from .operators import (
     DenseOperator,
     HereditaryResult,
-    NotPSDError,
     ShiftSection,
+    _contraction_envelope,
+    _eigen_sqrt,
     as_matrix,
     class_membership,
     direct_sum,
@@ -26,14 +27,7 @@ from .operators import (
     seeded_unit_vectors,
     spectral_radius,
 )
-from .series import (
-    Binomial,
-    Polynomial,
-    PowerTail,
-    TruncatedSeries,
-    alpha_at_one,
-    pair_type_estimate,
-)
+from .series import TruncatedSeries, alpha_at_one, pair_type_estimate
 
 __all__ = [
     "ModelBundle",
@@ -105,17 +99,9 @@ def build_defect(
     """Defect operator D = alpha(T*, T)^(1/2) and an orthonormal basis of its
     range (eigenvectors of D with eigenvalue above rank_tol * ||D||)."""
     hered = hereditary_apply(alpha, T, tol=psd_tol, n_cap=n_cap)
-    value = hered.value.entries
-    eig, vec = np.linalg.eigh(value)
-    scale = max(float(np.max(np.abs(eig))), 1e-300)
-    if eig[0] < -psd_tol * scale:
-        raise NotPSDError(
-            f"hereditary value has eigenvalue {eig[0]:.3e} below -{psd_tol * scale:.3e}",
-            float(eig[0]),
-        )
-    clipped = np.where(np.abs(eig) <= psd_tol * scale, 0.0, np.maximum(eig, 0.0))
-    roots = np.sqrt(clipped)
-    d_mat = (vec * roots) @ vec.conj().T
+    d_mat, vec, roots = _eigen_sqrt(
+        hered.value.entries, psd_tol, None, "hereditary value has eigenvalue"
+    )
     keep = roots > rank_tol * max(float(np.max(roots)), 1e-300)
     basis = np.array(vec[:, keep])
     # canonical phases: the largest entry of each basis column is made real
@@ -124,7 +110,7 @@ def build_defect(
         lead = basis[np.argmax(np.abs(basis[:, j])), j]
         if abs(lead) > 0:
             basis[:, j] *= np.conj(lead) / abs(lead)
-    return DenseOperator(0.5 * (d_mat + d_mat.conj().T)), basis, hered
+    return DenseOperator(d_mat), basis, hered
 
 
 def _nilpotency_index(mat: np.ndarray, cap: Optional[int] = None) -> tuple[Optional[int], float]:
@@ -146,35 +132,6 @@ def _nilpotency_index(mat: np.ndarray, cap: Optional[int] = None) -> tuple[Optio
     return None, 0.0
 
 
-def _geometric_weighted_kernel_tail(k: TruncatedSeries, x: float) -> Optional[float]:
-    """Certified bound on sum_{n > N} k_n x^n for 0 <= x < 1 using the
-    generator's growth envelope past the window; None when uncertifiable."""
-    if x >= 1.0:
-        return None
-    kc = k.coeffs
-    n = kc.size - 1
-    gen = k.generator
-    if isinstance(gen, Polynomial):
-        return 0.0
-    if isinstance(gen, PowerTail):
-        if n < gen.from_degree:
-            return None
-        cap = abs(gen.amplitude) * (n + 1.0) ** -gen.exponent if gen.exponent > 0 else None
-        if cap is None:
-            return None
-        return cap * x ** (n + 1) / (1.0 - x)
-    if isinstance(gen, Binomial):
-        s = -gen.exponent  # the series is (1-t)^(-s)
-        if s <= 1.0:
-            # coefficients are non-increasing past the window
-            return float(kc[n]) * x ** (n + 1) / (1.0 - x)
-        growth = (s + n) / (n + 1.0)  # decreasing ratio bound for n' > n
-        if growth * x >= 1.0:
-            return None
-        return float(kc[n]) * growth * x ** (n + 1) / (1.0 - growth * x)
-    return None
-
-
 def _certified_degree_cap(
     c_norm: float, k: TruncatedSeries, mat: np.ndarray, tol: float
 ) -> tuple[int, float]:
@@ -188,21 +145,17 @@ def _certified_degree_cap(
     # contraction envelope from the first Frobenius-contractive power
     power = np.array(mat)
     fro = [1.0, float(np.linalg.norm(power, "fro"))]
-    m0 = None
-    while m0 is None:
-        if fro[-1] < 1.0:
-            m0 = len(fro) - 1
-            break
+    while not fro[-1] < 1.0:
         if len(fro) > 512:
             raise TailUncertifiableError("no contractive power found within 512 steps")
         power = power @ mat
         fro.append(float(np.linalg.norm(power, "fro")))
-    q = fro[m0] ** (1.0 / m0)
-    env = (max(fro) * q ** (1 - m0)) ** 2
+    m0 = len(fro) - 1
+    q, env = _contraction_envelope(fro)
     n_max = kc.size - 1
     weights = kc * q ** (2.0 * np.arange(n_max + 1))
     suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-    beyond = _geometric_weighted_kernel_tail(k, q * q)
+    beyond = k.certifier.weighted_tail(kc, q * q)
     if beyond is None:
         raise TailUncertifiableError(
             "kernel growth past the window is uncertified for this generator"

@@ -19,14 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .conditions import Verdict
-from .series import (
-    Binomial,
-    Polynomial,
-    PowerTail,
-    TruncatedSeries,
-    abs_tail_bound,
-    alpha_at_one,
-)
+from .series import TruncatedSeries, abs_tail_bound, alpha_at_one
 
 __all__ = [
     "DenseOperator",
@@ -102,9 +95,6 @@ class DenseOperator:
     def adjoint(self) -> "DenseOperator":
         return DenseOperator(self.entries.conj().T, self.labels)
 
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.entries @ other.entries)
-
 
 def as_matrix(op: Union[DenseOperator, "ShiftSection", "BlockDiagOperator", np.ndarray]) -> np.ndarray:
     if isinstance(op, DenseOperator):
@@ -167,16 +157,6 @@ class ShiftSection:
             out[1:] = v[:-1] / self.couplings
         return out
 
-    def weighted_matrix(self) -> np.ndarray:
-        """The plain 0/1 shift matrix in the weighted-metric coordinates."""
-        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        idx = np.arange(self.dim - 1)
-        if self.direction is Direction.BACKWARD:
-            m[idx, idx + 1] = 1.0
-        else:
-            m[idx + 1, idx] = 1.0
-        return m
-
 
 def shift_section(kappa: TruncatedSeries, direction: Direction, d: int) -> ShiftSection:
     return ShiftSection(kappa, direction, d)
@@ -236,22 +216,14 @@ def _symmetrize(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return sym
 
 
-def _tail_sup_abs(alpha: TruncatedSeries, beyond: int) -> Optional[float]:
-    """Certified bound on sup_{n > beyond} |alpha_n| from the generator."""
-    gen = alpha.generator
-    c = alpha.coeffs
-    if isinstance(gen, Polynomial):
-        return float(np.max(np.abs(c[beyond + 1 :]))) if beyond < gen.degree else 0.0
-    if isinstance(gen, Binomial):
-        # |c_n| decreases once n exceeds the exponent
-        if beyond >= abs(gen.exponent) + 1 and beyond < c.size:
-            return float(abs(c[beyond]))
-        return None
-    if isinstance(gen, PowerTail):
-        if beyond + 1 >= gen.from_degree and gen.exponent > 0:
-            return abs(gen.amplitude) * float(max(beyond + 1, 1)) ** -gen.exponent
-        return None
-    return None
+def _contraction_envelope(fro: Sequence[float]) -> tuple[float, float]:
+    """(q, env) with ||T^n||^2 <= env * q^(2n) for every n, where fro holds
+    ||T^0||..||T^m0|| and m0 = len(fro) - 1 is the first Frobenius-contractive
+    power: q = ||T^m0||^(1/m0) and, by submultiplicativity,
+    env = (max_j ||T^j|| * q^(1 - m0))^2."""
+    m0 = len(fro) - 1
+    q = fro[m0] ** (1.0 / m0)
+    return q, (max(fro) * q ** (1 - m0)) ** 2
 
 
 def hereditary_apply(
@@ -287,12 +259,8 @@ def hereditary_apply(
     power = np.eye(d, dtype=np.complex128)
     fro_norms = [math.sqrt(d)]  # Frobenius norms of T^n, n = 0..
     policy: Optional[Policy] = None
-
-    # geometric-tail bookkeeping: first index m0 with a contracting Frobenius
-    # norm gives the submultiplicative envelope ||T^n|| <= R q^(n - m0 + 1)
-    m0 = None
-    q = None
-    r_env = None
+    sup_beyond = alpha.certifier.sup_tail(coeffs, limit)
+    envelope = None  # (q, env) from the first contracting Frobenius norm
 
     n = 0
     while n < limit:
@@ -306,20 +274,20 @@ def hereditary_apply(
         gram = power.conj().T @ power
         value += coeffs[n] * gram
         abs_value += abs(coeffs[n]) * gram
-        if geometric and m0 is None and fro < 1.0 and n >= 1:
-            m0 = n
-            q = fro ** (1.0 / n)
-            r_env = max(fro_norms)
-        if geometric and m0 is not None and n > m0:
-            tail = _geometric_tail(coeffs, n, limit, q, r_env, m0, alpha)
-            if tail is not None and tail <= tol:
-                policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
-                break
+        if not geometric or sup_beyond is None:
+            continue
+        if envelope is None:
+            if fro < 1.0:
+                envelope = _contraction_envelope(fro_norms)
+            continue
+        tail = _geometric_tail(coeffs, n, limit, *envelope, sup_beyond)
+        if tail <= tol:
+            policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
+            break
     if policy is None:
-        gen = alpha.generator
-        if isinstance(gen, Polynomial) and limit >= gen.degree:
+        if abs_tail_bound(alpha, limit) == 0.0:
             policy = ExactPolynomial(limit)
-        elif geometric and _tail_sup_abs(alpha, limit) is not None:
+        elif geometric and sup_beyond is not None:
             partial = HereditaryResult(
                 DenseOperator(_symmetrize(value)),
                 Truncated(limit, "n_cap reached before certified tail"),
@@ -340,24 +308,12 @@ def hereditary_apply(
 
 
 def _geometric_tail(
-    coeffs: np.ndarray,
-    n_done: int,
-    limit: int,
-    q: float,
-    r_env: float,
-    m0: int,
-    alpha: TruncatedSeries,
-) -> Optional[float]:
-    """Certified bound on sum_{n > n_done} |alpha_n| ||T^n||^2 using the
-    submultiplicative envelope; None when the symbol tail is uncertifiable."""
-    if q >= 1.0:
-        return None
-    env = (r_env * q ** (1 - m0)) ** 2
+    coeffs: np.ndarray, n_done: int, limit: int, q: float, env: float, sup_beyond: float
+) -> float:
+    """Certified bound on sum_{n > n_done} |alpha_n| ||T^n||^2 from the
+    contraction envelope, with sup_beyond bounding |alpha_n| for n > limit."""
     powers = q ** (2.0 * np.arange(n_done + 1, limit + 1))
     known = float(np.dot(np.abs(coeffs[n_done + 1 : limit + 1]), powers))
-    sup_beyond = _tail_sup_abs(alpha, limit)
-    if sup_beyond is None:
-        return None
     beyond = sup_beyond * q ** (2.0 * (limit + 1)) / (1.0 - q * q)
     return env * (known + beyond)
 
@@ -510,9 +466,10 @@ def _check_backward_bounded(kappa: np.ndarray) -> float:
 
 
 def _aligned_symbol_window(alpha: TruncatedSeries, kappa: TruncatedSeries) -> tuple:
-    """Symbol coefficients against the weight window: polynomials extend by
-    exact zeros, everything else restricts to the common window."""
-    if isinstance(alpha.generator, Polynomial) or alpha.trunc_len >= kappa.trunc_len:
+    """Symbol coefficients against the weight window: a symbol certified to
+    vanish past its window extends by exact zeros, everything else restricts
+    to the common window."""
+    if abs_tail_bound(alpha) == 0.0 or alpha.trunc_len >= kappa.trunc_len:
         n = kappa.trunc_len - 1
         return alpha.padded(n + 1), np.array(kappa.coeffs), n
     n = alpha.trunc_len - 1
@@ -693,17 +650,26 @@ def hermitian_sqrt(
     negative raises with the offending eigenvalue as witness.
     """
     mat = _require_hermitian(as_matrix(A), scale=scale)
+    return DenseOperator(_eigen_sqrt(mat, tol, scale, "most negative eigenvalue")[0])
+
+
+def _eigen_sqrt(
+    mat: np.ndarray, tol: float, scale: Optional[float], what: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(root, eigenvectors, root eigenvalues) of a Hermitian matrix.
+
+    Eigenvalues within tol*scale of zero are clipped to zero (scale defaults
+    to the largest eigenvalue modulus); a more negative one raises NotPSDError
+    with the message "<what> <eigenvalue> below -<floor>"."""
     eig, vec = np.linalg.eigh(mat)
     if scale is None:
         scale = max(float(np.max(np.abs(eig))), 1e-300)
     floor = tol * scale
     if eig[0] < -floor:
-        raise NotPSDError(
-            f"most negative eigenvalue {eig[0]:.3e} below -{floor:.3e}", float(eig[0])
-        )
-    clipped = np.where(np.abs(eig) <= floor, 0.0, np.maximum(eig, 0.0))
-    root = (vec * np.sqrt(clipped)) @ vec.conj().T
-    return DenseOperator(0.5 * (root + root.conj().T))
+        raise NotPSDError(f"{what} {eig[0]:.3e} below -{floor:.3e}", float(eig[0]))
+    roots = np.sqrt(np.where(np.abs(eig) <= floor, 0.0, np.maximum(eig, 0.0)))
+    root = (vec * roots) @ vec.conj().T
+    return 0.5 * (root + root.conj().T), vec, roots
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "PowSign",
+    "Generator",
     "Binomial",
     "Polynomial",
     "PowerTail",
@@ -65,39 +66,165 @@ class PowSign(Enum):
 
 # --- generator tags -------------------------------------------------------
 #
-# A generator records where a coefficient window came from.  Binomial stores
-# the *effective* exponent e, meaning the series is (1-t)**e; PowerTail says
-# the coefficients follow amplitude * n**(-exponent) from `from_degree` on.
+# A generator records where a coefficient window came from, and it is the
+# only place that decides what the window certifies beyond its own end.
+# Binomial stores the *effective* exponent e, meaning the series is
+# (1-t)**e; PowerTail says the coefficients follow amplitude * n**(-exponent)
+# from `from_degree` on.  Every question takes the window c and answers None
+# when the generator cannot certify the answer.
+
+
+class Generator:
+    """Base of the generator tags.  A bare, file-read or derived window
+    certifies nothing, so every question here answers None."""
+
+    def abs_tail(self, c: np.ndarray, n_from: int) -> Optional[float]:
+        """Bound on sum_{n > n_from} |c_n|; math.inf for certified divergence."""
+        return None
+
+    def sup_tail(self, c: np.ndarray, beyond: int) -> Optional[float]:
+        """Bound on sup_{n > beyond} |c_n|."""
+        return None
+
+    def weighted_tail(self, c: np.ndarray, x: float) -> Optional[float]:
+        """Bound on |sum_{n > N} c_n x**n| for 0 <= x < 1, N the window end,
+        from the non-increasing envelope sup_{n > N} |c_n|."""
+        n = c.size - 1
+        sup = self.sup_tail(c, n) if x < 1.0 else None
+        return None if sup is None else sup * x ** (n + 1) / (1.0 - x)
+
+    def at_one(self, c: np.ndarray) -> Optional["AtOneEstimate"]:
+        """The boundary value f(1) with its critical/subcritical type."""
+        return None
+
+    def disc_zero_free(self, c: np.ndarray) -> Optional[tuple[bool, dict]]:
+        """(no zero in the open unit disc, witness entries)."""
+        return None
+
+    def kernel_order(self) -> Optional[float]:
+        """The order a when the series is the Cesaro kernel (1-t)**(-a), a > 0."""
+        return None
 
 
 @dataclass(frozen=True)
-class Binomial:
+class Binomial(Generator):
     exponent: float
 
+    def abs_tail(self, c: np.ndarray, n_from: int) -> Optional[float]:
+        e = self.exponent
+        if e == 0.0:
+            return 0.0
+        if e < 0.0:
+            return math.inf
+        if n_from < e:
+            return None
+        # beyond n > e the coefficients of (1-t)**e keep one sign and the
+        # full sum is exactly 0, so the absolute tail is |partial sum|;
+        # past the window the tail only shrinks, so the window-end bound holds
+        stop = min(n_from, c.size - 1)
+        return abs(float(np.sum(c[: stop + 1]))) + 1e-16 * (stop + 1)
+
+    def sup_tail(self, c: np.ndarray, beyond: int) -> Optional[float]:
+        # |c_n| decreases once n exceeds the exponent
+        if beyond >= abs(self.exponent) + 1 and beyond < c.size:
+            return float(abs(c[beyond]))
+        return None
+
+    def weighted_tail(self, c: np.ndarray, x: float) -> Optional[float]:
+        s = -self.exponent  # the series is (1-t)**(-s)
+        if s <= 1.0 or x >= 1.0:
+            return super().weighted_tail(c, x)
+        # coefficients grow, but their ratio (s + n) / (n + 1) decreases
+        n = c.size - 1
+        growth = (s + n) / (n + 1.0)
+        if growth * x >= 1.0:
+            return None
+        return float(c[n]) * growth * x ** (n + 1) / (1.0 - growth * x)
+
+    def at_one(self, c: np.ndarray) -> "AtOneEstimate":
+        if self.exponent > 0.0:
+            return AtOneEstimate(0.0, 0.0, True, "Critical")
+        if self.exponent == 0.0:
+            return AtOneEstimate(1.0, 0.0, True, "Subcritical")
+        return AtOneEstimate(math.inf, math.inf, True, "Indeterminate")
+
+    def disc_zero_free(self, c: np.ndarray) -> tuple[bool, dict]:
+        # (1-t)**e vanishes only at t = 1, which sits on the boundary
+        return True, {"binomial_exponent": self.exponent}
+
+    def kernel_order(self) -> Optional[float]:
+        return -self.exponent if self.exponent < 0 else None
+
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Generator):
     degree: int
 
+    def abs_tail(self, c: np.ndarray, n_from: int) -> float:
+        return 0.0 if n_from >= self.degree else float(np.sum(np.abs(c[n_from + 1 :])))
+
+    def sup_tail(self, c: np.ndarray, beyond: int) -> float:
+        return float(np.max(np.abs(c[beyond + 1 :]))) if beyond < self.degree else 0.0
+
+    def at_one(self, c: np.ndarray) -> "AtOneEstimate":
+        s = float(np.sum(c))
+        if abs(s) <= _CRITICAL_TOL:
+            return AtOneEstimate(s, 0.0, True, "Critical")
+        return AtOneEstimate(s, 0.0, True, "Subcritical" if s > 0 else "Indeterminate")
+
+    def disc_zero_free(self, c: np.ndarray) -> tuple[bool, dict]:
+        trimmed = np.trim_zeros(np.asarray(c, dtype=float), "b")
+        rmin = float(np.min(np.abs(np.roots(trimmed[::-1])))) if trimmed.size > 1 else None
+        return rmin is None or not rmin < 1.0 - 1e-12, {"min_root_modulus": rmin}
+
 
 @dataclass(frozen=True)
-class PowerTail:
+class PowerTail(Generator):
     amplitude: float
     exponent: float
     from_degree: int
 
+    def abs_tail(self, c: np.ndarray, n_from: int) -> Optional[float]:
+        b, n = self.exponent, c.size - 1
+        if self.from_degree > n + 1:
+            return None  # the law starts past the window, leaving a gap
+        if b <= 1.0:
+            return math.inf  # the power-law continuation is not summable
+        # known window part, then the integral comparison
+        # sum_{n > N} n**-b <= N**(1-b) / (b-1) for the continuation
+        window = float(np.sum(np.abs(c[n_from + 1 : n + 1])))
+        start = max(n_from, n, 1)
+        return window + abs(self.amplitude) * start ** (1.0 - b) / (b - 1.0)
+
+    def sup_tail(self, c: np.ndarray, beyond: int) -> Optional[float]:
+        if beyond + 1 >= self.from_degree and self.exponent > 0:
+            return abs(self.amplitude) * float(max(beyond + 1, 1)) ** -self.exponent
+        return None
+
+    def at_one(self, c: np.ndarray) -> "AtOneEstimate":
+        s = float(np.sum(c))
+        csum = np.cumsum(c)
+        b = self.exponent
+        tail = abs(self.amplitude) * (c.size - 1) ** (1.0 - b) / (b - 1.0) if b > 1 else math.inf
+        if math.isfinite(tail):
+            if s - tail > _CRITICAL_TOL:
+                return AtOneEstimate(s, tail, True, "Subcritical")
+            if abs(s) <= tail + _CRITICAL_TOL and abs(csum[-1]) <= abs(csum[len(csum) // 2]):
+                return AtOneEstimate(s, tail, True, "Critical")
+        return AtOneEstimate(s, tail, False, "Indeterminate")
+
 
 @dataclass(frozen=True)
-class FileList:
+class FileList(Generator):
     path: str
 
 
 @dataclass(frozen=True)
-class Derived:
+class Derived(Generator):
     note: str = ""
 
 
-Generator = Union[Binomial, Polynomial, PowerTail, FileList, Derived]
+_BARE = Derived("bare window")
 
 _BINOMIAL_CHECK_RTOL = 1e-14
 
@@ -147,6 +274,11 @@ class TruncatedSeries:
         scale = np.maximum(np.abs(expected), 1e-300)
         if np.max(np.abs(c[1:] - expected) / scale) > _BINOMIAL_CHECK_RTOL:
             raise ValueError("coefficients violate the binomial recurrence")
+
+    @property
+    def certifier(self) -> Generator:
+        """The generator that answers tail questions; a bare window has none."""
+        return self.generator or _BARE
 
     @property
     def trunc_len(self) -> int:
@@ -350,10 +482,7 @@ def cesaro_number(a: float, n: int) -> float:
     """Single Cesaro number k^a(n) = a(a+1)...(a+n-1)/n! by recurrence."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    value = 1.0
-    for i in range(1, n + 1):
-        value *= (a + i - 1.0) / i
-    return value
+    return float(cesaro_numbers(a, n)[n])
 
 
 def cesaro_number_gamma(a: float, n: int) -> float:
@@ -380,36 +509,15 @@ def abs_tail_bound(series: TruncatedSeries, n_from: Optional[int] = None) -> Opt
     closed-form generators produce a bound; Derived/FileList windows do not.
     """
     n_from = series.degree if n_from is None else n_from
-    gen = series.generator
-    if isinstance(gen, Polynomial):
-        return 0.0 if n_from >= gen.degree else float(np.sum(np.abs(series.coeffs[n_from + 1 :])))
-    if isinstance(gen, Binomial):
-        e = gen.exponent
-        if e == 0.0:
-            return 0.0
-        if e < 0.0:
-            return math.inf
-        if n_from < e:
-            return None
-        # beyond n > e the coefficients of (1-t)**e keep one sign and the
-        # full sum is exactly 0, so the absolute tail is |partial sum|;
-        # past the window the tail only shrinks, so the window-end bound holds
-        stop = min(n_from, series.degree)
-        partial = float(np.sum(series.coeffs[: stop + 1]))
-        return abs(partial) + 1e-16 * (stop + 1)
-    if isinstance(gen, PowerTail):
-        b = gen.exponent
-        if gen.from_degree > series.degree + 1:
-            return None  # the law starts past the window, leaving a gap
-        if b <= 1.0:
-            return math.inf  # the power-law continuation is not summable
-        # known window part, then the integral comparison
-        # sum_{n > N} n**-b <= N**(1-b) / (b-1) for the continuation
-        window = float(np.sum(np.abs(series.coeffs[n_from + 1 : series.degree + 1])))
-        start = max(n_from, series.degree, 1)
-        beyond = abs(gen.amplitude) * start ** (1.0 - b) / (b - 1.0)
-        return window + beyond
-    return None
+    return series.certifier.abs_tail(series.coeffs, n_from)
+
+
+def _horner(coeffs: np.ndarray, z):
+    """Horner's rule for one complex point or a numpy array of points."""
+    acc = 0j
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -426,21 +534,14 @@ def evaluate(f: TruncatedSeries, z: complex) -> EvaluationResult:
     """
     if abs(z) > 1.0 + 1e-12:
         raise OutOfDomainError(f"|z| = {abs(z):.6f} exceeds 1")
-    acc = complex(0.0)
-    for c in f.coeffs[::-1]:
-        acc = acc * z + c
-    return EvaluationResult(acc, abs_tail_bound(f))
+    return EvaluationResult(_horner(f.coeffs, z), abs_tail_bound(f))
 
 
 def evaluate_on_circle(f: TruncatedSeries, radius: float, samples: int) -> np.ndarray:
     """Vectorized Horner evaluation on a uniform grid of |z| = radius."""
     if radius > 1.0 + 1e-12:
         raise OutOfDomainError(f"radius {radius} exceeds 1")
-    z = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
-    acc = np.zeros_like(z)
-    for c in f.coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+    return _horner(f.coeffs, radius * np.exp(2j * np.pi * np.arange(samples) / samples))
 
 
 @dataclass(frozen=True)
@@ -482,32 +583,12 @@ def alpha_at_one(alpha: TruncatedSeries) -> AtOneEstimate:
     Certified exactly for binomial and polynomial generators; otherwise a
     partial-sum trend decides, or the verdict stays Indeterminate.
     """
-    gen = alpha.generator
-    c = alpha.coeffs
-    if isinstance(gen, Binomial):
-        if gen.exponent > 0.0:
-            return AtOneEstimate(0.0, 0.0, True, "Critical")
-        if gen.exponent == 0.0:
-            return AtOneEstimate(1.0, 0.0, True, "Subcritical")
-        return AtOneEstimate(math.inf, math.inf, True, "Indeterminate")
-    if isinstance(gen, Polynomial):
-        s = float(np.sum(c))
-        if abs(s) <= _CRITICAL_TOL:
-            return AtOneEstimate(s, 0.0, True, "Critical")
-        return AtOneEstimate(s, 0.0, True, "Subcritical" if s > 0 else "Indeterminate")
-    if isinstance(gen, PowerTail):
-        s = float(np.sum(c))
-        csum = np.cumsum(c)
-        b, n0 = gen.exponent, gen.from_degree
-        tail = abs(gen.amplitude) * alpha.degree ** (1.0 - b) / (b - 1.0) if b > 1 else math.inf
-        if math.isfinite(tail):
-            if s - tail > _CRITICAL_TOL:
-                return AtOneEstimate(s, tail, True, "Subcritical")
-            if abs(s) <= tail + _CRITICAL_TOL and abs(csum[-1]) <= abs(csum[len(csum) // 2]):
-                return AtOneEstimate(s, tail, True, "Critical")
-        return AtOneEstimate(s, tail, False, "Indeterminate")
+    est = alpha.certifier.at_one(alpha.coeffs)
+    if est is not None:
+        return est
     # no generator knowledge: partial-sum trend at the window checkpoints,
     # sampled at both parities to expose period-two oscillation
+    c = alpha.coeffs
     s = float(np.sum(c))
     csum = np.cumsum(c)
     n = c.size

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_cli_quiet(capsys, *argv):
+    """(exit code, stderr), failing on any warning the command raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err and "Traceback" not in err
+    return code, err
 
 
 class TestCanonicalJson:
@@ -59,6 +71,28 @@ class TestExitCodes:
 
     def test_missing_subcommand_exits_three(self, capsys):
         assert main(["kernel"]) == 3
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tolerance_not_finite_positive_exits_three(self, capsys, tol):
+        code, err = run_cli_quiet(
+            capsys, "kernel", "check", "--spec", "pow1mt(0.5)", "-N", "64", "--tol", tol
+        )
+        assert code == 3
+        assert "finite and positive" in err
+
+    @pytest.mark.parametrize("nmax", ["0", "4", "8"])
+    def test_nmax_below_nine_exits_three(self, capsys, nmax):
+        code, err = run_cli_quiet(
+            capsys, "ergodic", "probe", "--kernel", "pow1mt(-0.5)", "--a", "0.8", "--nmax", nmax
+        )
+        assert code == 3
+        assert "--nmax" in err
+
+    def test_nmax_nine_runs(self, capsys):
+        code, err = run_cli_quiet(
+            capsys, "ergodic", "probe", "--kernel", "pow1mt(-0.5)", "--a", "0.8", "--nmax", "9"
+        )
+        assert code == 0 and err == ""
 
 
 class TestDeterminism:
@@ -158,6 +192,13 @@ class TestSubcommands:
         assert ids == sorted(ids)
         assert len(ids) == 10
         assert (csv_dir / "HypB.csv").exists()
+
+    def test_report_bundle_on_underflowing_kernel(self, capsys):
+        # the kernel of this subcritical symbol is subnormal from n = 8503 on
+        code, err = run_cli_quiet(
+            capsys, "report", "bundle", "--spec", "poly[1,-0.6,-0.3]", "-N", "16384"
+        )
+        assert code == 2 and err == ""
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

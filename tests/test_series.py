@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from herop.series import (
     Binomial,
+    Derived,
+    FileList,
     OutOfDomainError,
     Polynomial,
     PowSign,
@@ -25,6 +28,7 @@ from herop.series import (
     reciprocal,
     wiener_norm,
 )
+from herop.specdsl import elaborate, parse_kernel_spec
 
 
 def poly(*coeffs):
@@ -313,3 +317,79 @@ class TestPairTypeEstimate:
         bad_k = binomial_series(0.5, PowSign.MINUS, 2)  # not the inverse
         est = pair_type_estimate(alpha, bad_k, trusted=False)
         assert not est.certified
+
+
+# --- generator certificates -------------------------------------------------
+
+
+def _certificate_window(name: str, n: int) -> TruncatedSeries:
+    exponents = {"binom_neg": -0.5, "binom_steep": -1.5, "binom_frac": 0.5, "binom_big": 1.5}
+    if name in exponents:
+        e = exponents[name]
+        return binomial_series(abs(e), PowSign.PLUS if e > 0 else PowSign.MINUS, n)
+    specs = {
+        "poly": "poly[1,-0.5,0.25]",
+        "poly_zero": "poly[1,-2]",
+        "tail_heavy": "tail(poly[1,-0.5],0.05,0.8,2)",
+        "tail_light": "tail(poly[1,-0.5],0.05,2.0,2)",
+    }
+    if name in specs:
+        return elaborate(parse_kernel_spec(specs[name]), n)
+    decay = 0.5 ** np.arange(n + 1.0)
+    if name == "tail_gap":  # the power law starts past the window
+        return TruncatedSeries(decay, PowerTail(0.05, 2.0, n + 5))
+    if name == "file":
+        return TruncatedSeries(decay, FileList("k.txt"))
+    return TruncatedSeries(2.0 * (np.arange(n + 1) == 0) - decay, Derived("cauchy_product"))
+
+
+inf = math.inf
+
+# Answers recorded from the code that held these rules before they moved onto
+# the generators: abs_tail_bound, the sup-tail helper of operators.py, the
+# weighted kernel tail of model.py, alpha_at_one, the root and binomial
+# branches of check_hypotheses_A and the default b of trichotomy_test.  One
+# entry differs on purpose: for (1-t)**0.5, whose coefficients past n = 0 are
+# negative, the old weighted tail returned the signed c_N x**(N+1) / (1 - x),
+# which bounds nothing; the decreasing envelope gives |c_N| x**(N+1) / (1 - x).
+RECORDED_CERTIFICATES = {
+    ('binom_neg', 16): {'abs_tail': (inf, inf), 'sup_tail': (0.196380615234375, 0.13994993409141898), 'weighted_tail': (1.0861544411273905e-11, 0.0204863419850513), 'disc_zero_free': (True, {'binomial_exponent': -0.5}), 'kernel_order': 0.5, 'at_one': (inf, inf, True, 'Indeterminate')},
+    ('binom_neg', 64): {'abs_tail': (inf, inf), 'sup_tail': (0.0993467537479669, 0.07038609217001518), 'weighted_tail': (6.894871143525808e-41, 4.171185268714434e-07), 'disc_zero_free': (True, {'binomial_exponent': -0.5}), 'kernel_order': 0.5, 'at_one': (inf, inf, True, 'Indeterminate')},
+    ('binom_steep', 16): {'abs_tail': (inf, inf), 'sup_tail': (3.338470458984375, 4.618347825016827), 'weighted_tail': (3.726262513372681e-10, 0.7957040263043371), 'disc_zero_free': (True, {'binomial_exponent': -1.5}), 'kernel_order': 1.5, 'at_one': (inf, inf, True, 'Indeterminate')},
+    ('binom_steep', 64): {'abs_tail': (inf, inf), 'sup_tail': (6.457538993617846, 9.079805889931944), 'weighted_tail': (8.985842734275765e-39, 5.60606252517412e-05), 'disc_zero_free': (True, {'binomial_exponent': -1.5}), 'kernel_order': 1.5, 'at_one': (inf, inf, True, 'Indeterminate')},
+    ('binom_frac', 16): {'abs_tail': (0.1963806152343759, 0.13994993409142067), 'sup_tail': (0.013092041015625, 0.004514514002948999), 'weighted_tail': (3.5037240036367434e-13, 0.0006608497414532677), 'disc_zero_free': (True, {'binomial_exponent': 0.5}), 'kernel_order': None, 'at_one': (0.0, 0.0, True, 'Critical')},
+    ('binom_frac', 64): {'abs_tail': (0.0993467537479702, 0.07038609217002165), 'sup_tail': (0.0015769325991740776, 0.0005542211981890958), 'weighted_tail': (5.4290323964770124e-43, 3.284397849381444e-09), 'disc_zero_free': (True, {'binomial_exponent': 0.5}), 'kernel_order': None, 'at_one': (0.0, 0.0, True, 'Critical')},
+    ('binom_big', 16): {'abs_tail': (0.0130920410156259, 0.0045145140029506994), 'sup_tail': (0.003021240234375, 0.0004670186899602413), 'weighted_tail': (3.6245420727276656e-14, 6.836376635723458e-05), 'disc_zero_free': (True, {'binomial_exponent': 1.5}), 'kernel_order': None, 'at_one': (0.0, 0.0, True, 'Critical')},
+    ('binom_big', 64): {'abs_tail': (0.0015769325991773777, 0.000554221198195802), 'sup_tail': (7.755406225446284e-05, 1.3301308756538291e-05), 'weighted_tail': (1.3029677751544823e-44, 7.882554838515459e-11), 'disc_zero_free': (True, {'binomial_exponent': 1.5}), 'kernel_order': None, 'at_one': (0.0, 0.0, True, 'Critical')},
+    ('poly', 16): {'abs_tail': (0.0, 0.0), 'sup_tail': (0.0, 0.0), 'weighted_tail': (0.0, 0.0), 'disc_zero_free': (True, {'min_root_modulus': 2.0}), 'kernel_order': None, 'at_one': (0.75, 0.0, True, 'Subcritical')},
+    ('poly', 64): {'abs_tail': (0.0, 0.0), 'sup_tail': (0.0, 0.0), 'weighted_tail': (0.0, 0.0), 'disc_zero_free': (True, {'min_root_modulus': 2.0}), 'kernel_order': None, 'at_one': (0.75, 0.0, True, 'Subcritical')},
+    ('poly_zero', 16): {'abs_tail': (0.0, 0.0), 'sup_tail': (0.0, 0.0), 'weighted_tail': (0.0, 0.0), 'disc_zero_free': (False, {'min_root_modulus': 0.5}), 'kernel_order': None, 'at_one': (-1.0, 0.0, True, 'Indeterminate')},
+    ('poly_zero', 64): {'abs_tail': (0.0, 0.0), 'sup_tail': (0.0, 0.0), 'weighted_tail': (0.0, 0.0), 'disc_zero_free': (False, {'min_root_modulus': 0.5}), 'kernel_order': None, 'at_one': (-1.0, 0.0, True, 'Indeterminate')},
+    ('tail_heavy', 16): {'abs_tail': (inf, inf), 'sup_tail': (0.008621364299529775, 0.0051833539642126975), 'weighted_tail': (4.0228121325782636e-13, 0.0007587567842016125), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (0.6660961682022145, inf, False, 'Indeterminate')},
+    ('tail_heavy', 64): {'abs_tail': (inf, inf), 'sup_tail': (0.003049010025887209, 0.0017727166306170312), 'weighted_tail': (1.7365153207492e-42, 1.0505384327025996e-08), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (0.8033678077056909, inf, False, 'Indeterminate')},
+    ('tail_light', 16): {'abs_tail': (0.0059712240645396035, 0.003125), 'sup_tail': (0.0006172839506172839, 0.0001730103806228374), 'weighted_tail': (1.3427372759738735e-14, 2.5325841326142226e-05), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (0.5292173266722494, 0.003125, True, 'Subcritical')},
+    ('tail_light', 64): {'abs_tail': (0.0015444119290481582, 0.00078125), 'sup_tail': (4.5913682277318646e-05, 1.1834319526627219e-05), 'weighted_tail': (1.1592646457813487e-44, 7.013195043630504e-11), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (0.5314715250704444, 0.00078125, True, 'Subcritical')},
+    ('tail_gap', 16): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (1.9999847412109375, 0.003125, True, 'Subcritical')},
+    ('tail_gap', 64): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (2.0, 0.00078125, True, 'Subcritical')},
+    ('file', 16): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (1.9999847412109375, None, False, 'Subcritical')},
+    ('file', 64): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (2.0, None, False, 'Subcritical')},
+    ('derived', 16): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (1.52587890625e-05, None, False, 'Indeterminate')},
+    ('derived', 64): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (2.7701365507004638e-17, None, False, 'Critical')},
+}
+
+_ASK = {
+    "abs_tail": lambda s, n: tuple(abs_tail_bound(s, m) for m in (n // 2, n)),
+    "sup_tail": lambda s, n: tuple(s.certifier.sup_tail(s.coeffs, m) for m in (n // 2, n)),
+    "weighted_tail": lambda s, n: tuple(
+        s.certifier.weighted_tail(s.coeffs, x) for x in (0.25, 0.81)
+    ),
+    "at_one": lambda s, n: dataclasses.astuple(alpha_at_one(s)),
+    "disc_zero_free": lambda s, n: s.certifier.disc_zero_free(s.coeffs),
+    "kernel_order": lambda s, n: s.certifier.kernel_order(),
+}
+
+
+@pytest.mark.parametrize("question", sorted(_ASK))
+def test_generator_certificates_match_recorded(question):
+    got = {key: _ASK[question](_certificate_window(*key), key[1]) for key in RECORDED_CERTIFICATES}
+    assert got == {key: answers[question] for key, answers in RECORDED_CERTIFICATES.items()}
