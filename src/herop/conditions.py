@@ -169,6 +169,13 @@ def check_hypotheses_B(pair: KernelPair) -> ConditionReport:
     under = kernel_underflow_index(k.coeffs)
     if under is not None:
         n = under - 1  # ratios carry no information past float underflow
+    # nor past a zero weight: that ratio is undefined, so the prefix before
+    # it gives a witness but never a verdict
+    cut = np.flatnonzero(k.coeffs[: n + 1] == 0.0)
+    n = int(cut[0]) - 1 if cut.size else n
+    if n < 1:
+        witness = {"zero_kernel_index": n + 1}
+        return ConditionReport("HypB", Verdict.INDETERMINATE, witness, max(n, 0))
     kc = k.coeffs[: n + 1]
     beta = TruncatedSeries(np.abs(alpha.coeffs[: n + 1]), Derived("abs"))
     gamma = cauchy_product(beta, TruncatedSeries(kc, k.generator)).coeffs[: n + 1]
@@ -186,9 +193,9 @@ def check_hypotheses_B(pair: KernelPair) -> ConditionReport:
     flat_g = np.ptp(ratio_g[ratio_g.size // 2 :]) <= 1e-12 * max(1.0, ratio_g[i_g])
     attained = i_k <= n // 2 and i_g <= n // 2
     stabilized = _running_sup_stabilized(ratio_k) and _running_sup_stabilized(ratio_g)
-    if flat_k and flat_g and attained:
+    if flat_k and flat_g and attained and not cut.size:
         return ConditionReport("HypB", Verdict.HOLDS, witness, n)
-    if attained or stabilized:
+    if (attained or stabilized) and not cut.size:
         return ConditionReport("HypB", Verdict.TREND_HOLDS, witness, n)
     return ConditionReport("HypB", Verdict.INDETERMINATE, witness, n)
 

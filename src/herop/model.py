@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -113,43 +114,24 @@ def build_defect(
     return DenseOperator(d_mat), basis, hered
 
 
-def _nilpotency_index(mat: np.ndarray, cap: Optional[int] = None) -> tuple[Optional[int], float]:
-    """(index, dust): first power whose Frobenius norm drops to numerical
-    zero relative to the largest power seen, with the residue reported.
-
-    Finite sections vanish outright; unitary conjugates of sections leave
-    float dust around 1e-13 which still marks the structural nilpotency."""
-    d = mat.shape[0]
-    cap = d if cap is None else min(cap, d)
-    power = np.eye(d, dtype=np.complex128)
-    peak = 1.0
-    for n in range(1, cap + 1):
-        power = power @ mat
-        fro = float(np.linalg.norm(power, "fro"))
-        peak = max(peak, fro)
-        if fro <= 1e-12 * peak:
-            return n, fro
-    return None, 0.0
-
-
 def _certified_degree_cap(
-    c_norm: float, k: TruncatedSeries, mat: np.ndarray, tol: float
+    c_norm: float, k: TruncatedSeries, T: Union[DenseOperator, ShiftSection], tol: float
 ) -> tuple[int, float]:
     """Smallest degree cap with certified tail sum_{n>M} k_n ||C T^n||^2 <= tol."""
-    rho = spectral_radius(DenseOperator(mat))
+    rho = spectral_radius(T)
     if rho >= 1.0 - 1e-8:
         raise TailUncertifiableError(
             f"spectral radius estimate {rho:.6f} leaves the degree tail uncertified"
         )
     kc = k.coeffs
     # contraction envelope from the first Frobenius-contractive power
-    power = np.array(mat)
-    fro = [1.0, float(np.linalg.norm(power, "fro"))]
-    while not fro[-1] < 1.0:
-        if len(fro) > 512:
-            raise TailUncertifiableError("no contractive power found within 512 steps")
-        power = power @ mat
-        fro.append(float(np.linalg.norm(power, "fro")))
+    fro = [1.0]
+    for norm, _ in islice(T.powers(grams=False), 512):
+        fro.append(norm)
+        if norm < 1.0:
+            break
+    else:
+        raise TailUncertifiableError("no contractive power found within 512 steps")
     m0 = len(fro) - 1
     q, env = _contraction_envelope(fro)
     n_max = kc.size - 1
@@ -178,7 +160,9 @@ def build_transform(
 
     Degree cap policy: nilpotency index minus one for finite sections (tail
     exactly 0), else the smallest certified cap, else the caller's explicit M
-    (tail left None when uncertifiable).  Returns (V, M, tail_bound)."""
+    (tail left None when uncertifiable).  Returns (V, M, tail_bound).  The
+    index is the first power whose Frobenius norm is dust (1e-12) relative
+    to the largest power seen, as unitary conjugates of sections leave it."""
     mat = as_matrix(T)
     cmat = np.atleast_2d(np.asarray(C, dtype=np.complex128))
     d = mat.shape[0]
@@ -186,18 +170,22 @@ def build_transform(
         raise ValueError("C must map the operator space into the auxiliary space")
     tail_bound: Optional[float] = None
     c_norm = float(np.linalg.norm(cmat, 2))
+    nil, dust, peak = None, 0.0, 1.0
+    cap = d if M is None else min(M + 1, d)
+    for n, (fro, _) in enumerate(islice(T.powers(grams=False), cap), 1):
+        peak = max(peak, fro)
+        if fro <= 1e-12 * peak:
+            nil, dust = n, fro
+            break
     if M is None:
-        nil, dust = _nilpotency_index(mat)
         if nil is not None:
             M = nil - 1
             window = float(np.sum(k.coeffs[: min(nil + 1, k.trunc_len)]))
             tail_bound = (c_norm * dust) ** 2 * window  # exact 0 for true sections
         else:
-            M, tail_bound = _certified_degree_cap(c_norm, k, mat, tol / 10.0)
-    else:
-        nil, dust = _nilpotency_index(mat, cap=M + 1)
-        if nil is not None and nil <= M + 1:
-            tail_bound = 0.0
+            M, tail_bound = _certified_degree_cap(c_norm, k, T, tol / 10.0)
+    elif nil is not None:
+        tail_bound = 0.0
     if M + 1 > k.trunc_len:
         raise ValueError(f"kernel window too short for degree cap M={M}")
     r = cmat.shape[0]

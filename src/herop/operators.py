@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from itertools import islice
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,6 +70,10 @@ class ConvergenceNotCertifiedError(RuntimeError):
         self.partial = partial
 
 
+# a power whose Frobenius norm is at most this has vanished outright
+_NILPOTENT_TOL = 1e-300
+
+
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Complex d x d matrix standing for a finite-section or exemplar operator."""
@@ -94,6 +99,17 @@ class DenseOperator:
 
     def adjoint(self) -> "DenseOperator":
         return DenseOperator(self.entries.conj().T, self.labels)
+
+    def powers(self, grams: bool = True) -> Iterator[tuple[float, Optional[np.ndarray]]]:
+        """(||T^n||_F, T*^n T^n) for n = 1, 2, ..., ending after the first
+        power that vanishes; the Gram is left out (None) unless grams."""
+        power = mat = self.entries
+        while True:
+            fro = float(np.linalg.norm(power, "fro"))
+            yield fro, (power.conj().T @ power if grams else None)
+            if fro <= _NILPOTENT_TOL:
+                return
+            power = power @ mat
 
 
 def as_matrix(op: Union[DenseOperator, "ShiftSection", "BlockDiagOperator", np.ndarray]) -> np.ndarray:
@@ -148,6 +164,18 @@ class ShiftSection:
             m[idx + 1, idx] = 1.0 / self.couplings
             label = f"forward shift section d={self.dim} (compression, NOT a part)"
         return DenseOperator(m, label)
+
+    def powers(self, grams: bool = True) -> Iterator[tuple[float, np.ndarray]]:
+        """DenseOperator.powers in closed form: T*^n T^n is the diagonal
+        k_{j-n}/k_j at j >= n (backward) or k_{j+n}/k_j at j < d-n (forward)."""
+        k, d = self.kappa.coeffs[: self.dim], self.dim
+        for n in range(1, d + 1):
+            gram = np.zeros(d)
+            if self.direction is Direction.BACKWARD:
+                gram[n:] = k[: d - n] / k[n:]
+            else:
+                gram[: d - n] = k[n:] / k[: d - n]
+            yield math.sqrt(float(np.sum(gram))), gram
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v, dtype=np.complex128)
@@ -204,9 +232,6 @@ class HereditaryResult:
         return not isinstance(self.policy_used, Truncated)
 
 
-_NILPOTENT_TOL = 1e-300
-
-
 def _symmetrize(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     sym = 0.5 * (m + m.conj().T)
     scale = max(float(np.linalg.norm(sym, "fro")), 1e-300)
@@ -244,34 +269,29 @@ def hereditary_apply(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mat = as_matrix(T)
-    d = mat.shape[0]
+    d = T.dim
     coeffs = alpha.coeffs
     n_alpha = coeffs.size - 1
     limit = n_alpha if n_cap is None else min(n_alpha, int(n_cap))
 
     # policy selection data
-    rho = spectral_radius(DenseOperator(mat))
+    rho = spectral_radius(T)
     geometric = rho < 1.0 - 10.0 * tol
 
-    value = coeffs[0] * np.eye(d, dtype=np.complex128)
-    abs_value = abs(coeffs[0]) * np.eye(d, dtype=np.complex128)
-    power = np.eye(d, dtype=np.complex128)
+    # a section's Grams are diagonals, kept as vectors until the end
+    one = np.ones(d) if isinstance(T, ShiftSection) else np.eye(d, dtype=np.complex128)
+    value = coeffs[0] * one
+    abs_value = abs(coeffs[0]) * one
     fro_norms = [math.sqrt(d)]  # Frobenius norms of T^n, n = 0..
     policy: Optional[Policy] = None
     sup_beyond = alpha.certifier.sup_tail(coeffs, limit)
     envelope = None  # (q, env) from the first contracting Frobenius norm
 
-    n = 0
-    while n < limit:
-        n += 1
-        power = power @ mat
-        fro = float(np.linalg.norm(power, "fro"))
+    for n, (fro, gram) in enumerate(islice(T.powers(), limit), 1):
         fro_norms.append(fro)
         if fro <= _NILPOTENT_TOL:
             policy = ExactNilpotent(order=n)
             break
-        gram = power.conj().T @ power
         value += coeffs[n] * gram
         abs_value += abs(coeffs[n]) * gram
         if not geometric or sup_beyond is None:
@@ -284,6 +304,8 @@ def hereditary_apply(
         if tail <= tol:
             policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
             break
+    if value.ndim == 1:
+        value, abs_value = np.diag(value), np.diag(abs_value)
     if policy is None:
         if abs_tail_bound(alpha, limit) == 0.0:
             policy = ExactPolynomial(limit)
@@ -356,8 +378,7 @@ def class_membership(
     if len(probe_vectors) == 0:
         raise ValueError("probe_vectors must be nonempty")
     mat = as_matrix(T)
-    d = mat.shape[0]
-    result = hereditary_apply(alpha, DenseOperator(mat), tol=max(tol, 1e-14))
+    result = hereditary_apply(alpha, T, tol=max(tol, 1e-14))
     exact = not isinstance(result.policy_used, Truncated)
 
     # per-vector partial sums of |alpha_n| ||T^n x||^2 with their trajectory
@@ -585,6 +606,8 @@ def operator_norm(T: Union[DenseOperator, ShiftSection, np.ndarray]) -> float:
 
 
 def spectral_radius(T: Union[DenseOperator, ShiftSection, np.ndarray]) -> float:
+    if isinstance(T, ShiftSection):
+        return 0.0  # sections are nilpotent
     mat = as_matrix(T)
     if mat.shape[0] <= 512:
         return float(np.max(np.abs(np.linalg.eigvals(mat))))

@@ -201,7 +201,9 @@ class PowerTail(Generator):
             return abs(self.amplitude) * float(max(beyond + 1, 1)) ** -self.exponent
         return None
 
-    def at_one(self, c: np.ndarray) -> "AtOneEstimate":
+    def at_one(self, c: np.ndarray) -> Optional["AtOneEstimate"]:
+        if self.from_degree > c.size:
+            return super().at_one(c)  # a gap before the law certifies nothing
         s = float(np.sum(c))
         csum = np.cumsum(c)
         b = self.exponent

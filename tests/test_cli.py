@@ -200,6 +200,19 @@ class TestSubcommands:
         )
         assert code == 2 and err == ""
 
+    @pytest.mark.parametrize("spec", ["inv(poly[1,-0.5])", "inv(poly[1,0.5,0.25])"])
+    def test_kernel_check_on_kernel_with_zero_coefficients(self, capsys, spec):
+        # kernels 1 - 0.5t and 1 + 0.5t + 0.25t^2: exact zeros past the head
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["kernel", "check", "--spec", spec, "-N", "512"])
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == [] and captured.err == ""
+        assert code == 1
+        hyp_b = next(r for r in json.loads(captured.out)["reports"] if r["condition_id"] == "HypB")
+        assert hyp_b["verdict"] == "Indeterminate"
+        assert "nan" not in json.dumps(hyp_b)
+
     def test_out_flag_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out = run_cli(

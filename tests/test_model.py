@@ -1,7 +1,7 @@
 import math
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herop.conditions import SignPattern, generate_sign_pattern_kernel
@@ -20,9 +20,12 @@ from herop.model import (
     verify_relation_DCW,
 )
 from herop.operators import (
+    ConvergenceNotCertifiedError,
     DenseOperator,
+    ExactNilpotent,
     direct_sum,
     Direction,
+    hereditary_apply,
     NotPSDError,
     operator_norm,
     seeded_unit_vectors,
@@ -372,6 +375,89 @@ class TestRandomInstancePipeline:
         assert bundle.diagnostics["intertwine_residual"] <= 1e-10
         sign = np.sign(bundle.V[0, 0].real)
         assert np.max(np.abs(sign * bundle.V[:d, :d] - np.eye(d))) <= 1e-9
+
+
+def random_weights(rng, n, drift):
+    """Positive weights whose log-ratios scatter around drift."""
+    return np.exp(np.cumsum(rng.uniform(drift - 0.3, drift + 0.3, n)))
+
+
+def hereditary_or_partial(alpha, T):
+    try:
+        return hereditary_apply(alpha, T), False
+    except ConvergenceNotCertifiedError as exc:
+        return exc.partial, True
+
+
+class TestStructuredPowersMatchDense:
+    """Sections take closed-form powers; their dense matrices take products.
+    Both must give the same hereditary sums, policies and transforms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 128),
+        forward=st.booleans(),
+        drift=st.sampled_from([-0.6, -0.3, 0.0, 0.3, 0.6]),
+        symbol=st.sampled_from(["binomial", "polynomial", "bare"]),
+        symbol_len=st.integers(2, 160),
+        degree=st.one_of(st.none(), st.integers(0, 140)),
+    )
+    # contracting powers: a geometric tail, and a dust-rule index below d
+    @example(seed=1, d=128, forward=False, drift=0.6, symbol="binomial", symbol_len=160, degree=None)
+    @example(seed=2, d=128, forward=True, drift=-0.6, symbol="bare", symbol_len=160, degree=None)
+    # a certified symbol tail that the window ends before meeting
+    @example(seed=3, d=64, forward=False, drift=0.0, symbol="binomial", symbol_len=20, degree=None)
+    def test_sections_against_their_matrices(
+        self, seed, d, forward, drift, symbol, symbol_len, degree
+    ):
+        rng = np.random.default_rng(seed)
+        k = TruncatedSeries(random_weights(rng, d + 8, drift), None)
+        section = shift_section(k, Direction.FORWARD if forward else Direction.BACKWARD, d)
+        dense = section.operator()
+        if symbol == "binomial":
+            alpha = binomial_series(rng.uniform(0.1, 2.0), PowSign.PLUS, symbol_len)
+        else:
+            coeffs = rng.standard_normal(symbol_len) * 0.8 ** np.arange(symbol_len)
+            gen = Polynomial(symbol_len - 1) if symbol == "polynomial" else None
+            alpha = TruncatedSeries(coeffs, gen)
+
+        fast, fast_raised = hereditary_or_partial(alpha, section)
+        slow, slow_raised = hereditary_or_partial(alpha, dense)
+        assert fast_raised == slow_raised
+        assert type(fast.policy_used) is type(slow.policy_used)
+        for field in ("order", "M"):
+            assert getattr(fast.policy_used, field, None) == getattr(slow.policy_used, field, None)
+        scale = np.abs(slow.abs_value.entries)
+        for a, b in ((fast.value, slow.value), (fast.abs_value, slow.abs_value)):
+            assert np.all(np.abs(a.entries - b.entries) <= 1e-12 * scale)
+
+        if degree is not None and degree + 1 > k.trunc_len:
+            return
+        C = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        V_fast, M_fast, tail_fast = build_transform(C, k, section, M=degree)
+        V_slow, M_slow, tail_slow = build_transform(C, k, dense, M=degree)
+        assert M_fast == M_slow
+        assert tail_fast == pytest.approx(tail_slow, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(V_fast, V_slow, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 48), forward=st.booleans())
+    def test_unitary_conjugate_keeps_the_nilpotency_index(self, seed, d, forward):
+        # Q B Q* leaves float dust far above 1e-300 in its d-th power; the
+        # relative dust rule still reads the index d from the dense powers
+        rng = np.random.default_rng(seed)
+        k = TruncatedSeries(random_weights(rng, d + 4, 0.0), None)
+        section = shift_section(k, Direction.FORWARD if forward else Direction.BACKWARD, d)
+        Q = random_unitary(d, seed=seed % 1000).entries
+        conjugate = DenseOperator(Q @ section.operator().entries @ Q.conj().T)
+        C = np.ones((1, d), dtype=complex)
+        _, M_section, tail_section = build_transform(C, k, section)
+        _, M_conj, tail_conj = build_transform(C @ Q.conj().T, k, conjugate)
+        assert M_section == M_conj == d - 1
+        assert tail_section == 0.0 and tail_conj <= 1e-20
+        alpha = binomial_series(0.5, PowSign.PLUS, 2 * d)
+        assert isinstance(hereditary_apply(alpha, section).policy_used, ExactNilpotent)
 
 
 class TestModelShiftMatrix:

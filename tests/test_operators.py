@@ -190,6 +190,34 @@ class TestClassMembership:
         with pytest.raises(ValueError):
             class_membership(poly(1.0, -1.0), DenseOperator(np.eye(2)), [np.ones(2)])
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            binomial_series(0.5, PowSign.PLUS, 63),
+            binomial_series(0.7, PowSign.PLUS, 63),
+            poly(1.0, -0.5, -0.25),
+            poly(1.0, -2.0),
+            TruncatedSeries(np.concatenate([[1.0], -1.0 / np.arange(1.0, 64.0)]), None),
+            TruncatedSeries(np.array([1.0, -0.5, -0.2, -0.1]), None),
+        ],
+        ids=["binom-half", "binom-0.7", "poly", "poly-expansive", "bare", "bare-short"],
+    )
+    def test_section_and_its_matrix_agree(self, direction, alpha):
+        # closed-form section powers against the dense products of operator()
+        T = shift_section(binomial_series(0.5, PowSign.MINUS, 64), direction, 24)
+        probes = seeded_unit_vectors(24, 6, seed=3)
+        fast = class_membership(alpha, T, probes)
+        slow = class_membership(alpha, T.operator(), probes)
+        assert (fast.in_Cw, fast.in_Cw_plus) == (slow.in_Cw, slow.in_Cw_plus)
+        assert fast.witness["policy"] == slow.witness["policy"]
+        np.testing.assert_allclose(
+            fast.witness["per_vector_sums"], slow.witness["per_vector_sums"], rtol=1e-12
+        )
+        assert fast.witness["min_eigenvalue"] == pytest.approx(
+            slow.witness["min_eigenvalue"], abs=1e-12 * slow.witness["value_norm"]
+        )
+
 
 class TestShiftMembershipBackward:
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0])

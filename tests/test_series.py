@@ -352,6 +352,9 @@ inf = math.inf
 # entry differs on purpose: for (1-t)**0.5, whose coefficients past n = 0 are
 # negative, the old weighted tail returned the signed c_N x**(N+1) / (1 - x),
 # which bounds nothing; the decreasing envelope gives |c_N| x**(N+1) / (1 - x).
+# The tail_gap rows of at_one were recorded certified too, although nothing
+# is known between the window end and the start of the power law; they now
+# carry the uncertified partial-sum answer, like an untagged window.
 RECORDED_CERTIFICATES = {
     ('binom_neg', 16): {'abs_tail': (inf, inf), 'sup_tail': (0.196380615234375, 0.13994993409141898), 'weighted_tail': (1.0861544411273905e-11, 0.0204863419850513), 'disc_zero_free': (True, {'binomial_exponent': -0.5}), 'kernel_order': 0.5, 'at_one': (inf, inf, True, 'Indeterminate')},
     ('binom_neg', 64): {'abs_tail': (inf, inf), 'sup_tail': (0.0993467537479669, 0.07038609217001518), 'weighted_tail': (6.894871143525808e-41, 4.171185268714434e-07), 'disc_zero_free': (True, {'binomial_exponent': -0.5}), 'kernel_order': 0.5, 'at_one': (inf, inf, True, 'Indeterminate')},
@@ -369,8 +372,8 @@ RECORDED_CERTIFICATES = {
     ('tail_heavy', 64): {'abs_tail': (inf, inf), 'sup_tail': (0.003049010025887209, 0.0017727166306170312), 'weighted_tail': (1.7365153207492e-42, 1.0505384327025996e-08), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (0.8033678077056909, inf, False, 'Indeterminate')},
     ('tail_light', 16): {'abs_tail': (0.0059712240645396035, 0.003125), 'sup_tail': (0.0006172839506172839, 0.0001730103806228374), 'weighted_tail': (1.3427372759738735e-14, 2.5325841326142226e-05), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (0.5292173266722494, 0.003125, True, 'Subcritical')},
     ('tail_light', 64): {'abs_tail': (0.0015444119290481582, 0.00078125), 'sup_tail': (4.5913682277318646e-05, 1.1834319526627219e-05), 'weighted_tail': (1.1592646457813487e-44, 7.013195043630504e-11), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (0.5314715250704444, 0.00078125, True, 'Subcritical')},
-    ('tail_gap', 16): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (1.9999847412109375, 0.003125, True, 'Subcritical')},
-    ('tail_gap', 64): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (2.0, 0.00078125, True, 'Subcritical')},
+    ('tail_gap', 16): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (1.9999847412109375, None, False, 'Subcritical')},
+    ('tail_gap', 64): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (2.0, None, False, 'Subcritical')},
     ('file', 16): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (1.9999847412109375, None, False, 'Subcritical')},
     ('file', 64): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (2.0, None, False, 'Subcritical')},
     ('derived', 16): {'abs_tail': (None, None), 'sup_tail': (None, None), 'weighted_tail': (None, None), 'disc_zero_free': None, 'kernel_order': None, 'at_one': (1.52587890625e-05, None, False, 'Indeterminate')},
