@@ -105,6 +105,10 @@ class Generator:
         """The order a when the series is the Cesaro kernel (1-t)**(-a), a > 0."""
         return None
 
+    def inverse(self, c: np.ndarray, n_max: int) -> Optional["TruncatedSeries"]:
+        """1/f to degree n_max in closed form, tagged with its generator."""
+        return None
+
 
 @dataclass(frozen=True)
 class Binomial(Generator):
@@ -154,6 +158,16 @@ class Binomial(Generator):
 
     def kernel_order(self) -> Optional[float]:
         return -self.exponent if self.exponent < 0 else None
+
+    def inverse(self, c: np.ndarray, n_max: int) -> Optional["TruncatedSeries"]:
+        # 1/(1-t)**e = (1-t)**(-e); a zero-extended window is no longer binomial
+        if n_max >= c.size:
+            return None
+        k = _binomial_coeffs(-self.exponent, n_max)
+        bad = np.flatnonzero(~np.isfinite(k))
+        if bad.size:
+            raise ValueError(f"inversion overflowed at degree {int(bad[0])}")
+        return TruncatedSeries(k, Binomial(-self.exponent))
 
 
 @dataclass(frozen=True)
@@ -233,11 +247,13 @@ _BINOMIAL_CHECK_RTOL = 1e-14
 
 def _binomial_coeffs(e: float, n_max: int) -> np.ndarray:
     """Taylor coefficients of (1-t)**e up to degree n_max, by the stable
-    multiplicative recurrence c_n = c_{n-1} * (n - e - 1) / n."""
+    multiplicative recurrence c_n = c_{n-1} * (n - e - 1) / n.  Overflow
+    leaves non-finite entries for the caller to report."""
     if n_max == 0:
         return np.ones(1)
     n = np.arange(1.0, n_max + 1.0)
-    return np.concatenate(([1.0], np.cumprod((n - e - 1.0) / n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate(([1.0], np.cumprod((n - e - 1.0) / n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +288,7 @@ class TruncatedSeries:
         if c.size == 1:
             return
         n = np.arange(1.0, c.size)
-        expected = c[:-1] * (n - e - 1.0) / n
+        expected = c[:-1] * ((n - e - 1.0) / n)
         scale = np.maximum(np.abs(expected), 1e-300)
         if np.max(np.abs(c[1:] - expected) / scale) > _BINOMIAL_CHECK_RTOL:
             raise ValueError("coefficients violate the binomial recurrence")
@@ -320,8 +336,18 @@ def binomial_series(a: float, sign: PowSign, n_max: int) -> TruncatedSeries:
 def cauchy_product(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Formal product truncated at the shorter of the two windows."""
     n = min(f.trunc_len, g.trunc_len)
-    prod = np.convolve(f.coeffs[:n], g.coeffs[:n])[:n]
-    return TruncatedSeries(prod, Derived("cauchy_product"))
+    return TruncatedSeries(_convolve(f.coeffs, g.coeffs, n), Derived("cauchy_product"))
+
+
+def _convolve(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of f * g by direct convolution, skipping each
+    factor's exact trailing zeros: a padded polynomial costs O(n deg)."""
+    f, g = np.trim_zeros(f[:n], "b"), np.trim_zeros(g[:n], "b")
+    out = np.zeros(n)
+    if f.size and g.size:
+        prod = np.convolve(f, g)[:n]
+        out[: prod.size] = prod
+    return out
 
 
 def _invert_coeffs(c: np.ndarray, n_max: int) -> np.ndarray:
@@ -332,13 +358,14 @@ def _invert_coeffs(c: np.ndarray, n_max: int) -> np.ndarray:
     inv0 = 1.0 / c[0]
     k = np.empty(n_max + 1)
     k[0] = inv0
-    for n in range(1, n_max + 1):
-        j = min(n, deg)
-        stop = n - j - 1
-        acc = np.dot(c[1 : j + 1], k[n - 1 : (stop if stop >= 0 else None) : -1]) if j >= 1 else 0.0
-        k[n] = -inv0 * acc
-        if not math.isfinite(k[n]):
-            raise ValueError(f"inversion overflowed at degree {n}")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for n in range(1, n_max + 1):
+            j = min(n, deg)
+            stop = n - j - 1
+            acc = np.dot(c[1 : j + 1], k[n - 1 : (stop if stop >= 0 else None) : -1]) if j >= 1 else 0.0
+            k[n] = -inv0 * acc
+            if not math.isfinite(k[n]):
+                raise ValueError(f"inversion overflowed at degree {n}")
     return k
 
 
@@ -410,7 +437,7 @@ def make_kernel_pair(alpha: TruncatedSeries, k: TruncatedSeries) -> KernelPair:
     """Assemble a KernelPair from an explicit (alpha, k) window pair,
     recomputing the residual and all flags."""
     n = min(alpha.trunc_len, k.trunc_len)
-    conv = np.convolve(alpha.coeffs[:n], k.coeffs[:n])[:n]
+    conv = _convolve(alpha.coeffs, k.coeffs, n)
     conv[0] -= 1.0
     residual = float(np.max(np.abs(conv)))
     violations = []
@@ -422,7 +449,7 @@ def make_kernel_pair(alpha: TruncatedSeries, k: TruncatedSeries) -> KernelPair:
         violations.append(f"kernel window underflows to zero from n={under}; shrink N")
     if bad.size:
         violations.append(f"nonpositive kernel coefficient at n={int(bad[0]) + 1}")
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:  # nan when the products leave float range
         violations.append(f"inversion residual {residual:.3e} above {_RESIDUAL_TOL:.0e}")
     est = pair_type_estimate(alpha, k, trusted=not violations)
     flags = KernelFlags(
@@ -434,16 +461,13 @@ def make_kernel_pair(alpha: TruncatedSeries, k: TruncatedSeries) -> KernelPair:
     return KernelPair(alpha, k, residual, flags, tuple(violations))
 
 
-def _inverted_series(coeffs: np.ndarray, source: Optional[Generator], note: str) -> TruncatedSeries:
-    """Wrap inverted coefficients, keeping binomial provenance when the
-    source certifies it: the inverse of (1-t)**e is (1-t)**(-e), and the
-    construction-time recurrence check guards against numerical drift."""
-    if isinstance(source, Binomial):
-        try:
-            return TruncatedSeries(coeffs, Binomial(-source.exponent))
-        except ValueError:
-            pass
-    return TruncatedSeries(coeffs, Derived(note))
+def _inverse(f: TruncatedSeries, n_max: int, note: str) -> TruncatedSeries:
+    """1/f to degree n_max: the generator's closed form when it has one,
+    otherwise the convolution recurrence on the zero-extended window."""
+    closed = f.certifier.inverse(f.coeffs, n_max)
+    if closed is not None:
+        return closed
+    return TruncatedSeries(_invert_coeffs(f.padded(n_max + 1), n_max), Derived(note))
 
 
 def reciprocal(alpha: TruncatedSeries, n_max: int) -> KernelPair:
@@ -457,18 +481,16 @@ def reciprocal(alpha: TruncatedSeries, n_max: int) -> KernelPair:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    k = _invert_coeffs(alpha.padded(n_max + 1), n_max)
     if alpha.trunc_len < n_max + 1:
         gen = alpha.generator if isinstance(alpha.generator, Polynomial) else Derived("zero-extended")
         alpha = TruncatedSeries(alpha.padded(n_max + 1), gen)
-    return make_kernel_pair(alpha, _inverted_series(k, alpha.generator, "reciprocal"))
+    return make_kernel_pair(alpha, _inverse(alpha, n_max, "reciprocal"))
 
 
 def invert_kernel(k: TruncatedSeries, n_max: Optional[int] = None) -> KernelPair:
     """Given a kernel window k, recover alpha = 1/k and assemble the pair."""
     n_max = k.degree if n_max is None else n_max
-    a = _invert_coeffs(k.padded(n_max + 1), n_max)
-    return make_kernel_pair(_inverted_series(a, k.generator, "invert_kernel"), k)
+    return make_kernel_pair(_inverse(k, n_max, "invert_kernel"), k)
 
 
 # --- Cesaro numbers -------------------------------------------------------
@@ -514,8 +536,8 @@ def abs_tail_bound(series: TruncatedSeries, n_from: Optional[int] = None) -> Opt
     return series.certifier.abs_tail(series.coeffs, n_from)
 
 
-def _horner(coeffs: np.ndarray, z):
-    """Horner's rule for one complex point or a numpy array of points."""
+def _horner(coeffs: np.ndarray, z: complex) -> complex:
+    """Horner's rule at one complex point; circles go through the FFT."""
     acc = 0j
     for c in coeffs[::-1]:
         acc = acc * z + c
@@ -540,10 +562,17 @@ def evaluate(f: TruncatedSeries, z: complex) -> EvaluationResult:
 
 
 def evaluate_on_circle(f: TruncatedSeries, radius: float, samples: int) -> np.ndarray:
-    """Vectorized Horner evaluation on a uniform grid of |z| = radius."""
+    """Values at z_j = radius * exp(2 pi i j / samples), j < samples.
+
+    z_j**n depends on n only modulo samples (times radius**n), so folding
+    radius**n c_n modulo samples and taking one FFT is an exact identity,
+    O(N + S log S) against Horner's O(N S)."""
     if radius > 1.0 + 1e-12:
         raise OutOfDomainError(f"radius {radius} exceeds 1")
-    return _horner(f.coeffs, radius * np.exp(2j * np.pi * np.arange(samples) / samples))
+    c = f.coeffs * radius ** np.arange(f.trunc_len)
+    folded = np.zeros(-(-c.size // samples) * samples)
+    folded[: c.size] = c
+    return np.conj(np.fft.fft(folded.reshape(-1, samples).sum(axis=0)))
 
 
 @dataclass(frozen=True)

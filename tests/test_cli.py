@@ -94,6 +94,20 @@ class TestExitCodes:
         )
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize(
+        "spec, degree",
+        [("poly[1,-1,-1]", 1476), ("pow1mt(300)", 1050)],  # Fibonacci; (1-t)**-300
+    )
+    def test_inversion_overflow_is_one_error_line(self, capsys, spec, degree):
+        code, err = run_cli_quiet(capsys, "kernel", "check", "--spec", spec, "-N", "4096")
+        assert code == 3
+        assert err == f"herop: error: inversion overflowed at degree {degree}\n"
+
+    def test_binomial_overflow_is_one_error_line(self, capsys):
+        code, err = run_cli_quiet(capsys, "kernel", "check", "--spec", "pow1mt(1e308)", "-N", "4096")
+        assert code == 3
+        assert err == "herop: error: coefficient window contains non-finite entries\n"
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -154,6 +168,22 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["defect_relation"]["residual"] <= 1e-8
+
+    def test_model_build_on_contraction_takes_geometric_tail(self, capsys, tmp_path):
+        # alpha = 1/k keeps its Binomial(0.5) tag, so its certified tail
+        # lets the hereditary sum stop geometrically, not at float underflow
+        rng = np.random.default_rng(0)
+        mat = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        mat *= 0.7 / np.linalg.norm(mat, 2)
+        path = tmp_path / "op.csv"
+        write_matrix_csv(str(path), mat)
+        code, out = run_cli(
+            capsys, "model", "build", "--kernel", "pow1mt(-0.5)", "--operator", str(path), "-N", "1023"
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"] is True
+        assert payload["diagnostics"]["policy"] == "GeometricTail"
+        assert payload["defect_relation"]["alpha_one_certified"] is True
 
     def test_ergodic_probe(self, capsys, tmp_path):
         csv_dir = tmp_path / "probes"

@@ -24,6 +24,7 @@ from herop.series import (
     cesaro_number_gamma,
     cesaro_numbers,
     evaluate,
+    invert_kernel,
     read_coefficient_file,
     reciprocal,
     wiener_norm,
@@ -396,3 +397,113 @@ _ASK = {
 def test_generator_certificates_match_recorded(question):
     got = {key: _ASK[question](_certificate_window(*key), key[1]) for key in RECORDED_CERTIFICATES}
     assert got == {key: answers[question] for key, answers in RECORDED_CERTIFICATES.items()}
+
+
+# --- fast paths against the code they replace -------------------------------
+
+
+@pytest.mark.parametrize("size", [40, 64, 256, 273])  # below, at, a multiple of, past S
+@pytest.mark.parametrize("radius", [0.5, 0.99, 1.0])
+def test_circle_fft_matches_horner(size, radius):
+    from herop.series import _horner, evaluate_on_circle
+
+    samples = 64
+    c = np.random.default_rng(size).standard_normal(size)
+    got = evaluate_on_circle(TruncatedSeries(c), radius, samples)
+    points = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
+    want = np.array([_horner(c, z) for z in points])
+    scale = float(np.sum(np.abs(c) * radius ** np.arange(size)))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "f, g, n",
+    [
+        ([1.0, -0.5, 0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 6),
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.5, 0.0, 0.25, 0.0, 0.0, 0.0], 6),
+        ([1.0, 0.3, 0.0, 0.0], [2.0, -1.0, 0.0, 0.0], 4),
+        ([1.0, 0.0, 0.0, 0.0, 7.0], [1.0, 1.0, 0.0, 0.0, 0.0], 3),  # cut hides the 7
+        ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], 3),
+        (poly(1.0, -0.3, 0.02).padded(4097), binomial_series(0.5, PowSign.MINUS, 4096).coeffs, 4097),
+    ],
+)
+def test_trimmed_convolution_matches_direct(f, g, n):
+    from herop.series import _convolve
+
+    f, g = np.array(f), np.array(g)
+    got, direct = _convolve(f, g, n), np.convolve(f[:n], g[:n])[:n]
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - direct)) <= 1e-15 * max(np.max(np.abs(direct)), 1.0)
+
+
+@pytest.mark.parametrize("e", [0.3, -0.3, 0.5, -0.5, 1.5, -1.5])
+def test_closed_form_binomial_inverse_matches_recurrence(e):
+    from herop.series import _invert_coeffs
+
+    n = 1023
+    alpha = binomial_series(e, PowSign.PLUS, n)
+    closed = alpha.certifier.inverse(alpha.coeffs, n)
+    assert closed.generator == Binomial(-e)
+    loop = _invert_coeffs(alpha.coeffs, n)
+    assert np.max(np.abs(closed.coeffs - loop)) <= 1e-12 * np.max(np.abs(closed.coeffs))
+
+
+def test_closed_form_inverse_needs_the_whole_window():
+    window = binomial_series(0.5, PowSign.PLUS, 16)
+    assert window.certifier.inverse(window.coeffs, 16) is not None
+    assert window.certifier.inverse(window.coeffs, 17) is None  # zero-extended past N
+    assert Polynomial(1).inverse(np.array([1.0, -0.5]), 1) is None
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0])
+def test_inverted_kernel_keeps_binomial_tag(s):
+    pair = invert_kernel(elaborate(parse_kernel_spec(f"pow1mt({-s})"), 1023))
+    assert pair.alpha.generator == Binomial(s)
+
+
+def test_reciprocal_keeps_binomial_tag_at_large_n():
+    pair = reciprocal(elaborate(parse_kernel_spec("pow1mt(0.5)"), 65536), 65536)
+    assert pair.k.generator == Binomial(-0.5)
+    assert pair.inversion_residual <= 1e-10
+
+
+def test_binomial_inverse_overflow_names_first_infinite_degree():
+    # (1-t)**-300 leaves float range at n = 1050, with no earlier
+    # intermediate overflow to report a lower degree
+    with pytest.raises(ValueError, match="inversion overflowed at degree 1050$"):
+        reciprocal(binomial_series(300.0, PowSign.PLUS, 4096), 4096)
+    # below it the inverse exists, but alpha * k leaves float range
+    pair = reciprocal(binomial_series(300.0, PowSign.PLUS, 1000), 1000)
+    assert "inversion residual nan above 1e-10" in pair.violations
+
+
+# --- extended-precision references ------------------------------------------
+
+
+def _mp_binomial(e, n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        out, e = [mpmath.mpf(1)], mpmath.mpf(e)
+        for j in range(1, n + 1):
+            out.append(out[-1] * (j - e - 1) / j)
+    return out
+
+
+def _max_rel_err(got, ref):
+    return max(abs((x - float(y)) / float(y)) for x, y in zip(got, ref) if y != 0)
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+@pytest.mark.parametrize("a", [0.3, 0.5, 1.5, 2.75])
+def test_cesaro_numbers_against_mpmath(n, a):
+    # each number is a product of n factors, each rounded up to three times
+    assert _max_rel_err(cesaro_numbers(a, n), _mp_binomial(-a, n)) <= 3 * n * 2.0**-53
+
+
+@pytest.mark.parametrize("n", [1000, 10000])
+@pytest.mark.parametrize("a", [0.3, 0.5, 1.5])
+def test_binomial_inverse_against_mpmath(n, a):
+    k = reciprocal(binomial_series(a, PowSign.PLUS, n), n).k.coeffs
+    assert _max_rel_err(k, _mp_binomial(-a, n)) <= 3 * n * 2.0**-53
+    alpha = invert_kernel(binomial_series(a, PowSign.MINUS, n)).alpha.coeffs
+    assert _max_rel_err(alpha, _mp_binomial(a, n)) <= 3 * n * 2.0**-53
