@@ -25,7 +25,6 @@ from .model import ModelInvalidError, build_model, minimality_check, verify_rela
 from .operators import (
     Direction,
     NotPSDError,
-    UnboundedShiftError,
     read_matrix_csv,
     write_matrix_csv,
     seeded_unit_vectors,
@@ -34,7 +33,7 @@ from .operators import (
     shift_section,
 )
 from .series import TruncatedSeries, invert_kernel, kernel_underflow_index, reciprocal
-from .specdsl import SpecSemanticError, SpecSyntaxError, elaborate, parse_kernel_spec
+from .specdsl import SpecSemanticError, elaborate, parse_kernel_spec
 
 __all__ = ["main", "RunConfig", "dumps_canonical"]
 
@@ -146,14 +145,13 @@ def _payload(command: str, config: RunConfig, reports: Sequence[ConditionReport]
     return body
 
 
-def _series_from_flags(args, what: str = "spec") -> TruncatedSeries:
-    text = getattr(args, what.replace("-", "_"), None)
-    file_attr = getattr(args, "spec_file", None)
-    if text is None and file_attr:
-        with open(file_attr, "r", encoding="utf-8") as fh:
+def _series_from_flags(args) -> TruncatedSeries:
+    text = args.spec
+    if text is None and args.spec_file:
+        with open(args.spec_file, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
     if text is None:
-        raise SpecSemanticError(0, f"missing --{what}")
+        raise SpecSemanticError(0, "missing --spec")
     return elaborate(parse_kernel_spec(text), args.truncation)
 
 
@@ -246,8 +244,7 @@ def _run_model_build(args, config: RunConfig) -> int:
     if args.operator:
         T = read_matrix_csv(args.operator)
     else:
-        d = args.section or 32
-        T = shift_section(k, Direction.BACKWARD, d)
+        T = shift_section(k, Direction.BACKWARD, 32 if args.section is None else args.section)
     try:
         bundle = build_model(
             pair.alpha,
@@ -314,6 +311,8 @@ def _run_ergodic_probe(args, config: RunConfig) -> int:
     n_max = args.nmax
     if n_max < 9:  # the probe grid starts at n = 8 and needs two points
         raise ValueError(f"--nmax must be at least 9, got {n_max}")
+    if args.vectors < 0:
+        raise ValueError(f"--vectors must be non-negative, got {args.vectors}")
     kappa = elaborate(parse_kernel_spec(spec_text), max(n_max + 1, config.truncation))
     section = shift_section(kappa, Direction.BACKWARD, n_max + 1)
     grid = default_n_grid(n_max)
@@ -491,10 +490,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=args.seed,
         )
         return runner(args, config)
-    except (SpecSyntaxError, SpecSemanticError, FileNotFoundError) as exc:
-        sys.stderr.write(f"herop: error: {exc}\n")
-        return 3
-    except (UnboundedShiftError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # spec and shift errors are ValueErrors
         sys.stderr.write(f"herop: error: {exc}\n")
         return 3
 

@@ -28,7 +28,7 @@ from .series import (
     invert_kernel,
     kernel_underflow_index,
     pair_type_estimate,
-    make_kernel_pair,
+    reciprocal,
     _invert_coeffs,
 )
 
@@ -562,10 +562,7 @@ def generate_sign_pattern_kernel(
         alpha_series = TruncatedSeries(
             np.concatenate([seed, np.zeros(n_total - deg)]), Polynomial(deg)
         )
-        pair = make_kernel_pair(
-            alpha_series,
-            TruncatedSeries(_invert_coeffs(alpha_series.coeffs, n_total), Derived("reciprocal")),
-        )
+        pair = reciprocal(alpha_series, n_total)
         witness = {
             "epsilon": pattern.epsilon,
             "halvings": 0,

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import ModelBundle
-from .operators import DenseOperator, ShiftSection, as_matrix
+from .operators import DenseOperator, ShiftSection, _orbit_norms, as_matrix
 from .series import cesaro_number, cesaro_numbers
 
 __all__ = [
@@ -80,32 +80,6 @@ def default_n_grid(n_max: int, points: int = 14, n_min: int = 8) -> list[int]:
         np.round(np.geomspace(n_min, n_max, points)).astype(int)
     )
     return [int(n) for n in grid]
-
-
-def _apply(T: Union[DenseOperator, ShiftSection, np.ndarray], v: np.ndarray) -> np.ndarray:
-    if hasattr(T, "apply"):
-        return T.apply(v)
-    return T @ v
-
-
-def _dim(T) -> int:
-    if hasattr(T, "dim"):
-        return T.dim
-    return as_matrix(T).shape[0]
-
-
-def _power_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
-    """||T^j x|| for j = 0..n_max by running powers, stopping at exact zero."""
-    v = np.asarray(x, dtype=np.complex128)
-    out = np.zeros(n_max + 1)
-    out[0] = float(np.linalg.norm(v))
-    for j in range(1, n_max + 1):
-        v = _apply(T, v)
-        nv = float(np.linalg.norm(v))
-        out[j] = nv
-        if nv == 0.0:
-            break
-    return out
 
 
 def _weighted_means(norms_p: np.ndarray, a: float, n_grid: Sequence[int]) -> np.ndarray:
@@ -183,7 +157,7 @@ def cesaro_probe(
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValueError("n_grid must be increasing positive integers")
-    d = _dim(T)
+    d = T.dim
     n_max = n_grid[-1]
 
     labels: list[str] = []
@@ -193,20 +167,17 @@ def cesaro_probe(
             raise ValueError(
                 f"moving-basis probe needs section dimension > {n_max}, got {d}"
             )
-        ka = cesaro_numbers(a, n_max)
-        ka1 = cesaro_numbers(a + 1.0, n_max)
         values = np.empty(len(n_grid))
         for i, n in enumerate(n_grid):
             e_n = np.zeros(d, dtype=np.complex128)
             e_n[n] = 1.0
-            norms = _power_norms(T, e_n, n)
-            values[i] = float(np.dot(ka[n::-1], norms**p)) / ka1[n]
+            values[i] = _weighted_means(_orbit_norms(T, e_n, n) ** p, a, [n])[0]
         labels.append("moving_basis")
         samples.append(values)
     else:
         vectors = [x] if isinstance(x, np.ndarray) else list(x)
         for i, vec in enumerate(vectors):
-            norms = _power_norms(T, np.asarray(vec), n_max)
+            norms = _orbit_norms(T, vec, n_max)
             samples.append(_weighted_means(norms**p, a, n_grid))
             labels.append(f"vector_{i}")
     trends = tuple(classify_trend(n_grid, s) for s in samples)
@@ -294,7 +265,7 @@ def trichotomy_test(
     for i, vec in enumerate(vectors):
         x = np.asarray(vec, dtype=np.complex128)
         nx = float(np.linalg.norm(x))
-        norms = _power_norms(T, x, n_max)
+        norms = _orbit_norms(T, x, n_max)
         min_norm = float(np.min(norms))
         mean_at = _weighted_means(norms**2, b, [n_max // 2, n_max])
         # the transient part of the mean decays like 1/n, so one Richardson

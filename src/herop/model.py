@@ -163,6 +163,8 @@ def build_transform(
     (tail left None when uncertifiable).  Returns (V, M, tail_bound).  The
     index is the first power whose Frobenius norm is dust (1e-12) relative
     to the largest power seen, as unitary conjugates of sections leave it."""
+    if M is not None and M < 0:
+        raise ValueError(f"degree cap M must be non-negative, got {M}")
     mat = as_matrix(T)
     cmat = np.atleast_2d(np.asarray(C, dtype=np.complex128))
     d = mat.shape[0]
@@ -214,7 +216,7 @@ def verify_np_contraction(
     if np_report.verdict is not Verdict.HOLDS:
         raise ModelInvalidError("symbol is not of Nevanlinna-Pick type", np_report.witness)
     if probe_vectors is None:
-        probe_vectors = seeded_unit_vectors(as_matrix(T).shape[0], 8, seed=0)
+        probe_vectors = seeded_unit_vectors(T.dim, 8, seed=0)
     membership = class_membership(alpha, T, probe_vectors)
     if membership.in_Cw_plus not in (Verdict.HOLDS, Verdict.TREND_HOLDS):
         raise ModelInvalidError(
@@ -366,8 +368,8 @@ def build_model(
     d_op, basis, hered = build_defect(alpha, T, rank_tol=rank_tol, psd_tol=psd_tol, n_cap=n_cap)
     c_mat = basis.conj().T @ d_op.entries  # (r, d)
     if basis.shape[1] == 0:
-        c_mat = np.zeros((0, as_matrix(T).shape[0]), dtype=np.complex128)
-        V = np.zeros((0, as_matrix(T).shape[0]), dtype=np.complex128)
+        c_mat = np.zeros((0, T.dim), dtype=np.complex128)
+        V = np.zeros((0, T.dim), dtype=np.complex128)
         m_used, tail = 0, 0.0
     else:
         V, m_used, tail = build_transform(c_mat, k, T, M=M, tol=model_tol)
@@ -406,8 +408,8 @@ def bundle_direct_sum(
     operator; diagnostics are re-measured on the composite."""
     if b1.k is not b2.k and not np.array_equal(b1.k.coeffs, b2.k.coeffs):
         raise ValueError("summands must share the same kernel")
-    t_sum = direct_sum(as_matrix(T1), as_matrix(T2))
-    d1, d2 = as_matrix(T1).shape[0], as_matrix(T2).shape[0]
+    t_sum = direct_sum(T1, T2)
+    d1, d2 = T1.dim, T2.dim
     r1, r2 = b1.defect_rank, b2.defect_rank
     m = max(b1.M, b2.M)
     r = r1 + r2
@@ -442,7 +444,7 @@ def bundle_direct_sum(
         kind=b1.kind,
         diagnostics={},
     )
-    diagnostics = verify_model(DenseOperator(t_sum.entries), bundle)
+    diagnostics = verify_model(t_sum, bundle)
     tails = (b1.diagnostics.get("truncation_tail_bound"), b2.diagnostics.get("truncation_tail_bound"))
     diagnostics["truncation_tail_bound"] = (
         None if any(t is None for t in tails) else max(tails)

@@ -190,6 +190,20 @@ def shift_section(kappa: TruncatedSeries, direction: Direction, d: int) -> Shift
     return ShiftSection(kappa, direction, d)
 
 
+def _orbit_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
+    """||T^j x|| for j = 0..n_max by repeated T.apply; once a power vanishes
+    exactly, the walk stops and the rest stay zero."""
+    v = np.asarray(x, dtype=np.complex128)
+    out = np.zeros(n_max + 1)
+    out[0] = float(np.linalg.norm(v))
+    for j in range(1, n_max + 1):
+        v = T.apply(v)
+        out[j] = float(np.linalg.norm(v))
+        if out[j] == 0.0:
+            break
+    return out
+
+
 # --- hereditary functional calculus ----------------------------------------
 
 
@@ -377,7 +391,6 @@ def class_membership(
     """
     if len(probe_vectors) == 0:
         raise ValueError("probe_vectors must be nonempty")
-    mat = as_matrix(T)
     result = hereditary_apply(alpha, T, tol=max(tol, 1e-14))
     exact = not isinstance(result.policy_used, Truncated)
 
@@ -388,28 +401,20 @@ def class_membership(
         if isinstance(result.policy_used, ExactNilpotent)
         else getattr(result.policy_used, "M", coeffs.size - 1)
     )
-    sums = np.zeros(len(probe_vectors))
-    traj = np.zeros((len(probe_vectors), limit + 1))
-    for i, x0 in enumerate(probe_vectors):
-        x = np.asarray(x0, dtype=np.complex128)
-        nx = np.linalg.norm(x)
-        if abs(nx - 1.0) > 1e-8:
+    rows = []
+    for x in probe_vectors:
+        norms = _orbit_norms(T, x, limit)
+        if abs(norms[0] - 1.0) > 1e-8:
             raise ValueError("probe vectors must be unit-normalized")
-        acc = 0.0
-        v = x
-        for n_idx in range(limit + 1):
-            if n_idx > 0:
-                v = mat @ v
-            acc += coeffs[n_idx] * float(np.vdot(v, v).real)
-            traj[i, n_idx] = acc
-        sums[i] = acc
+        rows.append(np.cumsum(coeffs[: limit + 1] * norms**2))
+    traj = np.array(rows)
+    sums = traj[:, -1]
     sup_partial = float(np.max(sums))
 
     tail_cert = abs_tail_bound(alpha)
     summable_cert = tail_cert is not None and math.isfinite(tail_cert)
-    if exact:
-        in_cw = Verdict.HOLDS
-    elif summable_cert and _is_isometry(mat):
+    isometry = not exact and summable_cert and _is_isometry(as_matrix(T))
+    if exact or isometry:
         in_cw = Verdict.HOLDS
     else:
         half = traj[:, traj.shape[1] // 2]
@@ -434,7 +439,7 @@ def class_membership(
     }
     if exact:
         in_cw_plus = Verdict.HOLDS if psd else Verdict.FAILS
-    elif in_cw is Verdict.HOLDS and _is_isometry(mat):
+    elif isometry:
         # on an isometry the hereditary value is the boundary value of the
         # symbol times the identity, so a certified boundary value decides
         boundary = alpha_at_one(alpha)
@@ -697,29 +702,25 @@ def _eigen_sqrt(
 
 @dataclass(frozen=True, eq=False)
 class BlockDiagOperator:
-    """Direct sum with blockwise matvec; keeps shift-section fast paths."""
+    """Direct sum of operator objects with blockwise matvec; keeps
+    shift-section fast paths."""
 
     blocks: tuple
 
     @property
     def dim(self) -> int:
-        return sum(b.dim if hasattr(b, "dim") else as_matrix(b).shape[0] for b in self.blocks)
+        return sum(b.dim for b in self.blocks)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v, dtype=np.complex128)
         at = 0
         for block in self.blocks:
-            d = block.dim if hasattr(block, "dim") else as_matrix(block).shape[0]
-            out[at : at + d] = (
-                block.apply(v[at : at + d])
-                if hasattr(block, "apply")
-                else as_matrix(block) @ v[at : at + d]
-            )
-            at += d
+            out[at : at + block.dim] = block.apply(v[at : at + block.dim])
+            at += block.dim
         return out
 
     def operator(self) -> DenseOperator:
-        return direct_sum(*[as_matrix(b) for b in self.blocks])
+        return direct_sum(*self.blocks)
 
 
 def direct_sum(*ops: Union[DenseOperator, np.ndarray]) -> DenseOperator:

@@ -108,6 +108,35 @@ class TestExitCodes:
         assert code == 3
         assert err == "herop: error: coefficient window contains non-finite entries\n"
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["model", "build", "--kernel", "pow1mt(-0.5)", "--section", "0", "-N", "63"],
+             "section dimension"),
+            (["model", "build", "--kernel", "pow1mt(-0.5)", "--section", "8", "--degree", "-1",
+              "-N", "63"], "degree cap"),
+            (["ergodic", "probe", "--kernel", "pow1mt(-0.5)", "--a", "0.8", "--nmax", "64",
+              "--vectors", "-3"], "--vectors"),
+        ],
+        ids=["section-zero", "degree-negative", "vectors-negative"],
+    )
+    def test_out_of_range_flag_is_one_error_line(self, capsys, argv, what):
+        code, err = run_cli_quiet(capsys, *argv)
+        assert code == 3
+        assert err.startswith("herop: error: ") and err.count("\n") == 1 and what in err
+
+    @pytest.mark.parametrize("flag", ["--csv-dir", "--out"])
+    def test_unwritable_output_path_is_one_error_line(self, capsys, tmp_path, flag):
+        target = tmp_path / "taken"  # a file where a directory is wanted, and vice versa
+        if flag == "--csv-dir":
+            target.write_text("")
+        else:
+            target.mkdir()
+        argv = ["kernel", "invert", "--spec", "poly[1,-1,-1]", "-N", "16", flag, str(target)]
+        code, err = run_cli_quiet(capsys, *argv)
+        assert code == 3
+        assert err.startswith("herop: error: ") and err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):

@@ -15,6 +15,8 @@ from herop.operators import (
     NotPSDError,
     Truncated,
     UnboundedShiftError,
+    _orbit_norms,
+    as_matrix,
     class_membership,
     direct_sum,
     hereditary_apply,
@@ -217,6 +219,49 @@ class TestClassMembership:
         assert fast.witness["min_eigenvalue"] == pytest.approx(
             slow.witness["min_eigenvalue"], abs=1e-12 * slow.witness["value_norm"]
         )
+
+
+def _normal_contraction(d, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    eig = 0.95 * rng.random(d) * np.exp(2j * np.pi * rng.random(d))
+    return DenseOperator((q * eig) @ q.conj().T)
+
+
+class TestOrbitNorms:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: backward(0.5, 64, 24),
+            lambda: shift_section(binomial_series(0.5, PowSign.MINUS, 64), Direction.FORWARD, 24),
+            lambda: _normal_contraction(12, seed=5),
+            lambda: BlockDiagOperator(
+                (backward(0.5, 64, 16), DenseOperator(np.diag(np.exp(1j * np.array([0.3, 1.1])))))
+            ),
+        ],
+        ids=["backward", "forward", "dense-contraction", "block-diagonal"],
+    )
+    def test_walk_matches_matrix_powers(self, make):
+        T = make()
+        mat = as_matrix(T)
+        x = seeded_unit_vectors(T.dim, 1, seed=8)[0]
+        walk = _orbit_norms(T, x, 40)
+        dense = [np.linalg.norm(np.linalg.matrix_power(mat, j) @ x) for j in range(41)]
+        np.testing.assert_allclose(walk, dense, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_walk_stops_at_the_exact_zero(self, direction):
+        section = shift_section(binomial_series(0.5, PowSign.MINUS, 64), direction, 24)
+        calls = []
+
+        class Counted:
+            def apply(self, v):
+                calls.append(1)
+                return section.apply(v)
+
+        norms = _orbit_norms(Counted(), seeded_unit_vectors(24, 1, seed=9)[0], 60)
+        assert np.all(norms[:24] > 0.0) and np.all(norms[24:] == 0.0)
+        assert len(calls) == 24
 
 
 class TestShiftMembershipBackward:
