@@ -351,6 +351,10 @@ def _run_ergodic_probe(args, config: RunConfig) -> int:
 
 
 def _run_example_signs(args, config: RunConfig) -> int:
+    # argparse drops a bare "--" value, so --pattern=-- arrives as []
+    if not isinstance(args.pattern, str) or not args.pattern.strip():
+        raise ValueError('--pattern must be a non-empty string of + and -; '
+                         'write a pattern of leading dashes as --pattern " --"')
     pattern = SignPattern.from_string(
         args.pattern, epsilon=args.eps, tail_amplitude=args.a, tail_exponent=args.b
     )

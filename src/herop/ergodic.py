@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import ModelBundle
-from .operators import DenseOperator, ShiftSection, _orbit_norms, as_matrix
+from .operators import DenseOperator, ShiftSection, _basis_orbit_norms, _orbit_norms, as_matrix
 from .series import cesaro_number, cesaro_numbers
 
 __all__ = [
@@ -146,11 +146,14 @@ def cesaro_probe(
     n_grid: Sequence[int],
     operator_ref: str = "",
 ) -> ErgodicProbe:
-    """Sampled order-a means of ||T^j x||^p along n_grid, by running powers.
+    """Sampled order-a means of ||T^j x||^p along n_grid.
 
     x may be a single vector, a list of vectors, or MOVING_BASIS, in which
     case grid point n probes the n-th Euclidean basis vector (the section
     dimension must exceed the largest grid point so power norms are exact).
+    Moving-basis orbits are closed-form on shift sections (a ratio of
+    weights); fixed vectors, and every orbit of any other operator, are
+    walked by repeated apply.
     """
     if a <= 0 or p < 1:
         raise ValueError("require a > 0 and p >= 1")
@@ -169,9 +172,7 @@ def cesaro_probe(
             )
         values = np.empty(len(n_grid))
         for i, n in enumerate(n_grid):
-            e_n = np.zeros(d, dtype=np.complex128)
-            e_n[n] = 1.0
-            values[i] = _weighted_means(_orbit_norms(T, e_n, n) ** p, a, [n])[0]
+            values[i] = _weighted_means(_basis_orbit_norms(T, n) ** p, a, [n])[0]
         labels.append("moving_basis")
         samples.append(values)
     else:

@@ -178,7 +178,8 @@ class ShiftSection:
             yield math.sqrt(float(np.sum(gram))), gram
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v, dtype=np.complex128)
+        """T v in the dtype of v and the (real) couplings: real stays real."""
+        out = np.zeros_like(v, dtype=np.result_type(v, self.couplings))
         if self.direction is Direction.BACKWARD:
             out[:-1] = self.couplings * v[1:]
         else:
@@ -192,8 +193,9 @@ def shift_section(kappa: TruncatedSeries, direction: Direction, d: int) -> Shift
 
 def _orbit_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
     """||T^j x|| for j = 0..n_max by repeated T.apply; once a power vanishes
-    exactly, the walk stops and the rest stay zero."""
-    v = np.asarray(x, dtype=np.complex128)
+    exactly, the walk stops and the rest stay zero.  The walk keeps the
+    dtype that T.apply returns, so a real vector on a section stays real."""
+    v = np.asarray(x)
     out = np.zeros(n_max + 1)
     out[0] = float(np.linalg.norm(v))
     for j in range(1, n_max + 1):
@@ -201,6 +203,24 @@ def _orbit_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
         out[j] = float(np.linalg.norm(v))
         if out[j] == 0.0:
             break
+    return out
+
+
+def _basis_orbit_norms(T, n: int) -> np.ndarray:
+    """||T^j e_n|| for j = 0..n, e_n the n-th basis vector.  A section reads
+    them off its weights, sqrt(k_{n-j}/k_n) (backward) or sqrt(k_{n+j}/k_n)
+    while n+j < d and 0 after (forward); any other operator walks e_n."""
+    if not isinstance(T, ShiftSection):
+        e_n = np.zeros(T.dim, dtype=np.complex128)
+        e_n[n] = 1.0
+        return _orbit_norms(T, e_n, n)
+    k = T.kappa.coeffs
+    out = np.zeros(n + 1)
+    if T.direction is Direction.BACKWARD:
+        out[:] = np.sqrt(k[n::-1] / k[n])
+    else:
+        stop = min(n + 1, T.dim - n)  # F^j e_n = 0 once n + j >= d
+        out[:stop] = np.sqrt(k[n : n + stop] / k[n])
     return out
 
 

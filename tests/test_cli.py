@@ -117,8 +117,11 @@ class TestExitCodes:
               "-N", "63"], "degree cap"),
             (["ergodic", "probe", "--kernel", "pow1mt(-0.5)", "--a", "0.8", "--nmax", "64",
               "--vectors", "-3"], "--vectors"),
+            (["example", "signs", "--pattern=--", "-N", "64"], '--pattern " --"'),
+            (["example", "signs", "--pattern=", "-N", "64"], '--pattern " --"'),
         ],
-        ids=["section-zero", "degree-negative", "vectors-negative"],
+        ids=["section-zero", "degree-negative", "vectors-negative", "pattern-dashes",
+             "pattern-empty"],
     )
     def test_out_of_range_flag_is_one_error_line(self, capsys, argv, what):
         code, err = run_cli_quiet(capsys, *argv)
@@ -238,6 +241,11 @@ class TestSubcommands:
         head = payload["alpha_head"]
         assert head[2] > 0 and head[3] < 0 and head[4] > 0
         assert payload["inversion_residual"] <= 1e-10
+
+    def test_example_signs_with_leading_dashes(self, capsys):
+        code, out = run_cli(capsys, "example", "signs", "--pattern", " --", "-N", "256")
+        assert code == 0
+        assert json.loads(out)["alpha_head"][2:4] == [-0.125, -0.125]
 
     def test_report_bundle_csvs(self, capsys, tmp_path):
         csv_dir = tmp_path / "bundle"

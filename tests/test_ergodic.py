@@ -25,6 +25,7 @@ from herop.operators import (
     shift_section,
 )
 from herop.series import PowSign, binomial_series, cesaro_numbers, invert_kernel
+from herop.specdsl import elaborate, parse_kernel_spec
 
 ASSANI = np.array([[-1.0, 2.0], [0.0, -1.0]], dtype=complex)
 
@@ -80,6 +81,27 @@ class TestCesaroProbe:
         probe = cesaro_probe(T, MOVING_BASIS, 0.2, 2.0, default_n_grid(4000))
         assert probe.trends[0].kind == "PowerGrowth"
         assert probe.trends[0].statistic == pytest.approx(0.3, abs=0.08)
+
+    def test_moving_basis_mean_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        a, p, n = 0.45, 1.5, 4000
+        T = shift_section(
+            elaborate(parse_kernel_spec("pow1mt(-0.5)"), n + 1), Direction.BACKWARD, n + 1
+        )
+        with mpmath.workdps(50):
+            half, ma = mpmath.mpf(1) / 2, mpmath.mpf(a)
+            k, ka, ka1 = [mpmath.mpf(1)], [mpmath.mpf(1)], [mpmath.mpf(1)]
+            for m in range(1, n + 1):
+                k.append(k[-1] * (m - half) / m)
+                ka.append(ka[-1] * (m - 1 + ma) / m)
+                ka1.append(ka1[-1] * (m + ma) / m)
+            q = mpmath.mpf(p) / 2
+            ref = float(mpmath.fsum(ka[i] * (k[i] / k[n]) ** q for i in range(n + 1)) / ka1[n])
+        closed = cesaro_probe(T, MOVING_BASIS, a, p, [8, n]).samples[0][-1]
+        # a one-block direct sum has no closed form, so it walks e_n
+        walk = cesaro_probe(BlockDiagOperator((T,)), MOVING_BASIS, a, p, [8, n]).samples[0][-1]
+        assert abs(closed - ref) <= 1e-13 * ref
+        assert abs(closed - ref) <= abs(walk - ref)
 
     def test_moving_basis_requires_room(self):
         with pytest.raises(ValueError):

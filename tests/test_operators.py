@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from herop.conditions import SignPattern, Verdict, generate_sign_pattern_kernel
 from herop.operators import (
@@ -15,6 +17,7 @@ from herop.operators import (
     NotPSDError,
     Truncated,
     UnboundedShiftError,
+    _basis_orbit_norms,
     _orbit_norms,
     as_matrix,
     class_membership,
@@ -262,6 +265,72 @@ class TestOrbitNorms:
         norms = _orbit_norms(Counted(), seeded_unit_vectors(24, 1, seed=9)[0], 60)
         assert np.all(norms[:24] > 0.0) and np.all(norms[24:] == 0.0)
         assert len(calls) == 24
+
+
+def _basis(d, n, dtype=np.complex128):
+    e_n = np.zeros(d, dtype=dtype)
+    e_n[n] = 1.0
+    return e_n
+
+
+# log10 of the weights: every ratio k_i/k_j stays within 1e+-300, a normal float
+_LOG_WEIGHTS = st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=256)
+
+
+class TestBasisOrbitNorms:
+    @settings(max_examples=30, deadline=None)
+    @given(log_k=_LOG_WEIGHTS, direction=st.sampled_from(list(Direction)))
+    @example(log_k=[150.0, -150.0] * 128, direction=Direction.BACKWARD)
+    @example(log_k=[150.0, -150.0] * 128, direction=Direction.FORWARD)
+    def test_closed_form_matches_the_walk(self, log_k, direction):
+        kappa = TruncatedSeries(10.0 ** np.array(log_k), None)
+        section = shift_section(kappa, direction, len(log_k))
+        for n in range(section.dim):
+            closed = _basis_orbit_norms(section, n)
+            walk = _orbit_norms(section, _basis(section.dim, n, float), n)
+            np.testing.assert_array_equal(closed == 0.0, walk == 0.0)
+            np.testing.assert_allclose(closed, walk, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _normal_contraction(12, seed=5),
+            lambda: BlockDiagOperator(
+                (backward(0.5, 64, 16), DenseOperator(np.diag(np.exp(1j * np.array([0.3, 1.1])))))
+            ),
+        ],
+        ids=["dense-contraction", "block-diagonal"],
+    )
+    def test_other_operators_walk_the_basis_vector(self, make):
+        T = make()
+        for n in range(T.dim):
+            np.testing.assert_array_equal(
+                _basis_orbit_norms(T, n), _orbit_norms(T, _basis(T.dim, n), n)
+            )
+
+    def test_section_never_applies(self, monkeypatch):
+        section = backward(0.5, 64, 32)
+        monkeypatch.setattr(type(section), "apply", None)
+        assert _basis_orbit_norms(section, 31).shape == (32,)
+
+
+class TestSectionApplyDtype:
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_apply_keeps_the_input_dtype(self, direction, dtype):
+        section = shift_section(binomial_series(0.5, PowSign.MINUS, 64), direction, 24)
+        v = seeded_unit_vectors(24, 1, seed=3, complex_entries=dtype is np.complex128)[0]
+        out = section.apply(v)
+        assert v.dtype == dtype and out.dtype == dtype
+        np.testing.assert_allclose(out, section.operator().entries @ v, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_real_walk_matches_the_complex_walk(self, direction):
+        section = shift_section(binomial_series(0.5, PowSign.MINUS, 64), direction, 24)
+        x = seeded_unit_vectors(24, 1, seed=4, complex_entries=False)[0]
+        real = _orbit_norms(section, x, 30)
+        np.testing.assert_allclose(real, _orbit_norms(section, x.astype(np.complex128), 30),
+                                   rtol=1e-15, atol=0.0)
 
 
 class TestShiftMembershipBackward:
