@@ -24,9 +24,7 @@ from .series import (
     cauchy_product,
     cesaro_number,
     cesaro_numbers,
-    evaluate,
     reciprocal,
-    wiener_norm,
 )
 from .conditions import ConditionReport, SignPattern, Verdict, generate_sign_pattern_kernel
 from .operators import (
@@ -34,7 +32,6 @@ from .operators import (
     DenseOperator,
     Direction,
     ShiftSection,
-    class_membership,
     hereditary_apply,
     hermitian_sqrt,
     operator_norm,
@@ -48,7 +45,6 @@ from .ergodic import (
     MOVING_BASIS,
     OracleKind,
     cesaro_probe,
-    mean_ergodic_projection,
     shift_threshold_oracle,
     trichotomy_test,
 )

@@ -1,6 +1,6 @@
 """Cesaro means of fractional order: per-vector boundedness probes with trend
-classification, closed-form threshold oracles for weighted shifts, the
-model-consistency trichotomy test, and mean-ergodic projections.
+classification, closed-form threshold oracles for weighted shifts, and the
+model-consistency trichotomy test.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ __all__ = [
     "Trend",
     "ErgodicProbe",
     "UnsupportedRegimeError",
-    "NotConvergedError",
     "OracleKind",
     "OracleVerdict",
     "cesaro_probe",
     "shift_threshold_oracle",
     "trichotomy_test",
-    "implication_battery",
-    "mean_ergodic_projection",
-    "cesaro_mean_operator",
     "cesaro1_norm_table",
     "default_n_grid",
 ]
@@ -37,10 +33,6 @@ __all__ = [
 
 class UnsupportedRegimeError(ValueError):
     """Oracle asked outside the stated range of validity: no guess is made."""
-
-
-class NotConvergedError(RuntimeError):
-    pass
 
 
 class _MovingBasis:
@@ -238,7 +230,7 @@ def shift_threshold_oracle(
     raise UnsupportedRegimeError(f"unknown oracle kind {kind!r}")
 
 
-# --- trichotomy and implication batteries ------------------------------------
+# --- trichotomy test ---------------------------------------------------------
 
 
 def trichotomy_test(
@@ -298,56 +290,7 @@ def trichotomy_test(
     return {"b": b, "n_max": n_max, "rows": rows, "consistent": consistent}
 
 
-def implication_battery(
-    T: Union[DenseOperator, ShiftSection],
-    cases: Sequence[dict],
-    vectors: Sequence[np.ndarray],
-    n_grid: Sequence[int],
-) -> dict:
-    """For each case {(a, p) -> (b, q)} inside the stated implication ranges,
-    probe both sides on the same vectors and flag any case where the
-    antecedent is bounded but the consequent is not (such a flag indicates
-    numerical or truncation error, never a failure of the implication)."""
-    results = []
-    violations = 0
-    for case in cases:
-        a, p = case["antecedent"]
-        b, q = case["consequent"]
-        same_p = abs(p - q) < 1e-12
-        valid = (
-            (same_p and b > a)
-            or (same_p and a > 1.0 and b >= 1.0)
-            or (q < p and b > q * a / p - 1e-12)
-        )
-        if not valid:
-            raise ValueError(f"case {case} lies outside the implication ranges")
-        ante = cesaro_probe(T, list(vectors), a, p, n_grid)
-        cons = cesaro_probe(T, list(vectors), b, q, n_grid)
-        case_rows = []
-        for label, t_a, t_c in zip(ante.vector_labels, ante.trends, cons.trends):
-            bad = t_a.bounded and not t_c.bounded
-            violations += int(bad)
-            case_rows.append(
-                {"vector": label, "antecedent": t_a.kind, "consequent": t_c.kind, "violated": bad}
-            )
-        results.append({"case": case, "rows": case_rows})
-    return {"cases": results, "violations": violations}
-
-
 # --- operator-level means -----------------------------------------------------
-
-
-def cesaro_mean_operator(T: Union[DenseOperator, np.ndarray], b: float, n: int) -> np.ndarray:
-    """Order-b Cesaro mean of the matrix powers at index n (single pass)."""
-    mat = as_matrix(T)
-    d = mat.shape[0]
-    kb = cesaro_numbers(b, n)
-    acc = kb[n] * np.eye(d, dtype=np.complex128)
-    power = np.eye(d, dtype=np.complex128)
-    for j in range(1, n + 1):
-        power = power @ mat
-        acc += kb[n - j] * power
-    return acc / cesaro_numbers(b + 1.0, n)[n]
 
 
 def cesaro1_norm_table(
@@ -371,45 +314,3 @@ def cesaro1_norm_table(
             mean_norms[n] = float(np.linalg.norm(acc, 2)) / (n + 1)
             power_norms[n] = float(np.linalg.norm(power, 2))
     return {"mean_norms": mean_norms, "power_norms": power_norms}
-
-
-def mean_ergodic_projection(
-    T: Union[DenseOperator, np.ndarray],
-    b: float,
-    n_max: int,
-    tol: float = 1e-6,
-    rank_tol: float = 1e-8,
-) -> tuple[DenseOperator, float, dict]:
-    """Estimate the mean-ergodic projection as the order-b mean at n_max,
-    with a Cauchy check against the half-way mean, then verify that its
-    range matches Ker(I - T) and its kernel the closure of Ran(I - T)."""
-    mat = as_matrix(T)
-    d = mat.shape[0]
-    m_half = cesaro_mean_operator(mat, b, n_max // 2)
-    m_prev = cesaro_mean_operator(mat, b, n_max - 1)
-    m_full = cesaro_mean_operator(mat, b, n_max)
-    # the step gap catches period-two oscillation that the half-way
-    # comparison alone would miss (both indices sharing one parity)
-    gap = max(
-        float(np.linalg.norm(m_full - m_half, 2)),
-        float(np.linalg.norm(m_full - m_prev, 2)),
-    )
-    if gap > tol:
-        raise NotConvergedError(f"Cauchy gap {gap:.3e} above tol {tol:.1e} at n={n_max}")
-    eye = np.eye(d)
-    u, sv, vh = np.linalg.svd(eye - mat)
-    scale = max(float(sv[0]), 1e-300)
-    null_mask = sv <= rank_tol * scale
-    kernel_basis = vh.conj().T[:, null_mask]  # Ker(I - T)
-    range_basis = u[:, ~null_mask]  # Ran(I - T)
-    residual = 0.0
-    for col in kernel_basis.T:
-        residual = max(residual, float(np.linalg.norm(m_full @ col - col)))
-    for col in range_basis.T:
-        residual = max(residual, float(np.linalg.norm(m_full @ col)))
-    witness = {
-        "cauchy_gap": gap,
-        "kernel_dim": int(kernel_basis.shape[1]),
-        "decomposition_residual": residual,
-    }
-    return DenseOperator(m_full), residual, witness

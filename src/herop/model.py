@@ -13,7 +13,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .conditions import Verdict, classify_np
 from .operators import (
     DenseOperator,
     HereditaryResult,
@@ -21,11 +20,9 @@ from .operators import (
     _contraction_envelope,
     _eigen_sqrt,
     as_matrix,
-    class_membership,
     direct_sum,
     hereditary_apply,
     hermitian_sqrt,
-    seeded_unit_vectors,
     spectral_radius,
 )
 from .series import TruncatedSeries, alpha_at_one, pair_type_estimate
@@ -36,14 +33,12 @@ __all__ = [
     "TailUncertifiableError",
     "build_defect",
     "build_transform",
-    "verify_np_contraction",
     "build_W_S",
     "verify_model",
     "verify_relation_DCW",
     "minimality_check",
     "build_model",
     "bundle_direct_sum",
-    "model_backward_matrix",
 ]
 
 
@@ -201,32 +196,6 @@ def build_transform(
     return V, M, tail_bound
 
 
-def verify_np_contraction(
-    alpha: TruncatedSeries,
-    T: Union[DenseOperator, ShiftSection],
-    V: np.ndarray,
-    tol: float = 1e-8,
-    probe_vectors: Optional[Sequence[np.ndarray]] = None,
-) -> dict:
-    """Contraction check for the defect transform in the sign-definite case.
-
-    Refuses (raises) unless the symbol has the non-positive coefficient
-    pattern and the operator passes the positive-class membership test."""
-    np_report = classify_np(alpha)
-    if np_report.verdict is not Verdict.HOLDS:
-        raise ModelInvalidError("symbol is not of Nevanlinna-Pick type", np_report.witness)
-    if probe_vectors is None:
-        probe_vectors = seeded_unit_vectors(T.dim, 8, seed=0)
-    membership = class_membership(alpha, T, probe_vectors)
-    if membership.in_Cw_plus not in (Verdict.HOLDS, Verdict.TREND_HOLDS):
-        raise ModelInvalidError(
-            "operator fails positive-class membership", membership.witness
-        )
-    norm_v = float(np.linalg.norm(V, 2))
-    excess = max(0.0, norm_v - 1.0)
-    return {"norm": norm_v, "contraction_excess": excess, "passed": excess <= tol}
-
-
 def build_W_S(
     V: np.ndarray,
     T: Union[DenseOperator, ShiftSection],
@@ -281,16 +250,6 @@ def build_W_S(
     return w_op, basis, s_hat, info
 
 
-def model_backward_matrix(k: TruncatedSeries, n_blocks: int, r: int) -> np.ndarray:
-    """Euclidean matrix of the degree-truncated backward shift on the model
-    space, acting blockwise on r-dimensional coefficient slots."""
-    kc = k.coeffs[:n_blocks]
-    b = np.zeros((n_blocks, n_blocks), dtype=np.complex128)
-    idx = np.arange(n_blocks - 1)
-    b[idx, idx + 1] = np.sqrt(kc[:-1] / kc[1:])
-    return np.kron(b, np.eye(r, dtype=np.complex128))
-
-
 def _resid_norm(mat: np.ndarray) -> float:
     # Frobenius dominates the spectral norm; used for very tall residuals
     if mat.size == 0:
@@ -336,7 +295,7 @@ def verify_relation_DCW(
 ) -> dict:
     """Residual of the defect relation ||Dx||^2 = ||Cx||^2 + alpha(1)||Wx||^2
     over the probe set, normalized by ||x||^2."""
-    d_op, _, hered = build_defect(alpha, T, n_cap=n_cap)
+    d_op, _, _ = build_defect(alpha, T, n_cap=n_cap)
     w_mat = as_matrix(W)
     c_mat = np.atleast_2d(np.asarray(C, dtype=np.complex128))
     a1 = alpha_at_one(alpha)

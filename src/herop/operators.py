@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .conditions import Verdict
-from .series import TruncatedSeries, abs_tail_bound, alpha_at_one
+from .series import TruncatedSeries, abs_tail_bound
 
 __all__ = [
     "DenseOperator",
@@ -36,15 +36,12 @@ __all__ = [
     "ConvergenceNotCertifiedError",
     "shift_section",
     "hereditary_apply",
-    "class_membership",
-    "MembershipReport",
     "shift_membership_backward",
     "shift_membership_forward",
     "ShiftMembershipReport",
     "spectral_radius",
     "spectral_radius_gelfand",
     "operator_norm",
-    "is_psd",
     "hermitian_sqrt",
     "direct_sum",
     "BlockDiagOperator",
@@ -374,107 +371,6 @@ def _geometric_tail(
     return env * (known + beyond)
 
 
-# --- class membership --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    in_Cw: Verdict
-    in_Cw_plus: Verdict
-    sup_partial_norm: float
-    witness: dict
-
-    @property
-    def member(self) -> bool:
-        return self.in_Cw in (Verdict.HOLDS, Verdict.TREND_HOLDS) and self.in_Cw_plus in (
-            Verdict.HOLDS,
-            Verdict.TREND_HOLDS,
-        )
-
-
-def _is_isometry(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    d = mat.shape[0]
-    return float(np.linalg.norm(mat.conj().T @ mat - np.eye(d), "fro")) <= tol * d
-
-
-def class_membership(
-    alpha: TruncatedSeries,
-    T: Union[DenseOperator, ShiftSection],
-    probe_vectors: Sequence[np.ndarray],
-    tol: float = 1e-10,
-) -> MembershipReport:
-    """Weak-class and positive-class verdicts for a concrete operator.
-
-    Decidable (Holds/Fails) under an exact policy, for polynomial symbols,
-    or on an isometry with a certified summable symbol; Trend verdicts from
-    partial-sum stabilization otherwise.
-    """
-    if len(probe_vectors) == 0:
-        raise ValueError("probe_vectors must be nonempty")
-    result = hereditary_apply(alpha, T, tol=max(tol, 1e-14))
-    exact = not isinstance(result.policy_used, Truncated)
-
-    # per-vector partial sums of |alpha_n| ||T^n x||^2 with their trajectory
-    coeffs = np.abs(alpha.coeffs)
-    limit = (
-        result.policy_used.order - 1
-        if isinstance(result.policy_used, ExactNilpotent)
-        else getattr(result.policy_used, "M", coeffs.size - 1)
-    )
-    rows = []
-    for x in probe_vectors:
-        norms = _orbit_norms(T, x, limit)
-        if abs(norms[0] - 1.0) > 1e-8:
-            raise ValueError("probe vectors must be unit-normalized")
-        rows.append(np.cumsum(coeffs[: limit + 1] * norms**2))
-    traj = np.array(rows)
-    sums = traj[:, -1]
-    sup_partial = float(np.max(sums))
-
-    tail_cert = abs_tail_bound(alpha)
-    summable_cert = tail_cert is not None and math.isfinite(tail_cert)
-    isometry = not exact and summable_cert and _is_isometry(as_matrix(T))
-    if exact or isometry:
-        in_cw = Verdict.HOLDS
-    else:
-        half = traj[:, traj.shape[1] // 2]
-        stabilized = bool(np.all(sums - half <= 0.01 * np.maximum(sums, 1e-300)))
-        growing = bool(np.any(sums - half >= 0.5 * np.maximum(half, 1e-300)) and np.max(sums) > 1e6)
-        if stabilized:
-            in_cw = Verdict.TREND_HOLDS
-        elif growing:
-            in_cw = Verdict.TREND_FAILS
-        else:
-            in_cw = Verdict.INDETERMINATE
-
-    vmat = result.value.entries
-    min_eig = float(np.min(np.linalg.eigvalsh(vmat)))
-    norm_v = max(float(np.linalg.norm(vmat, 2)), 1e-300)
-    psd = min_eig >= -tol * norm_v
-    witness = {
-        "policy": type(result.policy_used).__name__,
-        "min_eigenvalue": min_eig,
-        "value_norm": norm_v,
-        "per_vector_sums": [float(s) for s in sums],
-    }
-    if exact:
-        in_cw_plus = Verdict.HOLDS if psd else Verdict.FAILS
-    elif isometry:
-        # on an isometry the hereditary value is the boundary value of the
-        # symbol times the identity, so a certified boundary value decides
-        boundary = alpha_at_one(alpha)
-        if boundary.certified:
-            in_cw_plus = Verdict.HOLDS if boundary.value >= -tol else Verdict.FAILS
-            witness["boundary_value"] = boundary.value
-        else:
-            in_cw_plus = Verdict.TREND_HOLDS if psd else Verdict.TREND_FAILS
-    else:
-        in_cw_plus = Verdict.TREND_HOLDS if psd else Verdict.TREND_FAILS
-    if in_cw in (Verdict.TREND_FAILS, Verdict.FAILS):
-        in_cw_plus = in_cw  # membership in the positive class presumes the weak class
-    return MembershipReport(in_cw, in_cw_plus, sup_partial, witness)
-
-
 # --- coefficient-level shift membership -------------------------------------
 
 
@@ -676,14 +572,6 @@ def _require_hermitian(
     if float(np.linalg.norm(mat - mat.conj().T, 2)) > rel * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return 0.5 * (mat + mat.conj().T)
-
-
-def is_psd(A: Union[DenseOperator, np.ndarray], tol: float = 1e-10) -> bool:
-    """Positive semidefiniteness up to the relative eigenvalue floor -tol*||A||."""
-    mat = _require_hermitian(as_matrix(A))
-    eig = np.linalg.eigvalsh(mat)
-    scale = max(float(np.max(np.abs(eig))), 1e-300)
-    return bool(eig[0] >= -tol * scale)
 
 
 def hermitian_sqrt(

@@ -36,10 +36,6 @@ __all__ = [
     "cesaro_number",
     "cesaro_numbers",
     "cesaro_number_gamma",
-    "evaluate",
-    "EvaluationResult",
-    "wiener_norm",
-    "WienerNorm",
     "abs_tail_bound",
     "alpha_at_one",
     "AtOneEstimate",
@@ -536,31 +532,6 @@ def abs_tail_bound(series: TruncatedSeries, n_from: Optional[int] = None) -> Opt
     return series.certifier.abs_tail(series.coeffs, n_from)
 
 
-def _horner(coeffs: np.ndarray, z: complex) -> complex:
-    """Horner's rule at one complex point; circles go through the FFT."""
-    acc = 0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    value: complex
-    tail_bound: Optional[float]
-
-
-def evaluate(f: TruncatedSeries, z: complex) -> EvaluationResult:
-    """Horner evaluation of the truncated polynomial on the closed unit disc.
-
-    The tail bound, when the generator affords one, dominates the modulus of
-    the neglected tail at any point of the closed disc.
-    """
-    if abs(z) > 1.0 + 1e-12:
-        raise OutOfDomainError(f"|z| = {abs(z):.6f} exceeds 1")
-    return EvaluationResult(_horner(f.coeffs, z), abs_tail_bound(f))
-
-
 def evaluate_on_circle(f: TruncatedSeries, radius: float, samples: int) -> np.ndarray:
     """Values at z_j = radius * exp(2 pi i j / samples), j < samples.
 
@@ -573,26 +544,6 @@ def evaluate_on_circle(f: TruncatedSeries, radius: float, samples: int) -> np.nd
     folded = np.zeros(-(-c.size // samples) * samples)
     folded[: c.size] = c
     return np.conj(np.fft.fft(folded.reshape(-1, samples).sum(axis=0)))
-
-
-@dataclass(frozen=True)
-class WienerNorm:
-    value: float
-    tail_known: bool
-    tail_bound: Optional[float]
-
-    @property
-    def summable(self) -> Optional[bool]:
-        if not self.tail_known or self.tail_bound is None:
-            return None
-        return math.isfinite(self.tail_bound)
-
-
-def wiener_norm(f: TruncatedSeries) -> WienerNorm:
-    """Partial absolute coefficient sum with a certified tail when available."""
-    value = float(np.sum(np.abs(f.coeffs)))
-    tail = abs_tail_bound(f)
-    return WienerNorm(value, tail is not None, tail)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from typing import Union
 import numpy as np
 
 from .series import (
-    Derived,
     FileList,
     Polynomial,
     PowSign,

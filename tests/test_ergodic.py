@@ -4,15 +4,12 @@ import pytest
 
 from herop.ergodic import (
     MOVING_BASIS,
-    NotConvergedError,
     OracleKind,
     UnsupportedRegimeError,
     cesaro1_norm_table,
     cesaro_probe,
     classify_trend,
     default_n_grid,
-    implication_battery,
-    mean_ergodic_projection,
     shift_threshold_oracle,
     trichotomy_test,
 )
@@ -219,53 +216,6 @@ class TestTrichotomy:
             assert ratios["cesaro"] <= ratios["power"] + 0.02
 
 
-class TestImplicationBattery:
-    def test_shift_upgrade_along_order(self):
-        T = backward(0.5, 1024)
-        vectors = seeded_unit_vectors(1024, 3, seed=8)
-        report = implication_battery(
-            T,
-            [{"antecedent": (0.6, 2.0), "consequent": (0.9, 2.0)}],
-            vectors,
-            default_n_grid(2000),
-        )
-        assert report["violations"] == 0
-
-    def test_collapse_above_one(self):
-        rng = np.random.default_rng(3)
-        mat = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        mat *= 0.95 / np.linalg.norm(mat, 2)
-        T = DenseOperator(mat)
-        vectors = seeded_unit_vectors(5, 3, seed=9)
-        report = implication_battery(
-            T,
-            [{"antecedent": (1.5, 2.0), "consequent": (1.0, 2.0)}],
-            vectors,
-            default_n_grid(2000),
-        )
-        assert report["violations"] == 0
-
-    def test_holder_route(self):
-        T = backward(0.5, 1024)
-        vectors = seeded_unit_vectors(1024, 2, seed=10)
-        report = implication_battery(
-            T,
-            [{"antecedent": (0.8, 2.0), "consequent": (0.5, 1.0)}],
-            vectors,
-            default_n_grid(2000),
-        )
-        assert report["violations"] == 0
-
-    def test_rejects_out_of_range_case(self):
-        with pytest.raises(ValueError):
-            implication_battery(
-                diag_unitary([0.2]),
-                [{"antecedent": (0.9, 2.0), "consequent": (0.5, 2.0)}],
-                seeded_unit_vectors(1, 1, seed=0),
-                [8, 64],
-            )
-
-
 class TestAssaniMatrix:
     def test_means_bounded_but_powers_grow(self):
         grid = sorted(set(default_n_grid(100_000, points=40) + list(range(1, 65))))
@@ -281,35 +231,6 @@ class TestAssaniMatrix:
         table = cesaro1_norm_table(DenseOperator(ASSANI), [101, 1001])
         for value in table["mean_norms"].values():
             assert value == pytest.approx(1.0, rel=1e-12)
-
-
-class TestMeanErgodicProjection:
-    def test_identity(self):
-        P, resid, info = mean_ergodic_projection(DenseOperator(np.eye(3)), 1.0, 64)
-        np.testing.assert_allclose(P.entries, np.eye(3), atol=1e-12)
-        assert resid <= 1e-12 and info["kernel_dim"] == 3
-
-    def test_unitary_with_fixed_vector_geometric_oracle(self):
-        phases = np.array([0.0, 0.9, 2.1])
-        U = diag_unitary(phases)
-        n = 20_000
-        P, resid, info = mean_ergodic_projection(U, 1.0, n, tol=1e-3)
-        # independent oracle: diagonal entries are geometric phase sums
-        lam = np.exp(1j * phases)
-        expected = np.ones_like(lam)
-        rot = np.abs(lam - 1.0) >= 1e-12
-        expected[rot] = (lam[rot] ** (n + 1) - 1.0) / ((n + 1) * (lam[rot] - 1.0))
-        np.testing.assert_allclose(np.diag(P.entries), expected, atol=1e-10)
-        assert info["kernel_dim"] == 1
-        assert resid <= 4.0 / (n * float(np.min(np.abs(lam[1:] - 1.0))))
-
-    def test_assani_requires_higher_order(self):
-        with pytest.raises(NotConvergedError):
-            mean_ergodic_projection(DenseOperator(ASSANI), 1.0, 20_000, tol=1e-3)
-        P, resid, info = mean_ergodic_projection(DenseOperator(ASSANI), 2.0, 20_000, tol=1e-3)
-        assert info["kernel_dim"] == 0
-        assert float(np.linalg.norm(P.entries, 2)) <= 5e-3
-        assert resid <= 5e-3
 
 
 class TestTrendClassifier:

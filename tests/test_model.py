@@ -15,8 +15,6 @@ from herop.model import (
     build_transform,
     bundle_direct_sum,
     minimality_check,
-    model_backward_matrix,
-    verify_np_contraction,
     verify_relation_DCW,
 )
 from herop.operators import (
@@ -37,7 +35,6 @@ from herop.series import (
     PowSign,
     TruncatedSeries,
     binomial_series,
-    evaluate,
     invert_kernel,
 )
 
@@ -121,7 +118,7 @@ class TestBuildTransform:
         T = DenseOperator(np.array([[q + 0.0j]]))
         V, M, tail = build_transform(np.array([[c + 0.0j]]), k, T, tol=1e-12)
         norm_sq = float(np.linalg.norm(V @ np.array([1.0 + 0.0j])) ** 2)
-        expected = c * c * evaluate(k, q * q).value.real
+        expected = c * c * np.sum(k.coeffs * (q * q) ** np.arange(k.trunc_len))
         assert norm_sq == pytest.approx(expected, abs=1e-10)
         assert tail is not None and tail <= 1e-12
 
@@ -133,11 +130,12 @@ class TestBuildTransform:
 
 
 class TestNPContraction:
+    """For a Nevanlinna-Pick symbol the model transform V is a contraction."""
+
     def test_half_order_section_contraction(self):
         alpha, k, T = half_order_setup(32)
         bundle = build_model(alpha, k, T)
-        report = verify_np_contraction(alpha, T, bundle.V)
-        assert report["passed"] and report["contraction_excess"] <= 1e-8
+        assert np.linalg.norm(bundle.V, 2) <= 1.0 + 1e-8
 
     def test_generic_contraction(self):
         rng = np.random.default_rng(4)
@@ -146,14 +144,7 @@ class TestNPContraction:
         T = DenseOperator(mat)
         k = binomial_series(1.0, PowSign.MINUS, 256)
         bundle = build_model(poly(1.0, -1.0), k, T, M=200)
-        report = verify_np_contraction(poly(1.0, -1.0), T, bundle.V)
-        assert report["contraction_excess"] <= 1e-10
-
-    def test_refuses_non_member(self):
-        T = DenseOperator(1.5 * hardy_section(8).operator().entries)
-        alpha = binomial_series(0.5, PowSign.PLUS, 64)
-        with pytest.raises(ModelInvalidError):
-            verify_np_contraction(alpha, T, np.eye(8, dtype=complex))
+        assert np.linalg.norm(bundle.V, 2) <= 1.0 + 1e-10
 
 
 class TestBuildWS:
@@ -458,14 +449,3 @@ class TestStructuredPowersMatchDense:
         assert tail_section == 0.0 and tail_conj <= 1e-20
         alpha = binomial_series(0.5, PowSign.PLUS, 2 * d)
         assert isinstance(hereditary_apply(alpha, section).policy_used, ExactNilpotent)
-
-
-class TestModelShiftMatrix:
-    def test_blocks_match_kron(self):
-        k = binomial_series(0.5, PowSign.MINUS, 8)
-        mat = model_backward_matrix(k, 4, 2)
-        assert mat.shape == (8, 8)
-        # scalar couplings repeat along the auxiliary dimension
-        assert mat[0, 2] == pytest.approx(np.sqrt(k.coeffs[0] / k.coeffs[1]))
-        assert mat[1, 3] == pytest.approx(np.sqrt(k.coeffs[0] / k.coeffs[1]))
-        assert mat[2, 4] == pytest.approx(np.sqrt(k.coeffs[1] / k.coeffs[2]))

@@ -20,11 +20,9 @@ from herop.operators import (
     _basis_orbit_norms,
     _orbit_norms,
     as_matrix,
-    class_membership,
     direct_sum,
     hereditary_apply,
     hermitian_sqrt,
-    is_psd,
     operator_norm,
     read_matrix_csv,
     seeded_unit_vectors,
@@ -165,63 +163,6 @@ class TestHereditaryApply:
             hereditary_apply(alpha, t1).value, hereditary_apply(alpha, t2).value
         )
         assert np.max(np.abs(combined.value.entries - block.entries)) <= 1e-12
-
-
-class TestClassMembership:
-    def test_unitary_with_summable_symbol(self):
-        rng = np.random.default_rng(2)
-        U = DenseOperator(np.diag(np.exp(2j * np.pi * rng.random(6))))
-        probes = seeded_unit_vectors(6, 4, seed=1)
-        pos = class_membership(poly(1.0, -0.5), U, probes)
-        assert pos.in_Cw is Verdict.HOLDS and pos.in_Cw_plus is Verdict.HOLDS
-        neg = class_membership(poly(1.0, -2.0), U, probes)
-        assert neg.in_Cw is Verdict.HOLDS and neg.in_Cw_plus is Verdict.FAILS
-
-    def test_expansive_scalar_fails_positivity(self):
-        T = DenseOperator(np.array([[2.0 + 0.0j]]))
-        report = class_membership(poly(1.0, -1.0), T, [np.array([1.0 + 0.0j])])
-        assert report.in_Cw is Verdict.HOLDS  # finite sum always converges
-        assert report.in_Cw_plus is Verdict.FAILS
-
-    def test_nilpotent_with_nonsummable_symbol(self):
-        n = np.arange(1.0, 65.0)
-        alpha = TruncatedSeries(np.concatenate([[1.0], -1.0 / np.sqrt(n)]), None)
-        T = backward(0.5, 64, 8)
-        report = class_membership(alpha, T, seeded_unit_vectors(8, 4, seed=0))
-        assert report.in_Cw is Verdict.HOLDS
-        assert spectral_radius(T) <= 1e-8  # spectrum inside the open disc
-
-    def test_requires_unit_probes(self):
-        with pytest.raises(ValueError):
-            class_membership(poly(1.0, -1.0), DenseOperator(np.eye(2)), [np.ones(2)])
-
-    @pytest.mark.parametrize("direction", list(Direction))
-    @pytest.mark.parametrize(
-        "alpha",
-        [
-            binomial_series(0.5, PowSign.PLUS, 63),
-            binomial_series(0.7, PowSign.PLUS, 63),
-            poly(1.0, -0.5, -0.25),
-            poly(1.0, -2.0),
-            TruncatedSeries(np.concatenate([[1.0], -1.0 / np.arange(1.0, 64.0)]), None),
-            TruncatedSeries(np.array([1.0, -0.5, -0.2, -0.1]), None),
-        ],
-        ids=["binom-half", "binom-0.7", "poly", "poly-expansive", "bare", "bare-short"],
-    )
-    def test_section_and_its_matrix_agree(self, direction, alpha):
-        # closed-form section powers against the dense products of operator()
-        T = shift_section(binomial_series(0.5, PowSign.MINUS, 64), direction, 24)
-        probes = seeded_unit_vectors(24, 6, seed=3)
-        fast = class_membership(alpha, T, probes)
-        slow = class_membership(alpha, T.operator(), probes)
-        assert (fast.in_Cw, fast.in_Cw_plus) == (slow.in_Cw, slow.in_Cw_plus)
-        assert fast.witness["policy"] == slow.witness["policy"]
-        np.testing.assert_allclose(
-            fast.witness["per_vector_sums"], slow.witness["per_vector_sums"], rtol=1e-12
-        )
-        assert fast.witness["min_eigenvalue"] == pytest.approx(
-            slow.witness["min_eigenvalue"], abs=1e-12 * slow.witness["value_norm"]
-        )
 
 
 def _normal_contraction(d, seed):
@@ -410,12 +351,6 @@ class TestSpectralQuantities:
             hermitian_sqrt(np.diag([1.0, -0.5]))
         assert info.value.min_eigenvalue == pytest.approx(-0.5)
 
-    def test_is_psd(self):
-        assert is_psd(np.diag([1.0, 0.0]))
-        assert not is_psd(np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_gelfand_matches_eigenvalues(self, seed):
         rng = np.random.default_rng(seed)
@@ -469,25 +404,3 @@ class TestBlockDiagAndIO:
         write_matrix_csv(str(path), mat)
         back = read_matrix_csv(str(path))
         np.testing.assert_allclose(back.entries, mat, rtol=1e-15)
-
-
-class TestIsometryDecidability:
-    """On an isometry the hereditary value is the symbol's boundary value
-    times the identity, so certified boundary values decide membership."""
-
-    def test_critical_symbol_holds_exactly(self):
-        rng = np.random.default_rng(2)
-        U = DenseOperator(np.diag(np.exp(2j * np.pi * rng.random(6))))
-        probes = seeded_unit_vectors(6, 4, seed=1)
-        report = class_membership(binomial_series(0.5, PowSign.PLUS, 1024), U, probes)
-        assert report.in_Cw is Verdict.HOLDS
-        assert report.in_Cw_plus is Verdict.HOLDS
-        assert report.witness["boundary_value"] == 0.0
-
-    def test_uncertified_symbol_stays_trend(self):
-        rng = np.random.default_rng(3)
-        U = DenseOperator(np.diag(np.exp(2j * np.pi * rng.random(4))))
-        n = np.arange(1.0, 257.0)
-        alpha = TruncatedSeries(np.concatenate([[1.0], -0.4 * 2.0**-n]), None)
-        report = class_membership(alpha, U, seeded_unit_vectors(4, 3, seed=2))
-        assert report.in_Cw_plus in (Verdict.TREND_HOLDS, Verdict.TREND_FAILS)

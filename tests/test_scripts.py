@@ -1,0 +1,22 @@
+"""Every script under scripts/ runs with its default arguments.
+
+The scripts read the library, so a change that breaks one of its readers
+shows up here rather than in a user's shell."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[path.name for path in SCRIPTS])
+def test_script_runs_with_defaults(script, src_env):
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=ROOT, env=src_env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
