@@ -21,8 +21,15 @@ import numpy as np
 from . import conditions as cond
 from .conditions import ConditionReport, SignPattern, Verdict, GenerationFailedError
 from .ergodic import MOVING_BASIS, cesaro_probe, default_n_grid
-from .model import ModelInvalidError, build_model, minimality_check, verify_relation_DCW
+from .model import (
+    ModelInvalidError,
+    TailUncertifiableError,
+    build_model,
+    minimality_check,
+    verify_relation_DCW,
+)
 from .operators import (
+    ConvergenceNotCertifiedError,
     Direction,
     NotPSDError,
     read_matrix_csv,
@@ -42,21 +49,17 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class RunConfig:
-    """Run-wide knobs; every tolerance is explicit and echoed into reports."""
+    """Run-wide settings from the common flags (-N, --tol, --out, --csv-dir,
+    --seed); reports echo N and the seed."""
 
     truncation: int = 1024
-    psd_tol: float = 1e-10
     model_tol: float = 1e-8
-    rank_tol: float = 1e-8
-    circle_samples: int = 2048
-    m_grid: tuple = (4, 8, 16, 32)
     out: Optional[str] = None
     csv_dir: Optional[str] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        tolerances = (self.psd_tol, self.model_tol, self.rank_tol)
-        if not all(math.isfinite(t) and t > 0 for t in tolerances):
+        if not (math.isfinite(self.model_tol) and self.model_tol > 0):
             raise ValueError("tolerances must be finite and positive")
 
 
@@ -162,7 +165,7 @@ def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> int:
     """The four pair conditions; `report bundle` adds the six kernel-side ones."""
     pair = reciprocal(_series_from_flags(args), config.truncation)
     reports = [
-        cond.check_hypotheses_A(pair, config.circle_samples),
+        cond.check_hypotheses_A(pair),
         cond.check_hypotheses_B(pair),
         cond.classify_np(pair.alpha),
         cond.classify_critical(pair),
@@ -171,7 +174,7 @@ def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> int:
         # the kernel-side conditions presume positive coefficients above
         # float underflow (1/k_n must stay finite)
         omega = TruncatedSeries(1.0 / pair.k.coeffs, None)
-        m_grid = [m for m in config.m_grid if 2 * m <= config.truncation]
+        m_grid = [m for m in (4, 8, 16, 32) if 2 * m <= config.truncation]
         reports += [
             cond.muller_condition_estimate(pair.k, m_grid),
             cond.muller_sufficient_check(pair.k, [1.5, 2.0, 3.0]),
@@ -246,16 +249,10 @@ def _run_model_build(args, config: RunConfig) -> int:
     else:
         T = shift_section(k, Direction.BACKWARD, 32 if args.section is None else args.section)
     try:
-        bundle = build_model(
-            pair.alpha,
-            k,
-            T,
-            M=args.degree,
-            psd_tol=config.psd_tol,
-            model_tol=config.model_tol,
-            rank_tol=config.rank_tol,
-        )
-    except (ModelInvalidError, NotPSDError) as exc:
+        bundle = build_model(pair.alpha, k, T, M=args.degree, model_tol=config.model_tol)
+    except (
+        ModelInvalidError, NotPSDError, TailUncertifiableError, ConvergenceNotCertifiedError
+    ) as exc:
         _emit(
             _payload(
                 "model build",
@@ -267,7 +264,7 @@ def _run_model_build(args, config: RunConfig) -> int:
             config,
         )
         return 1
-    mini = minimality_check(bundle, rank_tol=config.rank_tol)
+    mini = minimality_check(bundle)
     if config.csv_dir:
         os.makedirs(config.csv_dir, exist_ok=True)
         for name, mat in (
@@ -280,9 +277,7 @@ def _run_model_build(args, config: RunConfig) -> int:
                 write_matrix_csv(os.path.join(config.csv_dir, f"{name}.csv"), mat)
     dim = bundle.D.dim
     probes = seeded_unit_vectors(dim, 16, seed=config.seed)
-    relation = verify_relation_DCW(
-        pair.alpha, T, bundle.C, bundle.W, probes, n_cap=config.truncation
-    )
+    relation = verify_relation_DCW(pair.alpha, T, bundle.C, bundle.W.entries, probes)
     diag = dict(bundle.diagnostics)
     passed = all(
         diag[key] <= config.model_tol
@@ -316,12 +311,10 @@ def _run_ergodic_probe(args, config: RunConfig) -> int:
     kappa = elaborate(parse_kernel_spec(spec_text), max(n_max + 1, config.truncation))
     section = shift_section(kappa, Direction.BACKWARD, n_max + 1)
     grid = default_n_grid(n_max)
-    probes = [
-        cesaro_probe(section, MOVING_BASIS, args.a, args.p, grid, operator_ref=spec_text)
-    ]
+    probes = [cesaro_probe(section, MOVING_BASIS, args.a, args.p, grid)]
     if args.vectors > 0:
         fixed = seeded_unit_vectors(n_max + 1, args.vectors, seed=config.seed, complex_entries=False)
-        probes.append(cesaro_probe(section, fixed, args.a, args.p, grid, operator_ref=spec_text))
+        probes.append(cesaro_probe(section, fixed, args.a, args.p, grid))
     rows = []
     for probe in probes:
         for label, values, trend in zip(probe.vector_labels, probe.samples, probe.trends):

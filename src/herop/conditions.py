@@ -59,10 +59,6 @@ class Verdict(str, Enum):
     INDETERMINATE = "Indeterminate"
 
 
-DECIDED = (Verdict.HOLDS, Verdict.FAILS)
-POSITIVE = (Verdict.HOLDS, Verdict.TREND_HOLDS)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     condition_id: str

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import ModelBundle
-from .operators import DenseOperator, ShiftSection, _basis_orbit_norms, _orbit_norms, as_matrix
+from .operators import DenseOperator, ShiftSection, _basis_orbit_norms, _orbit_norms
 from .series import cesaro_number, cesaro_numbers
 
 __all__ = [
@@ -58,7 +58,6 @@ class Trend:
 
 @dataclass(frozen=True)
 class ErgodicProbe:
-    operator_ref: str
     a: float
     p: float
     n_grid: tuple
@@ -136,7 +135,6 @@ def cesaro_probe(
     a: float,
     p: float,
     n_grid: Sequence[int],
-    operator_ref: str = "",
 ) -> ErgodicProbe:
     """Sampled order-a means of ||T^j x||^p along n_grid.
 
@@ -175,8 +173,7 @@ def cesaro_probe(
             labels.append(f"vector_{i}")
     trends = tuple(classify_trend(n_grid, s) for s in samples)
     return ErgodicProbe(
-        operator_ref, float(a), float(p), tuple(n_grid), tuple(labels),
-        tuple(samples), trends,
+        float(a), float(p), tuple(n_grid), tuple(labels), tuple(samples), trends
     )
 
 
@@ -293,12 +290,10 @@ def trichotomy_test(
 # --- operator-level means -----------------------------------------------------
 
 
-def cesaro1_norm_table(
-    T: Union[DenseOperator, np.ndarray], n_grid: Sequence[int]
-) -> dict:
+def cesaro1_norm_table(T: DenseOperator, n_grid: Sequence[int]) -> dict:
     """Streaming order-1 means: operator norms ||M(n)|| and ||T^n||/n at the
     grid points, in one pass over the powers."""
-    mat = as_matrix(T)
+    mat = T.operator().entries
     d = mat.shape[0]
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]

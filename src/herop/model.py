@@ -19,7 +19,6 @@ from .operators import (
     ShiftSection,
     _contraction_envelope,
     _eigen_sqrt,
-    as_matrix,
     direct_sum,
     hereditary_apply,
     hermitian_sqrt,
@@ -40,6 +39,13 @@ __all__ = [
     "build_model",
     "bundle_direct_sum",
 ]
+
+
+# alpha(T*, T): tail tolerance of the sum, and the relative eigenvalue floor
+# below which its square root clips to zero
+_PSD_TOL = 1e-10
+# numerical rank: D keeps eigenvalues above _RANK_TOL * ||D||, W above _RANK_TOL
+_RANK_TOL = 1e-8
 
 
 class ModelInvalidError(RuntimeError):
@@ -86,19 +92,15 @@ class ModelBundle:
 
 
 def build_defect(
-    alpha: TruncatedSeries,
-    T: Union[DenseOperator, ShiftSection],
-    rank_tol: float = 1e-8,
-    psd_tol: float = 1e-10,
-    n_cap: Optional[int] = None,
+    alpha: TruncatedSeries, T: Union[DenseOperator, ShiftSection]
 ) -> tuple[DenseOperator, np.ndarray, HereditaryResult]:
     """Defect operator D = alpha(T*, T)^(1/2) and an orthonormal basis of its
-    range (eigenvectors of D with eigenvalue above rank_tol * ||D||)."""
-    hered = hereditary_apply(alpha, T, tol=psd_tol, n_cap=n_cap)
+    range (eigenvectors of D with eigenvalue above _RANK_TOL * ||D||)."""
+    hered = hereditary_apply(alpha, T, tol=_PSD_TOL)
     d_mat, vec, roots = _eigen_sqrt(
-        hered.value.entries, psd_tol, None, "hereditary value has eigenvalue"
+        hered.value.entries, _PSD_TOL, None, "hereditary value has eigenvalue"
     )
-    keep = roots > rank_tol * max(float(np.max(roots)), 1e-300)
+    keep = roots > _RANK_TOL * max(float(np.max(roots)), 1e-300)
     basis = np.array(vec[:, keep])
     # canonical phases: the largest entry of each basis column is made real
     # and positive, so repeated runs and identity checks are deterministic
@@ -160,7 +162,7 @@ def build_transform(
     to the largest power seen, as unitary conjugates of sections leave it."""
     if M is not None and M < 0:
         raise ValueError(f"degree cap M must be non-negative, got {M}")
-    mat = as_matrix(T)
+    mat = T.operator().entries
     cmat = np.atleast_2d(np.asarray(C, dtype=np.complex128))
     d = mat.shape[0]
     if cmat.shape[1] != d:
@@ -185,6 +187,8 @@ def build_transform(
         tail_bound = 0.0
     if M + 1 > k.trunc_len:
         raise ValueError(f"kernel window too short for degree cap M={M}")
+    if np.any(k.coeffs[: M + 1] <= 0.0):
+        raise ValueError(f"kernel coefficients up to the degree cap M={M} must be positive")
     r = cmat.shape[0]
     root_k = np.sqrt(k.coeffs[: M + 1])
     V = np.empty(((M + 1) * r, d), dtype=np.complex128)
@@ -200,7 +204,6 @@ def build_W_S(
     V: np.ndarray,
     T: Union[DenseOperator, ShiftSection],
     tol: float = 1e-8,
-    rank_tol: float = 1e-8,
 ) -> tuple[DenseOperator, np.ndarray, np.ndarray, dict]:
     """Complement W = (I - V*V)^(1/2), its range basis, and the isometry S
     defined on that range by S(Wx) = WTx.
@@ -209,17 +212,17 @@ def build_W_S(
     and then polar-corrected to an exact isometry (any isometric completion
     on the orthogonal complement is admissible; the pre-correction residual
     is reported).  Raises when the well-definedness residual exceeds tol."""
-    mat = as_matrix(T)
+    mat = T.operator().entries
     d = mat.shape[0]
     gram = V.conj().T @ V
     norm_v = math.sqrt(max(float(np.max(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)))), 0.0))
     if norm_v > 1.0 + tol:
         raise ModelInvalidError(f"transform norm {norm_v:.12f} exceeds 1 + tol")
     a_mat = np.eye(d) - gram
-    w_op = hermitian_sqrt(a_mat, tol=max(tol * 1e-2, 1e-12), scale=1.0)
+    w_op = hermitian_sqrt(DenseOperator(a_mat), tol=max(tol * 1e-2, 1e-12), scale=1.0)
     w_mat = w_op.entries
     eig, vec = np.linalg.eigh(w_mat)
-    keep = eig > rank_tol
+    keep = eig > _RANK_TOL
     basis = vec[:, keep]
     w = int(basis.shape[1])
 
@@ -265,7 +268,7 @@ def verify_model(T: Union[DenseOperator, ShiftSection], bundle: ModelBundle) -> 
 
     The model shift is applied blockwise to V rather than materialized as a
     kron matrix, so large degree caps stay cheap."""
-    mat = as_matrix(T)
+    mat = T.operator().entries
     d = mat.shape[0]
     r = bundle.defect_rank
     residuals = {}
@@ -289,14 +292,13 @@ def verify_relation_DCW(
     alpha: TruncatedSeries,
     T: Union[DenseOperator, ShiftSection],
     C: np.ndarray,
-    W: Union[DenseOperator, np.ndarray],
+    W: np.ndarray,
     probe_vectors: Sequence[np.ndarray],
-    n_cap: Optional[int] = None,
 ) -> dict:
     """Residual of the defect relation ||Dx||^2 = ||Cx||^2 + alpha(1)||Wx||^2
     over the probe set, normalized by ||x||^2."""
-    d_op, _, _ = build_defect(alpha, T, n_cap=n_cap)
-    w_mat = as_matrix(W)
+    d_op, _, _ = build_defect(alpha, T)
+    w_mat = np.asarray(W, dtype=np.complex128)
     c_mat = np.atleast_2d(np.asarray(C, dtype=np.complex128))
     a1 = alpha_at_one(alpha)
     worst = 0.0
@@ -315,16 +317,14 @@ def build_model(
     k: TruncatedSeries,
     T: Union[DenseOperator, ShiftSection],
     M: Optional[int] = None,
-    psd_tol: float = 1e-10,
     model_tol: float = 1e-8,
-    rank_tol: float = 1e-8,
-    n_cap: Optional[int] = None,
 ) -> ModelBundle:
     """Full pipeline: defect, transform, complement, isometry, diagnostics.
 
-    Raises ModelInvalidError (or NotPSDError from the defect step) when the
-    operator is not modelable at the requested tolerances."""
-    d_op, basis, hered = build_defect(alpha, T, rank_tol=rank_tol, psd_tol=psd_tol, n_cap=n_cap)
+    Raises ModelInvalidError, NotPSDError, TailUncertifiableError or
+    ConvergenceNotCertifiedError when the operator is not modelable at the
+    requested tolerances."""
+    d_op, basis, hered = build_defect(alpha, T)
     c_mat = basis.conj().T @ d_op.entries  # (r, d)
     if basis.shape[1] == 0:
         c_mat = np.zeros((0, T.dim), dtype=np.complex128)
@@ -332,7 +332,7 @@ def build_model(
         m_used, tail = 0, 0.0
     else:
         V, m_used, tail = build_transform(c_mat, k, T, M=M, tol=model_tol)
-    w_op, w_basis, s_hat, s_info = build_W_S(V, T, tol=model_tol, rank_tol=rank_tol)
+    w_op, w_basis, s_hat, s_info = build_W_S(V, T, tol=model_tol)
     kind = pair_type_estimate(alpha, k).type
     bundle = ModelBundle(
         D=d_op,
@@ -413,15 +413,15 @@ def bundle_direct_sum(
     return replace(bundle, diagnostics=diagnostics), t_sum
 
 
-def minimality_check(bundle: ModelBundle, rank_tol: float = 1e-8) -> dict:
+def minimality_check(bundle: ModelBundle) -> dict:
     """Numerical-rank check that the auxiliary spaces are not padded:
     ran C must fill the defect basis and ran W the W-basis."""
     c_sv = np.linalg.svd(bundle.C, compute_uv=False) if bundle.C.size else np.array([])
     w_sv = np.linalg.svd(bundle.W.entries, compute_uv=False)
     c_scale = float(c_sv[0]) if c_sv.size else 0.0
     w_scale = float(w_sv[0]) if w_sv.size else 0.0
-    c_rank = int(np.sum(c_sv > rank_tol * max(c_scale, 1e-300)))
-    w_rank = int(np.sum(w_sv > rank_tol * max(w_scale, 1e-300))) if w_scale > rank_tol else 0
+    c_rank = int(np.sum(c_sv > _RANK_TOL * max(c_scale, 1e-300)))
+    w_rank = int(np.sum(w_sv > _RANK_TOL * max(w_scale, 1e-300))) if w_scale > _RANK_TOL else 0
     ok = c_rank == bundle.defect_rank and w_rank == bundle.w_rank
     return {
         "defect_rank": bundle.defect_rank,

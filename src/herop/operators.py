@@ -70,13 +70,15 @@ class ConvergenceNotCertifiedError(RuntimeError):
 # a power whose Frobenius norm is at most this has vanished outright
 _NILPOTENT_TOL = 1e-300
 
+# every operator object has dim and operator(), the dense matrix it stands for
+Operator = Union["DenseOperator", "ShiftSection", "BlockDiagOperator"]
+
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Complex d x d matrix standing for a finite-section or exemplar operator."""
 
     entries: np.ndarray
-    labels: Optional[str] = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=np.complex128).copy()
@@ -94,8 +96,8 @@ class DenseOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.entries @ v
 
-    def adjoint(self) -> "DenseOperator":
-        return DenseOperator(self.entries.conj().T, self.labels)
+    def operator(self) -> "DenseOperator":
+        return self
 
     def powers(self, grams: bool = True) -> Iterator[tuple[float, Optional[np.ndarray]]]:
         """(||T^n||_F, T*^n T^n) for n = 1, 2, ..., ending after the first
@@ -107,14 +109,6 @@ class DenseOperator:
             if fro <= _NILPOTENT_TOL:
                 return
             power = power @ mat
-
-
-def as_matrix(op: Union[DenseOperator, "ShiftSection", "BlockDiagOperator", np.ndarray]) -> np.ndarray:
-    if isinstance(op, DenseOperator):
-        return op.entries
-    if isinstance(op, (ShiftSection, BlockDiagOperator)):
-        return op.operator().entries
-    return np.asarray(op, dtype=np.complex128)
 
 
 class Direction(Enum):
@@ -156,11 +150,9 @@ class ShiftSection:
         idx = np.arange(self.dim - 1)
         if self.direction is Direction.BACKWARD:
             m[idx, idx + 1] = self.couplings
-            label = f"backward shift section d={self.dim} (exact part)"
         else:
             m[idx + 1, idx] = 1.0 / self.couplings
-            label = f"forward shift section d={self.dim} (compression, NOT a part)"
-        return DenseOperator(m, label)
+        return DenseOperator(m)
 
     def powers(self, grams: bool = True) -> Iterator[tuple[float, np.ndarray]]:
         """DenseOperator.powers in closed form: T*^n T^n is the diagonal
@@ -256,11 +248,6 @@ Policy = Union[ExactNilpotent, GeometricTail, Truncated, ExactPolynomial]
 class HereditaryResult:
     value: DenseOperator
     policy_used: Policy
-    abs_value: DenseOperator
-
-    @property
-    def decidable(self) -> bool:
-        return not isinstance(self.policy_used, Truncated)
 
 
 def _symmetrize(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -286,7 +273,6 @@ def hereditary_apply(
     alpha: TruncatedSeries,
     T: Union[DenseOperator, ShiftSection],
     tol: float = 1e-12,
-    n_cap: Optional[int] = None,
 ) -> HereditaryResult:
     """Evaluate sum_n alpha_n T*^n T^n under the first applicable policy.
 
@@ -294,16 +280,12 @@ def hereditary_apply(
     (b) GeometricTail when the spectral radius estimate sits below 1 and the
         neglected tail is certifiably at most tol;
     (c) Truncated with an explicit warning otherwise.
-
-    The absolute-coefficient partial sum is accumulated alongside for the
-    weak-class diagnostics.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = T.dim
     coeffs = alpha.coeffs
-    n_alpha = coeffs.size - 1
-    limit = n_alpha if n_cap is None else min(n_alpha, int(n_cap))
+    limit = coeffs.size - 1
 
     # policy selection data
     rho = spectral_radius(T)
@@ -312,7 +294,6 @@ def hereditary_apply(
     # a section's Grams are diagonals, kept as vectors until the end
     one = np.ones(d) if isinstance(T, ShiftSection) else np.eye(d, dtype=np.complex128)
     value = coeffs[0] * one
-    abs_value = abs(coeffs[0]) * one
     fro_norms = [math.sqrt(d)]  # Frobenius norms of T^n, n = 0..
     policy: Optional[Policy] = None
     sup_beyond = alpha.certifier.sup_tail(coeffs, limit)
@@ -324,7 +305,6 @@ def hereditary_apply(
             policy = ExactNilpotent(order=n)
             break
         value += coeffs[n] * gram
-        abs_value += abs(coeffs[n]) * gram
         if not geometric or sup_beyond is None:
             continue
         if envelope is None:
@@ -336,18 +316,17 @@ def hereditary_apply(
             policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
             break
     if value.ndim == 1:
-        value, abs_value = np.diag(value), np.diag(abs_value)
+        value = np.diag(value)
     if policy is None:
         if abs_tail_bound(alpha, limit) == 0.0:
             policy = ExactPolynomial(limit)
         elif geometric and sup_beyond is not None:
             partial = HereditaryResult(
                 DenseOperator(_symmetrize(value)),
-                Truncated(limit, "n_cap reached before certified tail"),
-                DenseOperator(_symmetrize(abs_value)),
+                Truncated(limit, "symbol window ended before the tail was certified"),
             )
             raise ConvergenceNotCertifiedError(
-                f"tail bound not met within n_cap={limit}", partial
+                f"tail bound not met within the symbol window (n <= {limit})", partial
             )
         else:
             policy = Truncated(
@@ -355,9 +334,7 @@ def hereditary_apply(
                 f"spectral radius estimate {rho:.6f} and symbol tail do not certify "
                 f"convergence, sum truncated at {limit}",
             )
-    return HereditaryResult(
-        DenseOperator(_symmetrize(value)), policy, DenseOperator(_symmetrize(abs_value))
-    )
+    return HereditaryResult(DenseOperator(_symmetrize(value)), policy)
 
 
 def _geometric_tail(
@@ -522,24 +499,21 @@ def shift_membership_forward(
 # --- spectral quantities -----------------------------------------------------
 
 
-def operator_norm(T: Union[DenseOperator, ShiftSection, np.ndarray]) -> float:
-    return float(np.linalg.norm(as_matrix(T), 2))
+def operator_norm(T: Operator) -> float:
+    return float(np.linalg.norm(T.operator().entries, 2))
 
 
-def spectral_radius(T: Union[DenseOperator, ShiftSection, np.ndarray]) -> float:
+def spectral_radius(T: Operator) -> float:
     if isinstance(T, ShiftSection):
         return 0.0  # sections are nilpotent
-    mat = as_matrix(T)
-    if mat.shape[0] <= 512:
-        return float(np.max(np.abs(np.linalg.eigvals(mat))))
-    return spectral_radius_gelfand(mat)
+    if T.dim <= 512:
+        return float(np.max(np.abs(np.linalg.eigvals(T.operator().entries))))
+    return spectral_radius_gelfand(T)
 
 
-def spectral_radius_gelfand(
-    T: Union[DenseOperator, ShiftSection, np.ndarray], tol: float = 1e-6, max_squarings: int = 60
-) -> float:
+def spectral_radius_gelfand(T: Operator, tol: float = 1e-6, max_squarings: int = 60) -> float:
     """Stabilized ||T^(2^k)||^(2^-k) with norm rescaling at every squaring."""
-    mat = np.array(as_matrix(T))
+    mat = np.array(T.operator().entries)
     log_norm = 0.0  # log ||T^m|| for the current power m
     m = 1
     norm = float(np.linalg.norm(mat, 2))
@@ -575,9 +549,7 @@ def _require_hermitian(
 
 
 def hermitian_sqrt(
-    A: Union[DenseOperator, np.ndarray],
-    tol: float = 1e-10,
-    scale: Optional[float] = None,
+    A: DenseOperator, tol: float = 1e-10, scale: Optional[float] = None
 ) -> DenseOperator:
     """Non-negative square root by eigendecomposition.
 
@@ -585,7 +557,7 @@ def hermitian_sqrt(
     (sqrt would otherwise amplify eigen-dust into rank noise); anything more
     negative raises with the offending eigenvalue as witness.
     """
-    mat = _require_hermitian(as_matrix(A), scale=scale)
+    mat = _require_hermitian(A.entries, scale=scale)
     return DenseOperator(_eigen_sqrt(mat, tol, scale, "most negative eigenvalue")[0])
 
 
@@ -631,8 +603,8 @@ class BlockDiagOperator:
         return direct_sum(*self.blocks)
 
 
-def direct_sum(*ops: Union[DenseOperator, np.ndarray]) -> DenseOperator:
-    mats = [as_matrix(o) for o in ops]
+def direct_sum(*ops: Operator) -> DenseOperator:
+    mats = [o.operator().entries for o in ops]
     total = sum(m.shape[0] for m in mats)
     out = np.zeros((total, total), dtype=np.complex128)
     at = 0
@@ -677,8 +649,7 @@ def read_matrix_csv(path: str) -> DenseOperator:
     return DenseOperator(np.array(rows, dtype=np.complex128))
 
 
-def write_matrix_csv(path: str, op: Union[DenseOperator, np.ndarray]) -> None:
-    mat = as_matrix(op)
+def write_matrix_csv(path: str, mat: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in mat:
             fh.write(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))

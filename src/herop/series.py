@@ -125,8 +125,9 @@ class Binomial(Generator):
         return abs(float(np.sum(c[: stop + 1]))) + 1e-16 * (stop + 1)
 
     def sup_tail(self, c: np.ndarray, beyond: int) -> Optional[float]:
-        # |c_n| decreases once n exceeds the exponent
-        if beyond >= abs(self.exponent) + 1 and beyond < c.size:
+        # |c_{n+1}/c_n| = |n - e|/(n + 1): at most 1 past n = |e| when e >= -1;
+        # below -1 the coefficients grow without bound
+        if self.exponent >= -1.0 and beyond >= abs(self.exponent) + 1 and beyond < c.size:
             return float(abs(c[beyond]))
         return None
 

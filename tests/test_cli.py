@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herop.cli import RunConfig, dumps_canonical, main
 from herop.operators import write_matrix_csv
@@ -23,6 +29,18 @@ def run_cli_quiet(capsys, *argv):
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err and "Traceback" not in err
     return code, err
+
+
+def run_cli_checked(*argv):
+    """(exit code, stdout, stderr), failing on any warning or traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestCanonicalJson:
@@ -217,6 +235,39 @@ class TestSubcommands:
         assert payload["diagnostics"]["policy"] == "GeometricTail"
         assert payload["defect_relation"]["alpha_one_certified"] is True
 
+    @pytest.mark.parametrize(
+        "mat, n, what",
+        [
+            (np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))[0], "64",
+             "leaves the degree tail uncertified"),
+            (np.diag([0.99, 0.5, 0.3]), "16", "tail bound not met"),
+            (np.diag([0.99, 0.5, 0.3]), "1023", "tail bound not met"),
+        ],
+        ids=["orthogonal", "diagonal-16", "diagonal-1023"],
+    )
+    def test_model_build_reports_uncertified_tails(self, tmp_path, mat, n, what):
+        # a verdict with exit 1 and a JSON report, like a ModelInvalidError
+        path = tmp_path / "op.csv"
+        write_matrix_csv(str(path), mat)
+        code, out, err = run_cli_checked(
+            "model", "build", "--kernel", "pow1mt(-0.5)", "--operator", str(path), "-N", n
+        )
+        payload = json.loads(out)
+        assert code == 1 and err == ""
+        assert what in payload["error"] and payload["witness"] == {}
+
+    def test_model_build_refuses_nonpositive_kernel_on_operator(self, tmp_path):
+        # k = (1-t)**1.5 has k_1 = -1.5, which has no square root in the transform
+        rng = np.random.default_rng(0)
+        mat = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        path = tmp_path / "op.csv"
+        write_matrix_csv(str(path), 0.8 * mat / np.linalg.norm(mat, 2))
+        code, out, err = run_cli_checked(
+            "model", "build", "--kernel", "pow1mt(1.5)", "--operator", str(path), "-N", "255"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("herop: error: ") and err.count("\n") == 1 and "positive" in err
+
     def test_ergodic_probe(self, capsys, tmp_path):
         csv_dir = tmp_path / "probes"
         code, out = run_cli(
@@ -296,3 +347,38 @@ class TestSubcommands:
         spec_path.write_text("pow1mt(0.5)\n", encoding="utf-8")
         code, out = run_cli(capsys, "kernel", "check", "--spec-file", str(spec_path), "-N", "128")
         assert code == 0
+
+
+def _fuzz_operator(kind, d, rng):
+    if kind == "unitary":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return q
+    if kind == "diagonal":
+        return np.diag(rng.uniform(-1.0, 1.0, d) * np.exp(2j * np.pi * rng.random(d)))
+    if kind == "nilpotent":
+        return np.triu(rng.standard_normal((d, d)), 1)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g * (rng.uniform(0.1, 0.99) / np.linalg.norm(g, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["unitary", "diagonal", "nilpotent", "contraction"]),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    s=st.floats(0.05, 2.5),
+    sign=st.sampled_from([1.0, -1.0]),
+    n=st.sampled_from([8, 16, 64, 255]),
+)
+def test_model_build_on_any_operator_keeps_the_contract(kind, d, seed, s, sign, n):
+    """Exit code 0-3, no traceback or warning, and a JSON report for 0-2."""
+    mat = _fuzz_operator(kind, d, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "op.csv")
+        write_matrix_csv(path, mat)
+        code, out, _ = run_cli_checked(
+            "model", "build", "--kernel", f"pow1mt({sign * s!r})", "--operator", path, "-N", str(n)
+        )
+    assert code in (0, 1, 2, 3)
+    if code != 3:
+        assert isinstance(json.loads(out), dict)

@@ -21,7 +21,7 @@ from herop.operators import (
     seeded_unit_vectors,
     shift_section,
 )
-from herop.series import PowSign, binomial_series, cesaro_numbers, invert_kernel
+from herop.series import PowSign, binomial_series, cesaro_numbers
 from herop.specdsl import elaborate, parse_kernel_spec
 
 ASSANI = np.array([[-1.0, 2.0], [0.0, -1.0]], dtype=complex)

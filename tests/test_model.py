@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from herop.conditions import SignPattern, generate_sign_pattern_kernel
 from herop.model import (
     ModelBundle,
     ModelInvalidError,
@@ -121,6 +120,13 @@ class TestBuildTransform:
         expected = c * c * np.sum(k.coeffs * (q * q) ** np.arange(k.trunc_len))
         assert norm_sq == pytest.approx(expected, abs=1e-10)
         assert tail is not None and tail <= 1e-12
+
+    def test_nonpositive_kernel_refused(self):
+        # (1-t)**1.5 has k_1 = -1.5: refused before its square root is taken
+        k = binomial_series(1.5, PowSign.PLUS, 64)
+        T = DenseOperator(0.5 * np.eye(2))
+        with pytest.raises(ValueError, match="must be positive"):
+            build_transform(np.eye(2, dtype=complex), k, T, M=4)
 
     def test_uncertifiable_tail_raises(self):
         U = random_unitary(3, seed=1)
@@ -419,9 +425,17 @@ class TestStructuredPowersMatchDense:
         assert type(fast.policy_used) is type(slow.policy_used)
         for field in ("order", "M"):
             assert getattr(fast.policy_used, field, None) == getattr(slow.policy_used, field, None)
-        scale = np.abs(slow.abs_value.entries)
-        for a, b in ((fast.value, slow.value), (fast.abs_value, slow.abs_value)):
-            assert np.all(np.abs(a.entries - b.entries) <= 1e-12 * scale)
+        # sum_{n <= M} |alpha_n| T*^n T^n over the terms the policy summed
+        policy = slow.policy_used
+        top = policy.order if isinstance(policy, ExactNilpotent) else policy.M
+        mat = dense.entries
+        power = np.eye(d, dtype=complex)
+        scale = abs(alpha.coeffs[0]) * power
+        for n in range(1, top + 1):
+            power = power @ mat
+            scale += abs(alpha.coeffs[n]) * (power.conj().T @ power)
+        diff = np.abs(fast.value.entries - slow.value.entries)
+        assert np.all(diff <= 1e-12 * np.abs(scale))
 
         if degree is not None and degree + 1 > k.trunc_len:
             return

@@ -19,7 +19,6 @@ from herop.operators import (
     UnboundedShiftError,
     _basis_orbit_norms,
     _orbit_norms,
-    as_matrix,
     direct_sum,
     hereditary_apply,
     hermitian_sqrt,
@@ -40,8 +39,6 @@ from herop.series import (
     binomial_series,
     cesaro_numbers,
 )
-
-POSITIVE = (Verdict.HOLDS, Verdict.TREND_HOLDS)
 
 
 def poly(*coeffs):
@@ -149,9 +146,9 @@ class TestHereditaryApply:
 
     def test_n_cap_error_carries_partial(self):
         T = DenseOperator(np.array([[0.999 + 0.0j]]))
-        alpha = binomial_series(0.5, PowSign.PLUS, 2048)
+        alpha = binomial_series(0.5, PowSign.PLUS, 8)  # a window of 9 coefficients
         with pytest.raises(ConvergenceNotCertifiedError) as info:
-            hereditary_apply(alpha, T, tol=1e-14, n_cap=8)
+            hereditary_apply(alpha, T, tol=1e-14)
         assert info.value.partial.value.entries.shape == (1, 1)
 
     def test_direct_sum_additivity(self):
@@ -187,7 +184,7 @@ class TestOrbitNorms:
     )
     def test_walk_matches_matrix_powers(self, make):
         T = make()
-        mat = as_matrix(T)
+        mat = T.operator().entries
         x = seeded_unit_vectors(T.dim, 1, seed=8)[0]
         walk = _orbit_norms(T, x, 40)
         dense = [np.linalg.norm(np.linalg.matrix_power(mat, j) @ x) for j in range(41)]
@@ -331,24 +328,24 @@ class TestShiftMembershipForward:
 
 class TestSpectralQuantities:
     def test_sqrt_identity(self):
-        root = hermitian_sqrt(np.eye(3))
+        root = hermitian_sqrt(DenseOperator(np.eye(3)))
         np.testing.assert_allclose(root.entries, np.eye(3), atol=1e-14)
 
     def test_sqrt_diagonal(self):
-        root = hermitian_sqrt(np.diag([4.0, 9.0]))
+        root = hermitian_sqrt(DenseOperator(np.diag([4.0, 9.0])))
         np.testing.assert_allclose(root.entries, np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_defect_square_roundtrip(self):
         T = shift_section(binomial_series(1.0, PowSign.MINUS, 8), Direction.BACKWARD, 4)
         mat = T.operator().entries
         gram = np.eye(4) - mat.conj().T @ mat
-        root = hermitian_sqrt(gram)
+        root = hermitian_sqrt(DenseOperator(gram))
         np.testing.assert_allclose(root.entries @ root.entries, gram, atol=1e-12)
         np.testing.assert_allclose(root.entries, np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
     def test_sqrt_rejects_negative(self):
         with pytest.raises(NotPSDError) as info:
-            hermitian_sqrt(np.diag([1.0, -0.5]))
+            hermitian_sqrt(DenseOperator(np.diag([1.0, -0.5])))
         assert info.value.min_eigenvalue == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -357,7 +354,7 @@ class TestSpectralQuantities:
         d = int(rng.integers(8, 64))
         mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho_eig = float(np.max(np.abs(np.linalg.eigvals(mat))))
-        rho_gel = spectral_radius_gelfand(mat, tol=1e-8)
+        rho_gel = spectral_radius_gelfand(DenseOperator(mat), tol=1e-8)
         assert rho_gel == pytest.approx(rho_eig, rel=1e-5)
 
     def test_radius_of_nilpotent_is_zero(self):

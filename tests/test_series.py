@@ -310,7 +310,7 @@ class TestPairTypeEstimate:
         assert est.value == pytest.approx(1.0 / total, rel=1e-12)
 
     def test_untrusted_pair_falls_back_to_symbol(self):
-        from herop.series import make_kernel_pair, pair_type_estimate
+        from herop.series import pair_type_estimate
 
         alpha = TruncatedSeries(np.array([1.0, -0.5, 0.1]), None)
         bad_k = binomial_series(0.5, PowSign.MINUS, 2)  # not the inverse
@@ -353,12 +353,14 @@ inf = math.inf
 # which bounds nothing; the decreasing envelope gives |c_N| x**(N+1) / (1 - x).
 # The tail_gap rows of at_one were recorded certified too, although nothing
 # is known between the window end and the start of the power law; they now
-# carry the uncertified partial-sum answer, like an untagged window.
+# carry the uncertified partial-sum answer, like an untagged window.  The
+# binom_steep sup_tail rows were recorded as |c_N|, but the coefficients of
+# (1-t)**-1.5 grow, so no window-end value bounds the tail: they are None.
 RECORDED_CERTIFICATES = {
     ('binom_neg', 16): {'abs_tail': (inf, inf), 'sup_tail': (0.196380615234375, 0.13994993409141898), 'weighted_tail': (1.0861544411273905e-11, 0.0204863419850513), 'disc_zero_free': (True, {'binomial_exponent': -0.5}), 'kernel_order': 0.5, 'at_one': (inf, inf, True, 'Indeterminate')},
     ('binom_neg', 64): {'abs_tail': (inf, inf), 'sup_tail': (0.0993467537479669, 0.07038609217001518), 'weighted_tail': (6.894871143525808e-41, 4.171185268714434e-07), 'disc_zero_free': (True, {'binomial_exponent': -0.5}), 'kernel_order': 0.5, 'at_one': (inf, inf, True, 'Indeterminate')},
-    ('binom_steep', 16): {'abs_tail': (inf, inf), 'sup_tail': (3.338470458984375, 4.618347825016827), 'weighted_tail': (3.726262513372681e-10, 0.7957040263043371), 'disc_zero_free': (True, {'binomial_exponent': -1.5}), 'kernel_order': 1.5, 'at_one': (inf, inf, True, 'Indeterminate')},
-    ('binom_steep', 64): {'abs_tail': (inf, inf), 'sup_tail': (6.457538993617846, 9.079805889931944), 'weighted_tail': (8.985842734275765e-39, 5.60606252517412e-05), 'disc_zero_free': (True, {'binomial_exponent': -1.5}), 'kernel_order': 1.5, 'at_one': (inf, inf, True, 'Indeterminate')},
+    ('binom_steep', 16): {'abs_tail': (inf, inf), 'sup_tail': (None, None), 'weighted_tail': (3.726262513372681e-10, 0.7957040263043371), 'disc_zero_free': (True, {'binomial_exponent': -1.5}), 'kernel_order': 1.5, 'at_one': (inf, inf, True, 'Indeterminate')},
+    ('binom_steep', 64): {'abs_tail': (inf, inf), 'sup_tail': (None, None), 'weighted_tail': (8.985842734275765e-39, 5.60606252517412e-05), 'disc_zero_free': (True, {'binomial_exponent': -1.5}), 'kernel_order': 1.5, 'at_one': (inf, inf, True, 'Indeterminate')},
     ('binom_frac', 16): {'abs_tail': (0.1963806152343759, 0.13994993409142067), 'sup_tail': (0.013092041015625, 0.004514514002948999), 'weighted_tail': (3.5037240036367434e-13, 0.0006608497414532677), 'disc_zero_free': (True, {'binomial_exponent': 0.5}), 'kernel_order': None, 'at_one': (0.0, 0.0, True, 'Critical')},
     ('binom_frac', 64): {'abs_tail': (0.0993467537479702, 0.07038609217002165), 'sup_tail': (0.0015769325991740776, 0.0005542211981890958), 'weighted_tail': (5.4290323964770124e-43, 3.284397849381444e-09), 'disc_zero_free': (True, {'binomial_exponent': 0.5}), 'kernel_order': None, 'at_one': (0.0, 0.0, True, 'Critical')},
     ('binom_big', 16): {'abs_tail': (0.0130920410156259, 0.0045145140029506994), 'sup_tail': (0.003021240234375, 0.0004670186899602413), 'weighted_tail': (3.6245420727276656e-14, 6.836376635723458e-05), 'disc_zero_free': (True, {'binomial_exponent': 1.5}), 'kernel_order': None, 'at_one': (0.0, 0.0, True, 'Critical')},
@@ -389,6 +391,15 @@ _ASK = {
     "disc_zero_free": lambda s, n: s.certifier.disc_zero_free(s.coeffs),
     "kernel_order": lambda s, n: s.certifier.kernel_order(),
 }
+
+
+def test_binomial_sup_tail_refuses_growing_coefficients():
+    # (1-t)**-2 has c_n = n + 1, so nothing past the window is bounded by c_10
+    growing = binomial_series(2.0, PowSign.MINUS, 64)
+    assert growing.certifier.sup_tail(growing.coeffs, 10) is None
+    # (1-t)**-1 has c_n = 1: the window-end value bounds the tail exactly
+    flat = binomial_series(1.0, PowSign.MINUS, 64)
+    assert flat.certifier.sup_tail(flat.coeffs, 10) == 1.0
 
 
 @pytest.mark.parametrize("question", sorted(_ASK))
