@@ -17,18 +17,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .series import (
-    Derived,
     KernelPair,
     Polynomial,
     PowerTail,
     TruncatedSeries,
     abs_tail_bound,
-    cauchy_product,
     evaluate_on_circle,
     invert_kernel,
     kernel_underflow_index,
     pair_type_estimate,
     reciprocal,
+    _convolve,
     _invert_coeffs,
 )
 
@@ -173,8 +172,11 @@ def check_hypotheses_B(pair: KernelPair) -> ConditionReport:
         witness = {"zero_kernel_index": n + 1}
         return ConditionReport("HypB", Verdict.INDETERMINATE, witness, max(n, 0))
     kc = k.coeffs[: n + 1]
-    beta = TruncatedSeries(np.abs(alpha.coeffs[: n + 1]), Derived("abs"))
-    gamma = cauchy_product(beta, TruncatedSeries(kc, k.generator)).coeffs[: n + 1]
+    # a direct np.convolve, not series._convolve's blocked GEMM: the argsup
+    # below decides Holds or TrendHolds on rounding ties, so gamma keeps its
+    # bits until the error bounds of ROADMAP item 3 can decide those ties
+    beta = np.trim_zeros(np.abs(alpha.coeffs[: n + 1]), "b")
+    gamma = np.convolve(beta, kc)[: n + 1] if beta.size else np.zeros(n + 1)
     ratio_k = kc[:-1] / kc[1:]
     ratio_g = gamma / kc
     i_k, i_g = int(np.argmax(ratio_k)), int(np.argmax(ratio_g))
@@ -236,7 +238,7 @@ def _pair_decay_sup(weights: np.ndarray, m: int) -> float:
     n_max = weights.size - 1
     masked = np.array(weights)
     masked[:m] = 0.0
-    full = np.convolve(masked, masked)[: n_max + 1]  # sum over m <= j <= n-m
+    full = _convolve(masked, masked, n_max + 1)  # sum over m <= j <= n-m
     n = np.arange(n_max + 1)
     half_sq = np.zeros(n_max + 1)
     even = n[m * 2 :: 2]
@@ -315,7 +317,7 @@ def banach_algebra_condition(omega: TruncatedSeries) -> ConditionReport:
     if np.any(w <= 0.0):
         raise ValueError("all weights must be positive")
     inv = 1.0 / w
-    rows = w * np.convolve(inv, inv)[: n + 1]
+    rows = w * _convolve(inv, inv, n + 1)
     i_sup = int(np.argmax(rows))
     run = np.maximum.accumulate(rows)
     witness = {

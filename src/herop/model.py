@@ -95,10 +95,12 @@ def build_defect(
     alpha: TruncatedSeries, T: Union[DenseOperator, ShiftSection]
 ) -> tuple[DenseOperator, np.ndarray, HereditaryResult]:
     """Defect operator D = alpha(T*, T)^(1/2) and an orthonormal basis of its
-    range (eigenvectors of D with eigenvalue above _RANK_TOL * ||D||)."""
+    range (eigenvectors of D with eigenvalue above _RANK_TOL * ||D||).
+    Eigenvalues of the hereditary sum within _PSD_TOL times its summed
+    terms count as zero, so a sum that cancels to zero is PSD."""
     hered = hereditary_apply(alpha, T, tol=_PSD_TOL)
     d_mat, vec, roots = _eigen_sqrt(
-        hered.value.entries, _PSD_TOL, None, "hereditary value has eigenvalue"
+        hered.value.entries, _PSD_TOL, hered.terms, "hereditary value has eigenvalue"
     )
     keep = roots > _RANK_TOL * max(float(np.max(roots)), 1e-300)
     basis = np.array(vec[:, keep])

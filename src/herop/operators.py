@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .conditions import Verdict
-from .series import TruncatedSeries, abs_tail_bound
+from .series import TruncatedSeries, _convolve, abs_tail_bound
 
 __all__ = [
     "DenseOperator",
@@ -248,15 +248,17 @@ Policy = Union[ExactNilpotent, GeometricTail, Truncated, ExactPolynomial]
 class HereditaryResult:
     value: DenseOperator
     policy_used: Policy
+    terms: float  # sum_n |alpha_n| ||T^n||_F^2, which bounds the summed terms
 
 
-def _symmetrize(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    sym = 0.5 * (m + m.conj().T)
-    scale = max(float(np.linalg.norm(sym, "fro")), 1e-300)
+def _symmetrize(m: np.ndarray, terms: float, tol: float = 1e-12) -> np.ndarray:
+    """The Hermitian part of an accumulated sum.  Rounding is measured
+    against the size of the summed terms, not of the sum, which may cancel
+    to zero."""
     asym = float(np.linalg.norm(m - m.conj().T, "fro"))
-    if asym > tol * scale * 2.0:
+    if asym > tol * max(terms, 1e-300) * 2.0:
         raise ValueError(f"accumulated sum lost Hermitian symmetry: {asym:.3e}")
-    return sym
+    return 0.5 * (m + m.conj().T)
 
 
 def _contraction_envelope(fro: Sequence[float]) -> tuple[float, float]:
@@ -294,6 +296,7 @@ def hereditary_apply(
     # a section's Grams are diagonals, kept as vectors until the end
     one = np.ones(d) if isinstance(T, ShiftSection) else np.eye(d, dtype=np.complex128)
     value = coeffs[0] * one
+    terms = abs(coeffs[0]) * d
     fro_norms = [math.sqrt(d)]  # Frobenius norms of T^n, n = 0..
     policy: Optional[Policy] = None
     sup_beyond = alpha.certifier.sup_tail(coeffs, limit)
@@ -305,6 +308,7 @@ def hereditary_apply(
             policy = ExactNilpotent(order=n)
             break
         value += coeffs[n] * gram
+        terms += abs(coeffs[n]) * fro * fro
         if not geometric or sup_beyond is None:
             continue
         if envelope is None:
@@ -322,8 +326,9 @@ def hereditary_apply(
             policy = ExactPolynomial(limit)
         elif geometric and sup_beyond is not None:
             partial = HereditaryResult(
-                DenseOperator(_symmetrize(value)),
+                DenseOperator(_symmetrize(value, terms)),
                 Truncated(limit, "symbol window ended before the tail was certified"),
+                terms,
             )
             raise ConvergenceNotCertifiedError(
                 f"tail bound not met within the symbol window (n <= {limit})", partial
@@ -334,7 +339,7 @@ def hereditary_apply(
                 f"spectral radius estimate {rho:.6f} and symbol tail do not certify "
                 f"convergence, sum truncated at {limit}",
             )
-    return HereditaryResult(DenseOperator(_symmetrize(value)), policy)
+    return HereditaryResult(DenseOperator(_symmetrize(value, terms)), policy, terms)
 
 
 def _geometric_tail(
@@ -408,7 +413,7 @@ def shift_membership_backward(
         raise ValueError("weights must be positive")
     sup_shift = _check_backward_bounded(kc)
 
-    gamma = np.convolve(np.abs(ac), kc)[: n + 1]
+    gamma = _convolve(np.abs(ac), kc, n + 1)
     ratio = gamma / kc
     i_sup = int(np.argmax(ratio))
     head = ratio[: max((3 * n) // 4, 1)]
@@ -417,7 +422,7 @@ def shift_membership_backward(
     )
     in_cw = Verdict.TREND_HOLDS if stabilized else Verdict.INDETERMINATE
 
-    prod = np.convolve(ac, kc)[: n + 1]
+    prod = _convolve(ac, kc, n + 1)
     slack = _SIGN_TOL * np.maximum(gamma, 1.0)
     deficit = prod + slack
     i_min = int(np.argmin(prod))

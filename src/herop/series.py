@@ -336,15 +336,62 @@ def cauchy_product(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(_convolve(f.coeffs, g.coeffs, n), Derived("cauchy_product"))
 
 
+# Products whose trimmed factors both reach this length take the blocked
+# path.  It beats np.convolve from about 2048 coefficients on a 2-core
+# OpenBLAS machine; the cut sits higher so that every window up to N = 4096
+# keeps np.convolve's bits.
+_BLOCKED_FROM = 8192
+_BLOCK = 128
+
+
 def _convolve(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """First n coefficients of f * g by direct convolution, skipping each
-    factor's exact trailing zeros: a padded polynomial costs O(n deg)."""
+    """First n coefficients of f * g as direct sums, skipping each factor's
+    exact trailing zeros: a padded polynomial costs O(n deg).  Every
+    coefficient keeps the error bound gamma_n (|f| * |g|) of a direct sum."""
     f, g = np.trim_zeros(f[:n], "b"), np.trim_zeros(g[:n], "b")
+    if min(f.size, g.size) >= _BLOCKED_FROM:
+        return _blocked_product(f, g, n)
     out = np.zeros(n)
     if f.size and g.size:
         prod = np.convolve(f, g)[:n]
         out[: prod.size] = prod
     return out
+
+
+def _blocked_product(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of f * g as lower-triangular block-Toeplitz GEMMs.
+
+    With g cut into rows G[J] = g[J b : (J+1) b] and the product into rows
+    C[K] alike, C[K] = sum_{d <= K} G[K-d] @ T_d.T, where
+    T_d[r, c] = f[d b + r - c] comes from a (2b-1)-long slice of f.  That
+    is n^2/2 multiply-adds at GEMM speed and none for the n coefficients
+    np.convolve computes past the cut.  The whole rows of g are a view; a
+    partial last row is the one padded copy, applied as a vector-matrix
+    product."""
+    b = _BLOCK
+    rows = -(-n // b)
+    acc = np.zeros((rows, b))
+    whole, rem = divmod(g.size, b)
+    G = g[: whole * b].reshape(whole, b)
+    last = np.zeros(b)
+    last[:rem] = g[whole * b :]
+    buf = np.empty((min(rows, whole), b))
+    window = np.zeros(2 * b - 1)  # f[d b - b + 1 : d b + b], zero outside f
+    hankel = np.lib.stride_tricks.sliding_window_view(window, b)  # [i, j] = window[i + j]
+    Tt = np.empty((b, b))
+    for d in range(min(rows, (f.size + b - 2) // b + 1)):  # T_d = 0 past f's end
+        lo = d * b - b + 1
+        start, stop = max(lo, 0), min(d * b + b, f.size)
+        window[:] = 0.0
+        window[start - lo : stop - lo] = f[start:stop]
+        np.copyto(Tt, hankel[::-1])  # Tt[c, r] = window[b - 1 - c + r] = T_d[r, c]
+        m = min(rows - d, whole)
+        if m > 0:
+            np.matmul(G[:m], Tt, out=buf[:m])
+            acc[d : d + m] += buf[:m]
+        if rem and whole + d < rows:
+            acc[whole + d] += last @ Tt
+    return acc.ravel()[:n]
 
 
 def _invert_coeffs(c: np.ndarray, n_max: int) -> np.ndarray:

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -256,6 +258,19 @@ class TestSubcommands:
         assert code == 1 and err == ""
         assert what in payload["error"] and payload["witness"] == {}
 
+    @pytest.mark.parametrize("seed", [0, 2, 3, 4, 5])
+    def test_model_build_on_unitary_with_vanishing_hereditary_sum(self, tmp_path, seed):
+        # alpha = (1-t)**2 gives alpha(U*, U) = (I - U*U)**2 = 0 on a unitary:
+        # symmetry and the PSD floor are judged against the summed terms
+        path = tmp_path / "op.csv"
+        write_matrix_csv(str(path), _fuzz_operator("unitary", 5, np.random.default_rng(seed)))
+        code, out, err = run_cli_checked(
+            "model", "build", "--kernel", "pow1mt(-2)", "--operator", str(path), "-N", "64"
+        )
+        payload = json.loads(out)
+        assert code == 0 and err == ""
+        assert payload["passed"] is True and payload["defect_rank"] == 0
+
     def test_model_build_refuses_nonpositive_kernel_on_operator(self, tmp_path):
         # k = (1-t)**1.5 has k_1 = -1.5, which has no square root in the transform
         rng = np.random.default_rng(0)
@@ -382,3 +397,19 @@ def test_model_build_on_any_operator_keeps_the_contract(kind, d, seed, s, sign, 
     assert code in (0, 1, 2, 3)
     if code != 3:
         assert isinstance(json.loads(out), dict)
+
+
+def test_long_products_do_not_depend_on_blas_threads(src_env):
+    """Long products are GEMMs, which split their output, never a sum, over
+    threads, so one and two BLAS threads print the same bytes."""
+    argv = ["shift", "membership", "--a", "0.5", "--s", "0.6", "-N", "65536"]
+    code = "import sys; from herop.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(src_env, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -451,6 +451,76 @@ def test_trimmed_convolution_matches_direct(f, g, n):
     assert np.max(np.abs(got - direct)) <= 1e-15 * max(np.max(np.abs(direct)), 1.0)
 
 
+def _direct_sum_bound(f, g, n):
+    """Twice gamma_n (|f| * |g|), the componentwise error bound of direct
+    sums of n terms, for the first n coefficients."""
+    u = 2.0**-53
+    return 2.0 * (n * u / (1.0 - n * u)) * np.convolve(np.abs(f[:n]), np.abs(g[:n]))[:n]
+
+
+def _longdouble_product(f, g, n):
+    out = np.zeros(n, dtype=np.longdouble)
+    prod = np.convolve(f[:n].astype(np.longdouble), g[:n].astype(np.longdouble))[:n]
+    out[: prod.size] = prod
+    return out
+
+
+def _factors(seed, nf, ng, lead, trail):
+    rng = np.random.default_rng(seed)
+    f, g = rng.standard_normal(nf), rng.standard_normal(ng)
+    f[:lead] = 0.0  # as in the pair-decay sum's masked window
+    g[ng - trail :] = 0.0  # as in a zero-extended polynomial
+    return f, g
+
+
+def _edge_lengths(base, ks):
+    return st.builds(lambda k, e: base + k * 128 + e, st.sampled_from(ks), st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nf=_edge_lengths(0, [1, 2, 3, 5]),
+    ng=_edge_lengths(0, [1, 2, 3, 5]),
+    cut=st.integers(0, 300),
+    lead=st.integers(0, 40),
+    trail=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_product_at_block_edges(nf, ng, cut, lead, trail, seed):
+    from herop.series import _blocked_product
+
+    f, g = _factors(seed, nf, ng, lead, trail)
+    n = max(max(nf, ng) - cut, 1)  # longer than one factor, or shorter than both
+    got = _blocked_product(np.trim_zeros(f[:n], "b"), np.trim_zeros(g[:n], "b"), n)
+    assert got.shape == (n,)
+    err = np.abs(got.astype(np.longdouble) - _longdouble_product(f, g, n))
+    assert np.all(err <= _direct_sum_bound(f, g, n))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    nf=_edge_lengths(8192, [-1, 0, 1, 2]),
+    ng=_edge_lengths(8192, [-1, 0, 1, 2]),
+    cut=st.sampled_from([0, 1, 129, 300]),
+    lead=st.integers(0, 40),
+    trail=st.sampled_from([0, 1, 127, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_convolve_across_the_crossover(nf, ng, cut, lead, trail, seed):
+    from herop.series import _BLOCKED_FROM, _convolve
+
+    f, g = _factors(seed, nf, ng, lead, trail)
+    n = min(nf, ng) - cut
+    got = _convolve(f, g, n)
+    ft, gt = np.trim_zeros(f[:n], "b"), np.trim_zeros(g[:n], "b")
+    if min(ft.size, gt.size) < _BLOCKED_FROM:  # np.convolve, bit for bit
+        direct = np.zeros(n)
+        direct[: min(n, ft.size + gt.size - 1)] = np.convolve(ft, gt)[:n]
+        assert np.array_equal(got, direct)
+    err = np.abs(got.astype(np.longdouble) - _longdouble_product(f, g, n))
+    assert np.all(err <= _direct_sum_bound(f, g, n))
+
+
 @pytest.mark.parametrize("e", [0.3, -0.3, 0.5, -0.5, 1.5, -1.5])
 def test_closed_form_binomial_inverse_matches_recurrence(e):
     from herop.series import _invert_coeffs
