@@ -33,12 +33,10 @@ from .operators import (
     Direction,
     ShiftSection,
     hereditary_apply,
-    hermitian_sqrt,
     operator_norm,
     shift_membership_backward,
     shift_membership_forward,
     shift_section,
-    spectral_radius,
 )
 from .model import ModelBundle, build_model, bundle_direct_sum, verify_relation_DCW
 from .ergodic import (

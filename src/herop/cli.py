@@ -170,23 +170,29 @@ def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> int:
         cond.classify_np(pair.alpha),
         cond.classify_critical(pair),
     ]
+    violations = list(pair.violations)
     if bundle and np.all(pair.k.coeffs > 0.0) and kernel_underflow_index(pair.k.coeffs) is None:
         # the kernel-side conditions presume positive coefficients above
-        # float underflow (1/k_n must stay finite)
+        # float underflow (1/k_n must stay finite) whose pair products
+        # k_j k_{n-j} stay inside float range
         omega = TruncatedSeries(1.0 / pair.k.coeffs, None)
         m_grid = [m for m in (4, 8, 16, 32) if 2 * m <= config.truncation]
-        reports += [
-            cond.muller_condition_estimate(pair.k, m_grid),
-            cond.muller_sufficient_check(pair.k, [1.5, 2.0, 3.0]),
-            cond.banach_algebra_condition(omega),
-            cond.tau_condition_check(omega),
-            cond.reciprocal_summability_check(omega),
-            cond.holder_exponent_estimate(pair.k, [0.1, 0.2, 0.3, 0.4, 0.5]),
-        ]
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                reports += [
+                    cond.muller_condition_estimate(pair.k, m_grid),
+                    cond.muller_sufficient_check(pair.k, [1.5, 2.0, 3.0]),
+                    cond.banach_algebra_condition(omega),
+                    cond.tau_condition_check(omega),
+                    cond.reciprocal_summability_check(omega),
+                    cond.holder_exponent_estimate(pair.k, [0.1, 0.2, 0.3, 0.4, 0.5]),
+                ]
+        except FloatingPointError:
+            violations.append("kernel-side conditions skipped: kernel coefficient products overflow")
     reports.sort(key=lambda r: r.condition_id)
     _write_trend_csvs(reports, config)
     command = "report bundle" if bundle else "kernel check"
-    _emit(_payload(command, config, reports, violations=list(pair.violations)), config)
+    _emit(_payload(command, config, reports, violations=violations), config)
     return _exit_code([r.verdict for r in reports])
 
 

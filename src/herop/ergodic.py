@@ -145,8 +145,8 @@ def cesaro_probe(
     weights); fixed vectors, and every orbit of any other operator, are
     walked by repeated apply.
     """
-    if a <= 0 or p < 1:
-        raise ValueError("require a > 0 and p >= 1")
+    if not (0 < a < math.inf and 1 <= p < math.inf):
+        raise ValueError("require finite a > 0 and p >= 1")
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValueError("n_grid must be increasing positive integers")

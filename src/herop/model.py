@@ -19,10 +19,9 @@ from .operators import (
     ShiftSection,
     _contraction_envelope,
     _eigen_sqrt,
+    _symmetrize,
     direct_sum,
     hereditary_apply,
-    hermitian_sqrt,
-    spectral_radius,
 )
 from .series import TruncatedSeries, alpha_at_one, pair_type_estimate
 
@@ -117,7 +116,7 @@ def _certified_degree_cap(
     c_norm: float, k: TruncatedSeries, T: Union[DenseOperator, ShiftSection], tol: float
 ) -> tuple[int, float]:
     """Smallest degree cap with certified tail sum_{n>M} k_n ||C T^n||^2 <= tol."""
-    rho = spectral_radius(T)
+    rho = T.spectral_radius
     if rho >= 1.0 - 1e-8:
         raise TailUncertifiableError(
             f"spectral radius estimate {rho:.6f} leaves the degree tail uncertified"
@@ -220,8 +219,9 @@ def build_W_S(
     norm_v = math.sqrt(max(float(np.max(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)))), 0.0))
     if norm_v > 1.0 + tol:
         raise ModelInvalidError(f"transform norm {norm_v:.12f} exceeds 1 + tol")
-    a_mat = np.eye(d) - gram
-    w_op = hermitian_sqrt(DenseOperator(a_mat), tol=max(tol * 1e-2, 1e-12), scale=1.0)
+    a_mat = _symmetrize(np.eye(d) - gram, 1.0, 1e-10)
+    root, _, _ = _eigen_sqrt(a_mat, max(tol * 1e-2, 1e-12), 1.0, "most negative eigenvalue")
+    w_op = DenseOperator(root)
     w_mat = w_op.entries
     eig, vec = np.linalg.eigh(w_mat)
     keep = eig > _RANK_TOL
@@ -255,15 +255,6 @@ def build_W_S(
     return w_op, basis, s_hat, info
 
 
-def _resid_norm(mat: np.ndarray) -> float:
-    # Frobenius dominates the spectral norm; used for very tall residuals
-    if mat.size == 0:
-        return 0.0
-    if mat.size <= 4_000_000:
-        return float(np.linalg.norm(mat, 2))
-    return float(np.linalg.norm(mat, "fro"))
-
-
 def verify_model(T: Union[DenseOperator, ShiftSection], bundle: ModelBundle) -> dict:
     """Pure residual measurement of the model identities: intertwining with
     the truncated model shift, joint isometry of (V, W), and S W = W T.
@@ -282,7 +273,7 @@ def verify_model(T: Union[DenseOperator, ShiftSection], bundle: ModelBundle) -> 
         if bundle.M >= 1:
             coup = np.sqrt(kc[:-1] / kc[1:])
             shifted[: bundle.M * r] = np.repeat(coup, r)[:, None] * bundle.V[r:]
-        residuals["intertwine_residual"] = _resid_norm(shifted - bundle.V @ mat)
+        residuals["intertwine_residual"] = float(np.linalg.norm(shifted - bundle.V @ mat, 2))
     w_mat = bundle.W.entries
     joint = bundle.V.conj().T @ bundle.V + w_mat @ w_mat - np.eye(d)
     residuals["isometry_residual"] = float(np.linalg.norm(joint, 2))

@@ -39,10 +39,7 @@ __all__ = [
     "shift_membership_backward",
     "shift_membership_forward",
     "ShiftMembershipReport",
-    "spectral_radius",
-    "spectral_radius_gelfand",
     "operator_norm",
-    "hermitian_sqrt",
     "direct_sum",
     "BlockDiagOperator",
     "seeded_unit_vectors",
@@ -99,6 +96,10 @@ class DenseOperator:
     def operator(self) -> "DenseOperator":
         return self
 
+    @cached_property
+    def spectral_radius(self) -> float:
+        return float(np.max(np.abs(np.linalg.eigvals(self.entries))))
+
     def powers(self, grams: bool = True) -> Iterator[tuple[float, Optional[np.ndarray]]]:
         """(||T^n||_F, T*^n T^n) for n = 1, 2, ..., ending after the first
         power that vanishes; the Gram is left out (None) unless grams."""
@@ -128,6 +129,7 @@ class ShiftSection:
     kappa: TruncatedSeries
     direction: Direction
     dim: int
+    spectral_radius = 0.0  # sections are nilpotent
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.dim > self.kappa.trunc_len:
@@ -251,12 +253,13 @@ class HereditaryResult:
     terms: float  # sum_n |alpha_n| ||T^n||_F^2, which bounds the summed terms
 
 
-def _symmetrize(m: np.ndarray, terms: float, tol: float = 1e-12) -> np.ndarray:
-    """The Hermitian part of an accumulated sum.  Rounding is measured
+def _symmetrize(m: np.ndarray, scale: float, rel: float) -> np.ndarray:
+    """The Hermitian part of an accumulated sum, refused when the Frobenius
+    norm of its asymmetry exceeds rel * scale.  Callers measure rounding
     against the size of the summed terms, not of the sum, which may cancel
     to zero."""
     asym = float(np.linalg.norm(m - m.conj().T, "fro"))
-    if asym > tol * max(terms, 1e-300) * 2.0:
+    if asym > rel * max(scale, 1e-300):
         raise ValueError(f"accumulated sum lost Hermitian symmetry: {asym:.3e}")
     return 0.5 * (m + m.conj().T)
 
@@ -290,7 +293,7 @@ def hereditary_apply(
     limit = coeffs.size - 1
 
     # policy selection data
-    rho = spectral_radius(T)
+    rho = T.spectral_radius
     geometric = rho < 1.0 - 10.0 * tol
 
     # a section's Grams are diagonals, kept as vectors until the end
@@ -326,7 +329,7 @@ def hereditary_apply(
             policy = ExactPolynomial(limit)
         elif geometric and sup_beyond is not None:
             partial = HereditaryResult(
-                DenseOperator(_symmetrize(value, terms)),
+                DenseOperator(_symmetrize(value, terms, 2e-12)),
                 Truncated(limit, "symbol window ended before the tail was certified"),
                 terms,
             )
@@ -339,7 +342,7 @@ def hereditary_apply(
                 f"spectral radius estimate {rho:.6f} and symbol tail do not certify "
                 f"convergence, sum truncated at {limit}",
             )
-    return HereditaryResult(DenseOperator(_symmetrize(value, terms)), policy, terms)
+    return HereditaryResult(DenseOperator(_symmetrize(value, terms, 2e-12)), policy, terms)
 
 
 def _geometric_tail(
@@ -457,7 +460,8 @@ def shift_membership_forward(
     m_max = n // 2
     length = n - m_max + 1  # symbol window usable at every m <= m_max
     a = alpha.coeffs[: min(alpha.trunc_len, length)]
-    values = np.correlate(kc, a, mode="full")[a.size - 1 : a.size - 1 + m_max + 1]
+    window = kc[: m_max + a.size]  # kappa_{m+n} for m <= m_max, n < |a|
+    values = np.correlate(window, a, mode="valid")
 
     # certified symbol tail * decreasing-weight bound
     sym_tail = abs_tail_bound(alpha, a.size - 1)
@@ -471,8 +475,7 @@ def shift_membership_forward(
         tails = None
         certified = False
 
-    beta = np.abs(a)
-    weak_values = np.correlate(kc, beta, mode="full")[a.size - 1 : a.size - 1 + m_max + 1]
+    weak_values = np.correlate(window, np.abs(a), mode="valid")
     weak_ratio = weak_values / kc[: m_max + 1]
     i_sup = int(np.argmax(weak_ratio))
     in_cw = Verdict.TREND_HOLDS if i_sup <= m_max // 2 else Verdict.INDETERMINATE
@@ -508,75 +511,15 @@ def operator_norm(T: Operator) -> float:
     return float(np.linalg.norm(T.operator().entries, 2))
 
 
-def spectral_radius(T: Operator) -> float:
-    if isinstance(T, ShiftSection):
-        return 0.0  # sections are nilpotent
-    if T.dim <= 512:
-        return float(np.max(np.abs(np.linalg.eigvals(T.operator().entries))))
-    return spectral_radius_gelfand(T)
-
-
-def spectral_radius_gelfand(T: Operator, tol: float = 1e-6, max_squarings: int = 60) -> float:
-    """Stabilized ||T^(2^k)||^(2^-k) with norm rescaling at every squaring."""
-    mat = np.array(T.operator().entries)
-    log_norm = 0.0  # log ||T^m|| for the current power m
-    m = 1
-    norm = float(np.linalg.norm(mat, 2))
-    if norm == 0.0:
-        return 0.0
-    log_norm = math.log(norm)
-    estimate = norm
-    mat = mat / norm
-    for _ in range(max_squarings):
-        mat = mat @ mat
-        m *= 2
-        step = float(np.linalg.norm(mat, 2))
-        if step == 0.0:
-            return 0.0
-        log_norm = 2.0 * log_norm + math.log(step)
-        mat = mat / step
-        new_estimate = math.exp(log_norm / m)
-        if abs(new_estimate - estimate) <= tol * max(new_estimate, 1e-300):
-            return new_estimate
-        estimate = new_estimate
-    return estimate
-
-
-def _require_hermitian(
-    mat: np.ndarray, rel: float = 1e-10, scale: Optional[float] = None
-) -> np.ndarray:
-    if scale is None:
-        scale = float(np.linalg.norm(mat, 2))
-    scale = max(scale, 1e-300)
-    if float(np.linalg.norm(mat - mat.conj().T, 2)) > rel * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return 0.5 * (mat + mat.conj().T)
-
-
-def hermitian_sqrt(
-    A: DenseOperator, tol: float = 1e-10, scale: Optional[float] = None
-) -> DenseOperator:
-    """Non-negative square root by eigendecomposition.
-
-    Eigenvalues within tol*scale of zero are clipped to zero on both sides
-    (sqrt would otherwise amplify eigen-dust into rank noise); anything more
-    negative raises with the offending eigenvalue as witness.
-    """
-    mat = _require_hermitian(A.entries, scale=scale)
-    return DenseOperator(_eigen_sqrt(mat, tol, scale, "most negative eigenvalue")[0])
-
-
 def _eigen_sqrt(
-    mat: np.ndarray, tol: float, scale: Optional[float], what: str
+    mat: np.ndarray, tol: float, scale: float, what: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(root, eigenvectors, root eigenvalues) of a Hermitian matrix.
 
-    Eigenvalues within tol*scale of zero are clipped to zero (scale defaults
-    to the largest eigenvalue modulus); a more negative one raises NotPSDError
-    with the message "<what> <eigenvalue> below -<floor>"."""
+    Eigenvalues within tol*scale of zero are clipped to zero; a more
+    negative one raises NotPSDError with the message
+    "<what> <eigenvalue> below -<floor>"."""
     eig, vec = np.linalg.eigh(mat)
-    if scale is None:
-        scale = max(float(np.max(np.abs(eig))), 1e-300)
     floor = tol * scale
     if eig[0] < -floor:
         raise NotPSDError(f"{what} {eig[0]:.3e} below -{floor:.3e}", float(eig[0]))

@@ -148,6 +148,26 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("herop: error: ") and err.count("\n") == 1 and what in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--a", "nan"], ["--a", "inf"], ["--a", "0.8", "--p", "inf"], ["--a", "0.8", "--p", "nan"]],
+        ids=["a-nan", "a-inf", "p-inf", "p-nan"],
+    )
+    def test_non_finite_probe_order_is_one_error_line(self, capsys, flags):
+        argv = ["ergodic", "probe", "--kernel", "pow1mt(-0.5)", "--nmax", "50", *flags]
+        code, err = run_cli_quiet(capsys, *argv)
+        assert code == 3
+        assert err.startswith("herop: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec, n", [("pow1mt(300)", "600"), ("pow1mt(200)", "800")])
+    def test_overflowing_kernel_products_skip_kernel_side_conditions(self, spec, n):
+        # k_j k_{n-j} leaves float range; the six kernel-side conditions are
+        # skipped with the reason named, and the pair conditions decide
+        code, out, _ = run_cli_checked("report", "bundle", "--spec", spec, "-N", n)
+        payload = json.loads(out)
+        assert any("products overflow" in v for v in payload["violations"])
+        assert code == run_cli_checked("kernel", "check", "--spec", spec, "-N", n)[0]
+
     @pytest.mark.parametrize("flag", ["--csv-dir", "--out"])
     def test_unwritable_output_path_is_one_error_line(self, capsys, tmp_path, flag):
         target = tmp_path / "taken"  # a file where a directory is wanted, and vice versa

@@ -344,6 +344,24 @@ class TestTwoModelsSubcritical:
         assert bundle.kind == "Subcritical"
 
 
+class TestSpectralRadiusOnce:
+    def test_one_eigenvalue_solve_per_operator(self, monkeypatch):
+        # the model and the defect relation each build the defect, and the
+        # degree cap of a contraction reads the radius too: the operator
+        # computes it once and keeps it
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: shapes.append(m.shape) or eigvals(m))
+        g = np.random.default_rng(4).standard_normal((8, 8))
+        T = DenseOperator(0.7 * g / np.linalg.norm(g, 2))
+        alpha = binomial_series(1.0, PowSign.PLUS, 255)
+        k = binomial_series(1.0, PowSign.MINUS, 255)
+        bundle = build_model(alpha, k, T)
+        probes = seeded_unit_vectors(8, 4, seed=1)
+        verify_relation_DCW(alpha, T, bundle.C, bundle.W.entries, probes)
+        assert shapes == [(8, 8)]
+
+
 class TestRandomInstancePipeline:
     """End-to-end property: any small sign-definite symbol yields a kernel
     whose backward section is modelable with machine-precision residuals and

@@ -18,18 +18,17 @@ from herop.operators import (
     Truncated,
     UnboundedShiftError,
     _basis_orbit_norms,
+    _eigen_sqrt,
     _orbit_norms,
+    _symmetrize,
     direct_sum,
     hereditary_apply,
-    hermitian_sqrt,
     operator_norm,
     read_matrix_csv,
     seeded_unit_vectors,
     shift_membership_backward,
     shift_membership_forward,
     shift_section,
-    spectral_radius,
-    spectral_radius_gelfand,
     write_matrix_csv,
 )
 from herop.series import (
@@ -326,39 +325,48 @@ class TestShiftMembershipForward:
             assert value >= -tail - 1e-12
 
 
+def eigen_root(mat):
+    """The non-negative square root, eigenvalues within 1e-10 of zero clipped."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    return _eigen_sqrt(mat, 1e-10, 1.0, "most negative eigenvalue")[0]
+
+
 class TestSpectralQuantities:
     def test_sqrt_identity(self):
-        root = hermitian_sqrt(DenseOperator(np.eye(3)))
-        np.testing.assert_allclose(root.entries, np.eye(3), atol=1e-14)
+        root = eigen_root(np.eye(3))
+        np.testing.assert_allclose(root, np.eye(3), atol=1e-14)
 
     def test_sqrt_diagonal(self):
-        root = hermitian_sqrt(DenseOperator(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(root.entries, np.diag([2.0, 3.0]), atol=1e-13)
+        root = eigen_root(np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(root, np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_defect_square_roundtrip(self):
         T = shift_section(binomial_series(1.0, PowSign.MINUS, 8), Direction.BACKWARD, 4)
         mat = T.operator().entries
         gram = np.eye(4) - mat.conj().T @ mat
-        root = hermitian_sqrt(DenseOperator(gram))
-        np.testing.assert_allclose(root.entries @ root.entries, gram, atol=1e-12)
-        np.testing.assert_allclose(root.entries, np.diag([1.0, 0, 0, 0]), atol=1e-12)
+        root = eigen_root(gram)
+        np.testing.assert_allclose(root @ root, gram, atol=1e-12)
+        np.testing.assert_allclose(root, np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
     def test_sqrt_rejects_negative(self):
         with pytest.raises(NotPSDError) as info:
-            hermitian_sqrt(DenseOperator(np.diag([1.0, -0.5])))
+            eigen_root(np.diag([1.0, -0.5]))
         assert info.value.min_eigenvalue == pytest.approx(-0.5)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_gelfand_matches_eigenvalues(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(8, 64))
-        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho_eig = float(np.max(np.abs(np.linalg.eigvals(mat))))
-        rho_gel = spectral_radius_gelfand(DenseOperator(mat), tol=1e-8)
-        assert rho_gel == pytest.approx(rho_eig, rel=1e-5)
+    def test_symmetrize_is_the_hermitian_part_up_to_rel_scale(self):
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        asym = float(np.linalg.norm(m - m.conj().T, "fro"))
+        np.testing.assert_array_equal(_symmetrize(m, asym, 1.0), 0.5 * (m + m.conj().T))
+        with pytest.raises(ValueError, match="lost Hermitian symmetry"):
+            _symmetrize(m, asym, 0.99)
 
     def test_radius_of_nilpotent_is_zero(self):
-        assert spectral_radius(backward(0.5, 16, 8)) <= 1e-12
+        assert backward(0.5, 16, 8).spectral_radius <= 1e-12
+
+    def test_dense_radius_is_the_largest_eigenvalue_modulus(self):
+        T = DenseOperator(np.diag([0.5, -0.75j, 0.25]))
+        assert T.spectral_radius == 0.75
 
 
 class TestPartInheritance:
@@ -381,7 +389,7 @@ class TestPartInheritance:
         alpha = binomial_series(0.5, PowSign.PLUS, 256)
         r_est = float(np.abs(alpha.coeffs[-1]) ** (-1.0 / alpha.degree))
         for T in (backward(0.5, 32, 8), DenseOperator(np.diag(np.exp(1j * np.arange(3.0))))):
-            rho = spectral_radius(T)
+            rho = T.spectral_radius
             assert rho**2 <= r_est + 0.05
 
 
