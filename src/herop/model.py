@@ -47,6 +47,22 @@ _PSD_TOL = 1e-10
 _RANK_TOL = 1e-8
 
 
+def _norm2(x: np.ndarray) -> float:
+    """Spectral norm.  A tall matrix's comes from the largest eigenvalue of
+    the Gram of x / max|x_ij|, which is cheaper than its SVD; the scaling
+    keeps tiny residuals from underflowing in the Gram.  Square and wide
+    matrices keep the SVD, which is the cheaper one on near-diagonal
+    sections."""
+    if x.shape[0] <= x.shape[1]:
+        return float(np.linalg.norm(x, 2))
+    s = float(np.max(np.abs(x)))
+    if s == 0.0:
+        return 0.0
+    y = x / s
+    g = y.conj().T @ y
+    return s * math.sqrt(max(float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1]), 0.0))
+
+
 class ModelInvalidError(RuntimeError):
     def __init__(self, message: str, witness: Optional[dict] = None):
         super().__init__(message)
@@ -212,7 +228,9 @@ def build_W_S(
     The defining relation is solved in least squares over the standard basis
     and then polar-corrected to an exact isometry (any isometric completion
     on the orthogonal complement is admissible; the pre-correction residual
-    is reported).  Raises when the well-definedness residual exceeds tol."""
+    is reported).  The info dict carries contraction_excess = max(0, ||V|| - 1)
+    from the norm checked here.  Raises when the well-definedness residual
+    exceeds tol."""
     mat = T.operator().entries
     d = mat.shape[0]
     gram = V.conj().T @ V
@@ -237,10 +255,13 @@ def build_W_S(
             "S is not well defined at this tolerance: ||Wx|| != ||WTx||",
             {"well_definedness_residual": wd_residual},
         )
+    info = {
+        "S_welldef_residual": wd_residual,
+        "polar_correction": 0.0,
+        "contraction_excess": max(0.0, norm_v - 1.0),
+    }
     if w == 0:
-        s_hat = np.zeros((0, 0), dtype=np.complex128)
-        info = {"S_welldef_residual": wd_residual, "polar_correction": 0.0}
-        return w_op, basis, s_hat, info
+        return w_op, basis, np.zeros((0, 0), dtype=np.complex128), info
     lhs = basis.conj().T @ w_mat  # (w, d): coordinates of W e_j
     rhs = basis.conj().T @ wt
     s_ls = rhs @ np.linalg.pinv(lhs, rcond=1e-12)
@@ -248,10 +269,8 @@ def build_W_S(
     s_hat = u @ vh  # isometric (here unitary) completion on the W range
     polar_shift = float(np.linalg.norm(s_hat - s_ls, 2))
     iso_residual = float(np.linalg.norm(s_hat.conj().T @ s_hat - np.eye(w), 2))
-    info = {
-        "S_welldef_residual": max(wd_residual, iso_residual),
-        "polar_correction": polar_shift,
-    }
+    info["S_welldef_residual"] = max(wd_residual, iso_residual)
+    info["polar_correction"] = polar_shift
     return w_op, basis, s_hat, info
 
 
@@ -273,7 +292,7 @@ def verify_model(T: Union[DenseOperator, ShiftSection], bundle: ModelBundle) -> 
         if bundle.M >= 1:
             coup = np.sqrt(kc[:-1] / kc[1:])
             shifted[: bundle.M * r] = np.repeat(coup, r)[:, None] * bundle.V[r:]
-        residuals["intertwine_residual"] = float(np.linalg.norm(shifted - bundle.V @ mat, 2))
+        residuals["intertwine_residual"] = _norm2(shifted - bundle.V @ mat)
     w_mat = bundle.W.entries
     joint = bundle.V.conj().T @ bundle.V + w_mat @ w_mat - np.eye(d)
     residuals["isometry_residual"] = float(np.linalg.norm(joint, 2))
@@ -342,7 +361,6 @@ def build_model(
     )
     diagnostics = verify_model(T, bundle)
     diagnostics.update(s_info)
-    diagnostics["contraction_excess"] = max(0.0, float(np.linalg.norm(V, 2)) - 1.0)
     diagnostics["truncation_tail_bound"] = tail
     diagnostics["policy"] = type(hered.policy_used).__name__
     diagnostics["type"] = kind
@@ -401,7 +419,7 @@ def bundle_direct_sum(
     diagnostics["truncation_tail_bound"] = (
         None if any(t is None for t in tails) else max(tails)
     )
-    diagnostics["contraction_excess"] = max(0.0, float(np.linalg.norm(V, 2)) - 1.0)
+    diagnostics["contraction_excess"] = max(0.0, _norm2(V) - 1.0)
     diagnostics["type"] = b1.kind
     return replace(bundle, diagnostics=diagnostics), t_sum
 

@@ -580,21 +580,40 @@ def seeded_unit_vectors(
 
 
 def read_matrix_csv(path: str) -> DenseOperator:
-    """Read a complex matrix from CSV with entries like '1.5+0.25j';
-    dimensions are inferred from the file."""
+    """Read a square complex matrix from CSV with entries like '1.5+0.25j'
+    (any token complex() takes once spaces are dropped); dimensions are
+    inferred from the file.  Errors name the file, and a bad entry its
+    line and column as path:line:col (bytes that are not UTF-8 read as
+    U+FFFD, so they land in such an error too)."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([complex(tok.strip().replace(" ", "")) for tok in line.split(",")])
+            cells = line.split(",")
+            try:
+                rows.append([complex(tok.strip().replace(" ", "")) for tok in cells])
+            except ValueError:
+                for col, tok in enumerate(cells, 1):
+                    try:
+                        complex(tok.strip().replace(" ", ""))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{lineno}:{col}: not a complex number: {tok.strip()!r}"
+                        ) from None
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{lineno}: {len(rows[-1])} entries, the first row has {len(rows[0])}"
+                )
     if not rows:
         raise ValueError(f"{path}: empty matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
-    return DenseOperator(np.array(rows, dtype=np.complex128))
+    if len(rows) != len(rows[0]):
+        raise ValueError(f"{path}: a {len(rows)}x{len(rows[0])} matrix is not square")
+    try:
+        return DenseOperator(np.array(rows, dtype=np.complex128))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_matrix_csv(path: str, mat: np.ndarray) -> None:

@@ -168,6 +168,25 @@ class TestExitCodes:
         assert any("products overflow" in v for v in payload["violations"])
         assert code == run_cli_checked("kernel", "check", "--spec", spec, "-N", n)[0]
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1,x\n", ":1:2: not a complex number: 'x'"),
+            ("# header\n0.5,0\n0,1+i\n", ":3:2: not a complex number: '1+i'"),
+            ("1,2\n", ": a 1x2 matrix is not square"),
+            ("1,2\n3\n", ":2: 1 entries, the first row has 2"),
+            (b"1,\xff\n0,1\n", ":1:2: not a complex number: '\ufffd'"),
+        ],
+        ids=["bad-token", "bad-token-after-comment", "not-square", "ragged", "not-utf8"],
+    )
+    def test_malformed_operator_csv_names_the_file(self, capsys, tmp_path, text, where):
+        path = tmp_path / "op.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv = ["model", "build", "--kernel", "pow1mt(-0.5)", "--operator", str(path), "-N", "64"]
+        code, err = run_cli_quiet(capsys, *argv)
+        assert code == 3
+        assert err == f"herop: error: {path}{where}\n"
+
     @pytest.mark.parametrize("flag", ["--csv-dir", "--out"])
     def test_unwritable_output_path_is_one_error_line(self, capsys, tmp_path, flag):
         target = tmp_path / "taken"  # a file where a directory is wanted, and vice versa

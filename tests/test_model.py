@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herop.model import (
+    _norm2,
     ModelBundle,
     ModelInvalidError,
     TailUncertifiableError,
@@ -360,6 +361,63 @@ class TestSpectralRadiusOnce:
         probes = seeded_unit_vectors(8, 4, seed=1)
         verify_relation_DCW(alpha, T, bundle.C, bundle.W.entries, probes)
         assert shapes == [(8, 8)]
+
+
+class TestNorm2:
+    """The Gram route for tall matrices against the SVD it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 24),
+        st.integers(1, 40),
+        st.integers(-250, 250),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(n=24, ratio=40, exponent=-200, seed=0)
+    @example(n=3, ratio=2, exponent=250, seed=1)
+    def test_matches_the_svd_norm(self, n, ratio, exponent, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(n, ratio * n + 1))
+        x = 10.0**exponent * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        assert _norm2(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14)
+
+    def test_zero_matrix(self):
+        assert _norm2(np.zeros((40, 4), dtype=complex)) == 0.0
+
+    def test_tiny_residual_does_not_underflow(self):
+        # an unscaled Gram squares the entries to ~1e-400, i.e. to 0
+        x = 1e-200 * np.random.default_rng(3).standard_normal((120, 6)).astype(complex)
+        assert np.linalg.eigvalsh(x.conj().T @ x)[-1] == 0.0
+        assert _norm2(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14)
+
+
+class TestNoTallSVD:
+    def test_dense_model_takes_no_svd_of_a_tall_matrix(self, monkeypatch):
+        # the intertwining residual and V are (M+1)*d x d here: their norms
+        # come from Grams, and ||V|| is computed once, by build_W_S
+        linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        svd = np.linalg.svd
+        shapes = []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "svd", counted)  # what np.linalg.norm calls
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        g = np.random.default_rng(4).standard_normal((12, 12))
+        T = DenseOperator(0.7 * g / np.linalg.norm(g, 2))
+        alpha = binomial_series(1.0, PowSign.PLUS, 255)
+        k = binomial_series(1.0, PowSign.MINUS, 255)
+        bundle = build_model(alpha, k, T)
+        minimality_check(bundle)
+        probes = seeded_unit_vectors(12, 4, seed=1)
+        verify_relation_DCW(alpha, T, bundle.C, bundle.W.entries, probes)
+        assert bundle.defect_rank == 12 and bundle.V.shape[0] > 12
+        assert shapes and all(rows <= cols for rows, cols in shapes)
+        monkeypatch.undo()
+        excess = max(0.0, float(np.linalg.norm(bundle.V, 2)) - 1.0)
+        assert abs(bundle.diagnostics["contraction_excess"] - excess) <= 1e-14
 
 
 class TestRandomInstancePipeline:

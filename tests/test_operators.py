@@ -402,6 +402,15 @@ class TestBlockDiagAndIO:
         v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         np.testing.assert_allclose(block.apply(v), block.operator().entries @ v, atol=1e-13)
 
+    def test_matrix_csv_takes_every_complex_literal(self, tmp_path):
+        # complex() spellings beyond the writer's: bare j, capital J,
+        # parentheses, and spaces inside a cell
+        path = tmp_path / "op.csv"
+        path.write_text("j, 1+2J\n(1+2j), 1 + 2j \n")
+        np.testing.assert_array_equal(
+            read_matrix_csv(str(path)).entries, np.array([[1j, 1 + 2j], [1 + 2j, 1 + 2j]])
+        )
+
     def test_matrix_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
         mat = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
