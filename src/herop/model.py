@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,20 +47,43 @@ _PSD_TOL = 1e-10
 _RANK_TOL = 1e-8
 
 
-def _norm2(x: np.ndarray) -> float:
-    """Spectral norm.  A tall matrix's comes from the largest eigenvalue of
-    the Gram of x / max|x_ij|, which is cheaper than its SVD; the scaling
-    keeps tiny residuals from underflowing in the Gram.  Square and wide
-    matrices keep the SVD, which is the cheaper one on near-diagonal
-    sections."""
-    if x.shape[0] <= x.shape[1]:
-        return float(np.linalg.norm(x, 2))
-    s = float(np.max(np.abs(x)))
+def _gram(x: np.ndarray, step: int) -> np.ndarray:
+    """x*x summed over chunks of step rows, so that no conjugate copy of a
+    tall x is made."""
+    gram = np.zeros((x.shape[1], x.shape[1]), dtype=np.complex128)
+    for lo in range(0, x.shape[0], step):
+        gram += x[lo : lo + step].conj().T @ x[lo : lo + step]
+    return gram
+
+
+def _gram_norm(chunks: Iterable[np.ndarray], n: int) -> float:
+    """Spectral norm of the matrix stacked from row chunks n wide, from the
+    largest eigenvalue of its Gram, which is cheaper than an SVD.  The Gram
+    is summed under a running scale s = max|x_ij|, each chunk entering as
+    chunk / s and the sum rescaled by (s_old / s_new)^2 when s grows (the
+    sum-of-squares scaling of LAPACK's xLASSQ), so that tiny residuals do
+    not underflow and large ones do not overflow.  Chunks are scaled in
+    place."""
+    s, g = 0.0, np.zeros((n, n), dtype=np.complex128)
+    for chunk in chunks:
+        top = float(np.max(np.abs(chunk), initial=0.0))
+        if top == 0.0:
+            continue
+        if top > s:
+            g *= (s / top) ** 2
+            s = top
+        chunk /= s
+        g += chunk.conj().T @ chunk
     if s == 0.0:
         return 0.0
-    y = x / s
-    g = y.conj().T @ y
     return s * math.sqrt(max(float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1]), 0.0))
+
+
+def _norm2(x: np.ndarray) -> float:
+    """Spectral norm of x, by _gram_norm over copies of chunks as many rows
+    as x has columns."""
+    n = x.shape[1]
+    return _gram_norm((x[lo : lo + n].copy() for lo in range(0, x.shape[0], max(n, 1))), n)
 
 
 class ModelInvalidError(RuntimeError):
@@ -114,9 +137,8 @@ def build_defect(
     Eigenvalues of the hereditary sum within _PSD_TOL times its summed
     terms count as zero, so a sum that cancels to zero is PSD."""
     hered = hereditary_apply(alpha, T, tol=_PSD_TOL)
-    d_mat, vec, roots = _eigen_sqrt(
-        hered.value.entries, _PSD_TOL, hered.terms, "hereditary value has eigenvalue"
-    )
+    eig, vec = np.linalg.eigh(hered.value.entries)
+    d_op, roots = _eigen_sqrt(eig, vec, _PSD_TOL * hered.terms, "hereditary value has eigenvalue")
     keep = roots > _RANK_TOL * max(float(np.max(roots)), 1e-300)
     basis = np.array(vec[:, keep])
     # canonical phases: the largest entry of each basis column is made real
@@ -125,7 +147,7 @@ def build_defect(
         lead = basis[np.argmax(np.abs(basis[:, j])), j]
         if abs(lead) > 0:
             basis[:, j] *= np.conj(lead) / abs(lead)
-    return DenseOperator(d_mat), basis, hered
+    return d_op, basis, hered
 
 
 def _certified_degree_cap(
@@ -176,7 +198,12 @@ def build_transform(
     exactly 0), else the smallest certified cap, else the caller's explicit M
     (tail left None when uncertifiable).  Returns (V, M, tail_bound).  The
     index is the first power whose Frobenius norm is dust (1e-12) relative
-    to the largest power seen, as unitary conjugates of sections leave it."""
+    to the largest power seen, as unitary conjugates of sections leave it.
+
+    The tail bounds take ||C||^2 as the largest absolute row sum of C C*,
+    an upper bound for any C.  For build_model's C = diag(kept roots of D)
+    basis*, C C* is diagonal, so this reads ||D||^2 without a
+    factorisation."""
     if M is not None and M < 0:
         raise ValueError(f"degree cap M must be non-negative, got {M}")
     mat = T.operator().entries
@@ -185,7 +212,7 @@ def build_transform(
     if cmat.shape[1] != d:
         raise ValueError("C must map the operator space into the auxiliary space")
     tail_bound: Optional[float] = None
-    c_norm = float(np.linalg.norm(cmat, 2))
+    c_norm = math.sqrt(float(np.max(np.sum(np.abs(cmat @ cmat.conj().T), axis=1), initial=0.0)))
     nil, dust, peak = None, 0.0, 1.0
     cap = d if M is None else min(M + 1, d)
     for n, (fro, _) in enumerate(islice(T.powers(grams=False), cap), 1):
@@ -221,10 +248,13 @@ def build_W_S(
     V: np.ndarray,
     T: Union[DenseOperator, ShiftSection],
     tol: float = 1e-8,
-) -> tuple[DenseOperator, np.ndarray, np.ndarray, dict]:
-    """Complement W = (I - V*V)^(1/2), its range basis, and the isometry S
-    defined on that range by S(Wx) = WTx.
+) -> tuple[DenseOperator, np.ndarray, np.ndarray, dict, np.ndarray]:
+    """Complement W = (I - V*V)^(1/2), its range basis, the isometry S
+    defined on that range by S(Wx) = WTx, and V*V, which verify_model
+    reuses.
 
+    V*V is summed over d-row chunks of V.  One eigensolve of I - V*V gives
+    ||V|| (from its smallest eigenvalue), the root W and W's range basis.
     The defining relation is solved in least squares over the standard basis
     and then polar-corrected to an exact isometry (any isometric completion
     on the orthogonal complement is admissible; the pre-correction residual
@@ -233,17 +263,17 @@ def build_W_S(
     exceeds tol."""
     mat = T.operator().entries
     d = mat.shape[0]
-    gram = V.conj().T @ V
-    norm_v = math.sqrt(max(float(np.max(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)))), 0.0))
+    gram = _gram(V, d)
+    eig, vec = np.linalg.eigh(np.eye(d) - gram)  # reads the lower triangle
+    norm_v = math.sqrt(max(1.0 - float(eig[0]), 0.0))
     if norm_v > 1.0 + tol:
         raise ModelInvalidError(f"transform norm {norm_v:.12f} exceeds 1 + tol")
-    a_mat = _symmetrize(np.eye(d) - gram, 1.0, 1e-10)
-    root, _, _ = _eigen_sqrt(a_mat, max(tol * 1e-2, 1e-12), 1.0, "most negative eigenvalue")
-    w_op = DenseOperator(root)
+    # eigh read the lower triangle only: refuse a V*V whose triangles differ
+    # by more than rounding
+    gram = _symmetrize(gram, 1.0, 1e-10)
+    w_op, roots = _eigen_sqrt(eig, vec, max(tol * 1e-2, 1e-12), "most negative eigenvalue")
+    basis = vec[:, roots > _RANK_TOL]
     w_mat = w_op.entries
-    eig, vec = np.linalg.eigh(w_mat)
-    keep = eig > _RANK_TOL
-    basis = vec[:, keep]
     w = int(basis.shape[1])
 
     wt = w_mat @ mat
@@ -261,7 +291,7 @@ def build_W_S(
         "contraction_excess": max(0.0, norm_v - 1.0),
     }
     if w == 0:
-        return w_op, basis, np.zeros((0, 0), dtype=np.complex128), info
+        return w_op, basis, np.zeros((0, 0), dtype=np.complex128), info, gram
     lhs = basis.conj().T @ w_mat  # (w, d): coordinates of W e_j
     rhs = basis.conj().T @ wt
     s_ls = rhs @ np.linalg.pinv(lhs, rcond=1e-12)
@@ -271,32 +301,63 @@ def build_W_S(
     iso_residual = float(np.linalg.norm(s_hat.conj().T @ s_hat - np.eye(w), 2))
     info["S_welldef_residual"] = max(wd_residual, iso_residual)
     info["polar_correction"] = polar_shift
-    return w_op, basis, s_hat, info
+    return w_op, basis, s_hat, info, gram
 
 
-def verify_model(T: Union[DenseOperator, ShiftSection], bundle: ModelBundle) -> dict:
+def _intertwine_chunks(
+    V: np.ndarray, mat: np.ndarray, coup: np.ndarray, r: int, step: int
+) -> Iterator[np.ndarray]:
+    """Row chunks of shifted - V T, where the truncated model shift moves
+    row i + r of V, times coup[i], to row i and leaves the last degree block
+    zero.  Every chunk is a view of one buffer, overwritten by the next."""
+    rows = V.shape[0]
+    buf = np.empty((min(step, rows), V.shape[1]), dtype=np.complex128)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        chunk = np.matmul(V[lo:hi], mat, out=buf[: hi - lo])
+        np.negative(chunk, out=chunk)
+        top = min(hi, rows - r)
+        if top > lo:
+            chunk[: top - lo] += coup[lo:top, None] * V[lo + r : top + r]
+        yield chunk
+
+
+def verify_model(
+    T: Union[DenseOperator, ShiftSection], bundle: ModelBundle, gram: Optional[np.ndarray] = None
+) -> dict:
     """Pure residual measurement of the model identities: intertwining with
     the truncated model shift, joint isometry of (V, W), and S W = W T.
 
-    The model shift is applied blockwise to V rather than materialized as a
-    kron matrix, so large degree caps stay cheap."""
+    The model shift is applied to V in row chunks rather than materialized
+    as a kron matrix, and the intertwining residual's norm is the scaled
+    Gram of those chunks, so no temporary as tall as V is made.  gram is
+    V*V when the caller has it (build_W_S returns it); else it is summed
+    here."""
     mat = T.operator().entries
     d = mat.shape[0]
     r = bundle.defect_rank
+    # one degree block per chunk on a dense model (r = d); on a section
+    # (r = 1) about d/4 rows, which keeps its temporaries below V's size
+    step = max(r, d // 4, 1)
     residuals = {}
     if r == 0 or bundle.V.size == 0:
         residuals["intertwine_residual"] = 0.0
     else:
         kc = bundle.k.coeffs[: bundle.M + 1]
-        shifted = np.zeros_like(bundle.V)
-        if bundle.M >= 1:
-            coup = np.sqrt(kc[:-1] / kc[1:])
-            shifted[: bundle.M * r] = np.repeat(coup, r)[:, None] * bundle.V[r:]
-        residuals["intertwine_residual"] = _norm2(shifted - bundle.V @ mat)
+        coup = np.repeat(np.sqrt(kc[:-1] / kc[1:]), r)
+        residuals["intertwine_residual"] = _gram_norm(
+            _intertwine_chunks(bundle.V, mat, coup, r, step), d
+        )
     w_mat = bundle.W.entries
-    joint = bundle.V.conj().T @ bundle.V + w_mat @ w_mat - np.eye(d)
-    residuals["isometry_residual"] = float(np.linalg.norm(joint, 2))
-    residuals["sw_residual"] = float(np.linalg.norm(bundle.s_full() @ w_mat - w_mat @ mat, 2))
+    joint = w_mat @ w_mat
+    joint += _gram(bundle.V, step) if gram is None else gram
+    joint.flat[:: d + 1] -= 1.0
+    joint += joint.conj().T
+    joint *= 0.5
+    residuals["isometry_residual"] = float(np.max(np.abs(np.linalg.eigvalsh(joint))))
+    sw = bundle.s_full() @ w_mat
+    sw -= w_mat @ mat
+    residuals["sw_residual"] = float(np.linalg.norm(sw, 2))
     return residuals
 
 
@@ -317,9 +378,7 @@ def verify_relation_DCW(
     for x in probe_vectors:
         x = np.asarray(x, dtype=np.complex128)
         nx2 = float(np.vdot(x, x).real)
-        dx = float(np.vdot(d_op.entries @ x, d_op.entries @ x).real)
-        cx = float(np.vdot(c_mat @ x, c_mat @ x).real)
-        wx = float(np.vdot(w_mat @ x, w_mat @ x).real)
+        dx, cx, wx = (float(np.vdot(y, y).real) for y in (d_op.entries @ x, c_mat @ x, w_mat @ x))
         worst = max(worst, abs(dx - cx - a1.value * wx) / max(nx2, 1e-300))
     return {"residual": worst, "alpha_at_one": a1.value, "alpha_one_certified": a1.certified}
 
@@ -344,7 +403,7 @@ def build_model(
         m_used, tail = 0, 0.0
     else:
         V, m_used, tail = build_transform(c_mat, k, T, M=M, tol=model_tol)
-    w_op, w_basis, s_hat, s_info = build_W_S(V, T, tol=model_tol)
+    w_op, w_basis, s_hat, s_info, gram = build_W_S(V, T, tol=model_tol)
     kind = pair_type_estimate(alpha, k).type
     bundle = ModelBundle(
         D=d_op,
@@ -359,7 +418,7 @@ def build_model(
         kind=kind,
         diagnostics={},
     )
-    diagnostics = verify_model(T, bundle)
+    diagnostics = verify_model(T, bundle, gram)
     diagnostics.update(s_info)
     diagnostics["truncation_tail_bound"] = tail
     diagnostics["policy"] = type(hered.policy_used).__name__
@@ -428,9 +487,9 @@ def minimality_check(bundle: ModelBundle) -> dict:
     """Numerical-rank check that the auxiliary spaces are not padded:
     ran C must fill the defect basis and ran W the W-basis."""
     c_sv = np.linalg.svd(bundle.C, compute_uv=False) if bundle.C.size else np.array([])
-    w_sv = np.linalg.svd(bundle.W.entries, compute_uv=False)
+    w_sv = np.abs(np.linalg.eigvalsh(bundle.W.entries))  # W is Hermitian
     c_scale = float(c_sv[0]) if c_sv.size else 0.0
-    w_scale = float(w_sv[0]) if w_sv.size else 0.0
+    w_scale = float(np.max(w_sv))
     c_rank = int(np.sum(c_sv > _RANK_TOL * max(c_scale, 1e-300)))
     w_rank = int(np.sum(w_sv > _RANK_TOL * max(w_scale, 1e-300))) if w_scale > _RANK_TOL else 0
     ok = c_rank == bundle.defect_rank and w_rank == bundle.w_rank

@@ -512,20 +512,22 @@ def operator_norm(T: Operator) -> float:
 
 
 def _eigen_sqrt(
-    mat: np.ndarray, tol: float, scale: float, what: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(root, eigenvectors, root eigenvalues) of a Hermitian matrix.
+    eig: np.ndarray, vec: np.ndarray, floor: float, what: str
+) -> tuple[DenseOperator, np.ndarray]:
+    """(root, root eigenvalues) of a Hermitian matrix, from its ascending
+    eigenvalues and eigenvectors (np.linalg.eigh), so that callers who read
+    more from the same eigensolve run it once.
 
-    Eigenvalues within tol*scale of zero are clipped to zero; a more
-    negative one raises NotPSDError with the message
-    "<what> <eigenvalue> below -<floor>"."""
-    eig, vec = np.linalg.eigh(mat)
-    floor = tol * scale
+    Eigenvalues within floor of zero are clipped to zero; a more negative
+    one raises NotPSDError with the message "<what> <eigenvalue> below
+    -<floor>"."""
     if eig[0] < -floor:
         raise NotPSDError(f"{what} {eig[0]:.3e} below -{floor:.3e}", float(eig[0]))
     roots = np.sqrt(np.where(np.abs(eig) <= floor, 0.0, np.maximum(eig, 0.0)))
     root = (vec * roots) @ vec.conj().T
-    return 0.5 * (root + root.conj().T), vec, roots
+    root += root.conj().T
+    root *= 0.5
+    return DenseOperator(root), roots
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from herop import model
 from herop.model import (
     _norm2,
     ModelBundle,
@@ -15,6 +18,7 @@ from herop.model import (
     build_transform,
     bundle_direct_sum,
     minimality_check,
+    verify_model,
     verify_relation_DCW,
 )
 from herop.operators import (
@@ -159,7 +163,7 @@ class TestBuildWS:
         # C = 0 leaves W = I and S = T
         U = random_unitary(5, seed=7)
         V = np.zeros((0, 5), dtype=complex)
-        w_op, basis, s_hat, info = build_W_S(V, U)
+        w_op, basis, s_hat, info, _ = build_W_S(V, U)
         np.testing.assert_allclose(w_op.entries, np.eye(5), atol=1e-12)
         s_full = basis @ s_hat @ basis.conj().T
         np.testing.assert_allclose(s_full, U.entries, atol=1e-10)
@@ -334,7 +338,7 @@ class TestTwoModelsSubcritical:
         U = DenseOperator(np.diag(np.exp(2j * np.pi * rng.random(4))))
 
         # model 1: C = 0, W = I, S = U
-        w_op, basis, s_hat, info = build_W_S(np.zeros((0, 4), dtype=complex), U)
+        w_op, basis, s_hat, info, _ = build_W_S(np.zeros((0, 4), dtype=complex), U)
         assert info["S_welldef_residual"] <= 1e-10
         np.testing.assert_allclose(w_op.entries, np.eye(4), atol=1e-12)
 
@@ -394,19 +398,44 @@ class TestNorm2:
 class TestNoTallSVD:
     def test_dense_model_takes_no_svd_of_a_tall_matrix(self, monkeypatch):
         # the intertwining residual and V are (M+1)*d x d here: their norms
-        # come from Grams, and ||V|| is computed once, by build_W_S
+        # come from Grams, and ||V|| is computed once, by build_W_S.  Of the
+        # square SVDs only minimality's of C and S W - W T's are left, and
+        # build_W_S solves one Hermitian eigenproblem, that of I - V*V
+        g = np.random.default_rng(4).standard_normal((12, 12))
+        T = DenseOperator(0.7 * g / np.linalg.norm(g, 2))
         linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
         svd = np.linalg.svd
         shapes = []
+        in_w_s = []
+        solves = {"eigh": 0, "eigvalsh": 0}
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
+        def solver(name):
+            solve = getattr(np.linalg, name)
+
+            def run(a, *args, **kwargs):
+                solves[name] += bool(in_w_s)
+                return solve(a, *args, **kwargs)
+
+            return run
+
+        build_w_s = model.build_W_S
+
+        def traced_w_s(*args, **kwargs):
+            in_w_s.append(True)
+            try:
+                return build_w_s(*args, **kwargs)
+            finally:
+                in_w_s.pop()
+
         monkeypatch.setattr(linalg, "svd", counted)  # what np.linalg.norm calls
         monkeypatch.setattr(np.linalg, "svd", counted)
-        g = np.random.default_rng(4).standard_normal((12, 12))
-        T = DenseOperator(0.7 * g / np.linalg.norm(g, 2))
+        for name in solves:
+            monkeypatch.setattr(np.linalg, name, solver(name))
+        monkeypatch.setattr(model, "build_W_S", traced_w_s)
         alpha = binomial_series(1.0, PowSign.PLUS, 255)
         k = binomial_series(1.0, PowSign.MINUS, 255)
         bundle = build_model(alpha, k, T)
@@ -415,9 +444,114 @@ class TestNoTallSVD:
         verify_relation_DCW(alpha, T, bundle.C, bundle.W.entries, probes)
         assert bundle.defect_rank == 12 and bundle.V.shape[0] > 12
         assert shapes and all(rows <= cols for rows, cols in shapes)
+        assert sum(rows == cols for rows, cols in shapes) <= 2
+        assert solves == {"eigh": 1, "eigvalsh": 0}
         monkeypatch.undo()
         excess = max(0.0, float(np.linalg.norm(bundle.V, 2)) - 1.0)
         assert abs(bundle.diagnostics["contraction_excess"] - excess) <= 1e-14
+
+
+def tall_residuals(T, bundle):
+    """The intertwining and isometry residuals from the whole (M+1)*r x d
+    matrices and their SVDs, as formed before the products went by chunks."""
+    mat = T.operator().entries
+    r, V = bundle.defect_rank, bundle.V
+    kc = bundle.k.coeffs[: bundle.M + 1]
+    shifted = np.zeros_like(V)
+    if bundle.M >= 1:
+        shifted[: bundle.M * r] = np.repeat(np.sqrt(kc[:-1] / kc[1:]), r)[:, None] * V[r:]
+    w_mat = bundle.W.entries
+    joint = V.conj().T @ V + w_mat @ w_mat - np.eye(mat.shape[0])
+    return np.linalg.norm(shifted - V @ mat, 2), np.linalg.norm(joint, 2)
+
+
+def residual_bundle(rng, T, r, M, scale):
+    """A bundle of the model's shapes with random V (times scale), W and k."""
+    d = T.dim
+    V = scale * (rng.standard_normal(((M + 1) * r, d)) + 1j * rng.standard_normal(((M + 1) * r, d)))
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return ModelBundle(
+        D=DenseOperator(np.eye(d)),
+        defect_basis=np.zeros((d, r), dtype=complex),
+        C=np.zeros((r, d), dtype=complex),
+        V=V,
+        W=DenseOperator(0.25 * (h + h.conj().T)),
+        w_basis=np.zeros((d, 0), dtype=complex),
+        S=np.zeros((0, 0), dtype=complex),
+        k=TruncatedSeries(random_weights(rng, M + 1, 0.0), None),
+        M=M,
+        kind="Subcritical",
+        diagnostics={},
+    )
+
+
+class TestChunkedResiduals:
+    """verify_model's row-chunked products against the tall formulas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["dense", "backward", "forward"]),
+        d=st.integers(1, 128),
+        M=st.integers(0, 30),
+        exponent=st.integers(-200, 0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="dense", d=48, M=0, exponent=-200, seed=0)
+    @example(kind="dense", d=48, M=30, exponent=0, seed=1)
+    @example(kind="backward", d=128, M=0, exponent=0, seed=2)
+    @example(kind="forward", d=128, M=30, exponent=-200, seed=3)
+    def test_match_the_tall_formulas(self, kind, d, M, exponent, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "dense":  # r = d
+            d = min(d, 48)
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            T, r = DenseOperator(0.7 * g / np.linalg.norm(g, 2)), d
+        else:  # r = 1
+            kappa = TruncatedSeries(random_weights(rng, d + 4, 0.0), None)
+            direction = Direction.BACKWARD if kind == "backward" else Direction.FORWARD
+            T, r = shift_section(kappa, direction, d), 1
+        bundle = residual_bundle(rng, T, r, M, 10.0**exponent)
+        intertwine, isometry = tall_residuals(T, bundle)
+        for gram in (None, bundle.V.conj().T @ bundle.V):
+            got = verify_model(T, bundle, gram)
+            # abs=0: pytest's default absolute 1e-12 would pass any tiny residual
+            assert got["intertwine_residual"] == pytest.approx(intertwine, rel=1e-14, abs=0.0)
+            assert got["isometry_residual"] == pytest.approx(isometry, rel=1e-14, abs=0.0)
+
+    def test_traced_peak_stays_below_eight_squares(self, monkeypatch):
+        # V is (M+1) d x d; every temporary of build_W_S and verify_model is
+        # at most d x d, and at most eight of them are alive at once
+        d = 48
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        T = DenseOperator(0.7 * g / np.linalg.norm(g, 2))
+        k = binomial_series(0.5, PowSign.MINUS, 1023)
+        peaks = {}
+
+        def traced(name):
+            stage = getattr(model, name)
+
+            def run(*args, **kwargs):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = stage(*args, **kwargs)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
+                return out
+
+            return run
+
+        for name in ("build_W_S", "verify_model"):
+            monkeypatch.setattr(model, name, traced(name))
+        tracemalloc.start()
+        try:
+            bundle = build_model(invert_kernel(k).alpha, k, T)
+        finally:
+            tracemalloc.stop()
+        square = d * d * 16
+        assert bundle.defect_rank == d and bundle.M >= 20
+        assert bundle.V.nbytes == (bundle.M + 1) * square
+        assert set(peaks) == {"build_W_S", "verify_model"}
+        assert all(peak < 8 * square for peak in peaks.values()), peaks
 
 
 class TestRandomInstancePipeline:

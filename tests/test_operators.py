@@ -328,7 +328,7 @@ class TestShiftMembershipForward:
 def eigen_root(mat):
     """The non-negative square root, eigenvalues within 1e-10 of zero clipped."""
     mat = np.asarray(mat, dtype=np.complex128)
-    return _eigen_sqrt(mat, 1e-10, 1.0, "most negative eigenvalue")[0]
+    return _eigen_sqrt(*np.linalg.eigh(mat), 1e-10, "most negative eigenvalue")[0].entries
 
 
 class TestSpectralQuantities:
