@@ -17,6 +17,7 @@ from .operators import (
     DenseOperator,
     HereditaryResult,
     ShiftSection,
+    _clipped_roots,
     _contraction_envelope,
     _eigen_sqrt,
     _symmetrize,
@@ -79,6 +80,22 @@ def _gram_norm(chunks: Iterable[np.ndarray], n: int) -> float:
     return s * math.sqrt(max(float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1]), 0.0))
 
 
+def _monomial_abs(mat: np.ndarray) -> Optional[np.ndarray]:
+    """|non-zero entries| of a matrix with at most one non-zero in every row
+    and column, which are its non-zero singular values; None for any other
+    matrix."""
+    nz = mat != 0
+    if nz.sum(axis=0).max(initial=0) > 1 or nz.sum(axis=1).max(initial=0) > 1:
+        return None
+    return np.abs(mat[nz])
+
+
+def _spectral_norm(mat: np.ndarray) -> float:
+    """||mat||_2: the largest |entry| when _monomial_abs applies, else by SVD."""
+    sv = _monomial_abs(mat)
+    return float(np.linalg.norm(mat, 2)) if sv is None else float(np.max(sv, initial=0.0))
+
+
 def _norm2(x: np.ndarray) -> float:
     """Spectral norm of x, by _gram_norm over copies of chunks as many rows
     as x has columns."""
@@ -135,10 +152,23 @@ def build_defect(
     """Defect operator D = alpha(T*, T)^(1/2) and an orthonormal basis of its
     range (eigenvectors of D with eigenvalue above _RANK_TOL * ||D||).
     Eigenvalues of the hereditary sum within _PSD_TOL times its summed
-    terms count as zero, so a sum that cancels to zero is PSD."""
+    terms count as zero, so a sum that cancels to zero is PSD.
+
+    On a section the sum is the diagonal h_j = (alpha * kappa)_j / kappa_j,
+    so D = diag(sqrt h) and the basis is the kept unit vectors, in eigh's
+    ascending order of h (ties by index), with no eigensolve."""
     hered = hereditary_apply(alpha, T, tol=_PSD_TOL)
+    floor, what = _PSD_TOL * hered.terms, "hereditary value has eigenvalue"
+    if isinstance(T, ShiftSection):
+        h = hered.value.entries.diagonal().real
+        roots = _clipped_roots(h, floor, what)
+        order = np.argsort(h, kind="stable")
+        kept = order[roots[order] > _RANK_TOL * max(float(np.max(roots)), 1e-300)]
+        basis = np.zeros((T.dim, kept.size), dtype=np.complex128)
+        basis[kept, np.arange(kept.size)] = 1.0
+        return DenseOperator(np.diag(roots.astype(np.complex128))), basis, hered
     eig, vec = np.linalg.eigh(hered.value.entries)
-    d_op, roots = _eigen_sqrt(eig, vec, _PSD_TOL * hered.terms, "hereditary value has eigenvalue")
+    d_op, roots = _eigen_sqrt(eig, vec, floor, what)
     keep = roots > _RANK_TOL * max(float(np.max(roots)), 1e-300)
     basis = np.array(vec[:, keep])
     # canonical phases: the largest entry of each basis column is made real
@@ -185,34 +215,24 @@ def _certified_degree_cap(
     raise TailUncertifiableError("degree tail bound never met inside the kernel window")
 
 
-def build_transform(
-    C: np.ndarray,
+def _degree_cap(
+    c_norm: float,
     k: TruncatedSeries,
     T: Union[DenseOperator, ShiftSection],
-    M: Optional[int] = None,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, int, Optional[float]]:
-    """Degree-truncated transform: block row n is sqrt(k_n) * C * T^n.
+    M: Optional[int],
+    tol: float,
+) -> tuple[int, Optional[float]]:
+    """Degree cap and tail bound of the transform of C, ||C|| <= c_norm.
 
-    Degree cap policy: nilpotency index minus one for finite sections (tail
-    exactly 0), else the smallest certified cap, else the caller's explicit M
-    (tail left None when uncertifiable).  Returns (V, M, tail_bound).  The
-    index is the first power whose Frobenius norm is dust (1e-12) relative
-    to the largest power seen, as unitary conjugates of sections leave it.
-
-    The tail bounds take ||C||^2 as the largest absolute row sum of C C*,
-    an upper bound for any C.  For build_model's C = diag(kept roots of D)
-    basis*, C C* is diagonal, so this reads ||D||^2 without a
-    factorisation."""
+    Policy: nilpotency index minus one for finite sections (tail exactly 0),
+    else the smallest certified cap, else the caller's explicit M (tail left
+    None when uncertifiable).  The index is the first power whose Frobenius
+    norm is dust (1e-12) relative to the largest power seen, as unitary
+    conjugates of sections leave it."""
     if M is not None and M < 0:
         raise ValueError(f"degree cap M must be non-negative, got {M}")
-    mat = T.operator().entries
-    cmat = np.atleast_2d(np.asarray(C, dtype=np.complex128))
-    d = mat.shape[0]
-    if cmat.shape[1] != d:
-        raise ValueError("C must map the operator space into the auxiliary space")
+    d = T.dim
     tail_bound: Optional[float] = None
-    c_norm = math.sqrt(float(np.max(np.sum(np.abs(cmat @ cmat.conj().T), axis=1), initial=0.0)))
     nil, dust, peak = None, 0.0, 1.0
     cap = d if M is None else min(M + 1, d)
     for n, (fro, _) in enumerate(islice(T.powers(grams=False), cap), 1):
@@ -233,6 +253,30 @@ def build_transform(
         raise ValueError(f"kernel window too short for degree cap M={M}")
     if np.any(k.coeffs[: M + 1] <= 0.0):
         raise ValueError(f"kernel coefficients up to the degree cap M={M} must be positive")
+    return M, tail_bound
+
+
+def build_transform(
+    C: np.ndarray,
+    k: TruncatedSeries,
+    T: Union[DenseOperator, ShiftSection],
+    M: Optional[int] = None,
+    tol: float = 1e-10,
+) -> tuple[np.ndarray, int, Optional[float]]:
+    """Degree-truncated transform: block row n is sqrt(k_n) * C * T^n.
+    Returns (V, M, tail_bound), M and the tail by _degree_cap's policy.
+
+    The tail bounds take ||C||^2 as the largest absolute row sum of C C*,
+    an upper bound for any C.  For build_model's C = diag(kept roots of D)
+    basis*, C C* is diagonal, so this reads ||D||^2 without a
+    factorisation."""
+    mat = T.operator().entries
+    cmat = np.atleast_2d(np.asarray(C, dtype=np.complex128))
+    d = mat.shape[0]
+    if cmat.shape[1] != d:
+        raise ValueError("C must map the operator space into the auxiliary space")
+    c_norm = math.sqrt(float(np.max(np.sum(np.abs(cmat @ cmat.conj().T), axis=1), initial=0.0)))
+    M, tail_bound = _degree_cap(c_norm, k, T, M, tol)
     r = cmat.shape[0]
     root_k = np.sqrt(k.coeffs[: M + 1])
     V = np.empty(((M + 1) * r, d), dtype=np.complex128)
@@ -242,6 +286,19 @@ def build_transform(
         block = block @ mat
         V[n * r : (n + 1) * r] = root_k[n] * block
     return V, M, tail_bound
+
+
+def _refuse_long_transform(norm_v: float, tol: float) -> None:
+    if norm_v > 1.0 + tol:
+        raise ModelInvalidError(f"transform norm {norm_v:.12f} exceeds 1 + tol")
+
+
+def _refuse_ill_defined(wd_residual: float, tol: float) -> None:
+    if wd_residual > tol:
+        raise ModelInvalidError(
+            "S is not well defined at this tolerance: ||Wx|| != ||WTx||",
+            {"well_definedness_residual": wd_residual},
+        )
 
 
 def build_W_S(
@@ -266,8 +323,7 @@ def build_W_S(
     gram = _gram(V, d)
     eig, vec = np.linalg.eigh(np.eye(d) - gram)  # reads the lower triangle
     norm_v = math.sqrt(max(1.0 - float(eig[0]), 0.0))
-    if norm_v > 1.0 + tol:
-        raise ModelInvalidError(f"transform norm {norm_v:.12f} exceeds 1 + tol")
+    _refuse_long_transform(norm_v, tol)
     # eigh read the lower triangle only: refuse a V*V whose triangles differ
     # by more than rounding
     gram = _symmetrize(gram, 1.0, 1e-10)
@@ -280,11 +336,7 @@ def build_W_S(
     wd_residual = float(
         np.max(np.abs(np.linalg.norm(w_mat, axis=0) - np.linalg.norm(wt, axis=0)))
     )
-    if wd_residual > tol:
-        raise ModelInvalidError(
-            "S is not well defined at this tolerance: ||Wx|| != ||WTx||",
-            {"well_definedness_residual": wd_residual},
-        )
+    _refuse_ill_defined(wd_residual, tol)
     info = {
         "S_welldef_residual": wd_residual,
         "polar_correction": 0.0,
@@ -369,18 +421,146 @@ def verify_relation_DCW(
     probe_vectors: Sequence[np.ndarray],
 ) -> dict:
     """Residual of the defect relation ||Dx||^2 = ||Cx||^2 + alpha(1)||Wx||^2
-    over the probe set, normalized by ||x||^2."""
+    over the probe set, normalized by ||x||^2.  D, C and W each take all
+    probes in one product, so each matrix is read once."""
     d_op, _, _ = build_defect(alpha, T)
-    w_mat = np.asarray(W, dtype=np.complex128)
-    c_mat = np.atleast_2d(np.asarray(C, dtype=np.complex128))
+    probes = np.array(probe_vectors, dtype=np.complex128).reshape(len(probe_vectors), T.dim).T
+
+    def norms2(y: np.ndarray) -> np.ndarray:  # squared norms of the columns
+        return np.sum(y.real**2 + y.imag**2, axis=0)
+
+    dx, cx, wx = (
+        norms2(np.atleast_2d(np.asarray(m, dtype=np.complex128)) @ probes)
+        for m in (d_op.entries, C, W)
+    )
     a1 = alpha_at_one(alpha)
-    worst = 0.0
-    for x in probe_vectors:
-        x = np.asarray(x, dtype=np.complex128)
-        nx2 = float(np.vdot(x, x).real)
-        dx, cx, wx = (float(np.vdot(y, y).real) for y in (d_op.entries @ x, c_mat @ x, w_mat @ x))
-        worst = max(worst, abs(dx - cx - a1.value * wx) / max(nx2, 1e-300))
+    worst = 0.0  # a NaN term (alpha(1) = inf against W x = 0) never replaces it
+    for dxi, cxi, wxi, nxi in zip(dx.tolist(), cx.tolist(), wx.tolist(), norms2(probes).tolist()):
+        worst = max(worst, abs(dxi - cxi - a1.value * wxi) / max(nxi, 1e-300))
     return {"residual": worst, "alpha_at_one": a1.value, "alpha_one_certified": a1.certified}
+
+
+def _section_model(
+    d_op: DenseOperator,
+    basis: np.ndarray,
+    k: TruncatedSeries,
+    T: ShiftSection,
+    M: Optional[int],
+    tol: float,
+    kind: str,
+) -> ModelBundle:
+    """build_model's transform, complement, isometry and residuals on a
+    section, from vectors in O(d M) work.  Row i of T has its one entry t_i
+    at column i + s, and D and the basis are diagonal and unit vectors
+    (build_defect), so:
+
+    - row (n, i) of V is sqrt(k_n) D_b t_b t_{b+s} ... t_{b+(n-1)s}, at
+      column b + n s, for the i-th kept unit vector e_b;
+    - V*V is diagonal, and W = diag(sqrt(1 - diag V*V));
+    - S maps W e_j to W T e_j = w_{j-s} t_{j-s} e_{j-s}: a partial
+      weighted shift on W's range, whose polar factor is a partial
+      permutation.
+
+    Every residual is measured on these pieces in verify_model's norms, and
+    the refusals come in build_W_S's order.  The dense fields are filled
+    from them in eigh's order, as the dense pipeline orders them.  Where S
+    needs a completion, any isometric one is admissible, and sw_residual
+    depends on the one taken (the dense pipeline's SVD may take another)."""
+    d = T.dim
+    s, t = T.row_entries
+    roots = d_op.entries.diagonal().real
+    b = np.argmax(basis.real, axis=0)  # the kept unit vectors
+    r = b.size
+    c_mat = np.zeros((r, d), dtype=np.complex128)
+    c_mat[np.arange(r), b] = roots[b]
+    m_used, tail, kc = 0, 0.0, np.ones(1)  # with D = 0, k is not read, as in the dense pipeline
+    if r:
+        # C C* = diag(roots[b]^2), so build_transform's bound is ||D||^2
+        m_used, tail = _degree_cap(math.sqrt(float(np.max(roots[b] ** 2))), k, T, M, tol)
+        kc = k.coeffs[: m_used + 1]
+    # row (n, i) of V sits at column b_i + n s; past the edge the running
+    # product has met t's 0 and stays 0.  cumprod multiplies in the order
+    # that C T^n does, so the entries carry the dense pipeline's bits
+    cols = b + s * np.arange(m_used + 1)[:, None]
+    factors = np.empty(cols.shape)
+    factors[0] = roots[b]
+    factors[1:] = t[np.clip(cols[:-1], 0, d - 1)]
+    vals = np.sqrt(kc)[:, None] * np.cumprod(factors, axis=0)
+    cols = np.clip(cols, 0, d - 1)
+    V = np.zeros((vals.size, d), dtype=np.complex128)
+    V[np.arange(vals.size), cols.ravel()] = vals.ravel()
+    gram = np.bincount(cols.ravel(), weights=(vals * vals).ravel(), minlength=d)  # diag V*V
+
+    # complement: V*V is real and diagonal, so build_W_S's symmetry check
+    # holds exactly and I - V*V has the spectrum 1 - gram
+    one_minus = 1.0 - gram
+    norm_v = math.sqrt(max(1.0 - float(np.min(one_minus)), 0.0))
+    _refuse_long_transform(norm_v, tol)
+    w = _clipped_roots(one_minus, max(tol * 1e-2, 1e-12), "most negative eigenvalue")
+    order = np.argsort(one_minus, kind="stable")
+    p = order[w[order] > _RANK_TOL]  # W's range, in eigh's order
+    wt = np.roll(w * t, s)  # ||W T e_j||; the wrapped entry is t's 0 at the edge
+    wd_residual = float(np.max(np.abs(w - wt)))
+    _refuse_ill_defined(wd_residual, tol)
+
+    # S in p's coordinates: column a maps to the position of p_a - s when
+    # W T e_{p_a} is non-zero and p_a - s is kept, and the columns and rows
+    # left over pair up in order (an isometric completion)
+    nw = p.size
+    at = np.full(d, -1)
+    at[p] = np.arange(nw)
+    dst = at[(p - s) % d]
+    shifts = (wt[p] > 0.0) & (dst >= 0)
+    s_ls = np.zeros((nw, nw))
+    s_ls[dst[shifts], shifts.nonzero()[0]] = wt[p][shifts] / w[p][shifts]
+    row_of = np.empty(nw, dtype=np.intp)
+    row_of[shifts] = dst[shifts]
+    free = np.ones(nw, dtype=bool)
+    free[dst[shifts]] = False
+    row_of[~shifts] = np.flatnonzero(free)
+    s_hat = np.zeros((nw, nw), dtype=np.complex128)
+    s_hat[row_of, np.arange(nw)] = 1.0
+    # S is a partial permutation: S*S is the diagonal of its column sums
+    iso_residual = float(np.max(np.abs(np.sum(np.abs(s_hat) ** 2, axis=0) - 1.0), initial=0.0))
+
+    # residuals.  Row (n, i) of shifted - V T has its one entry at column
+    # b + (n+1) s, so its Gram is diagonal too: the norm is the root of the
+    # largest column sum of squares, summed under the scale max|entry|
+    resid = -vals * t[cols]
+    resid[:-1] += np.sqrt(kc[:-1] / kc[1:])[:, None] * vals[1:]
+    top = float(np.max(np.abs(resid), initial=0.0))
+    intertwine = 0.0
+    if top > 0.0:
+        sums = np.bincount(((cols + s) % d).ravel(), weights=((resid / top) ** 2).ravel())
+        intertwine = top * math.sqrt(float(np.max(sums)))
+    sw = np.zeros((d, d))
+    sw[p[row_of], p] = w[p]  # S W
+    sw[(np.arange(d) - s) % d, np.arange(d)] -= wt  # - W T
+    diagnostics = {
+        "intertwine_residual": intertwine,
+        "isometry_residual": float(np.max(np.abs(w * w + gram - 1.0))),
+        "sw_residual": _spectral_norm(sw),
+        "S_welldef_residual": max(wd_residual, iso_residual),
+        "polar_correction": _spectral_norm(s_hat - s_ls),
+        "contraction_excess": max(0.0, norm_v - 1.0),
+        "truncation_tail_bound": tail,
+        "type": kind,
+    }
+    w_basis = np.zeros((d, nw), dtype=np.complex128)
+    w_basis[p, np.arange(nw)] = 1.0
+    return ModelBundle(
+        D=d_op,
+        defect_basis=basis,
+        C=c_mat,
+        V=V,
+        W=DenseOperator(np.diag(w.astype(np.complex128))),
+        w_basis=w_basis,
+        S=s_hat,
+        k=k,
+        M=m_used,
+        kind=kind,
+        diagnostics=diagnostics,
+    )
 
 
 def build_model(
@@ -394,8 +574,15 @@ def build_model(
 
     Raises ModelInvalidError, NotPSDError, TailUncertifiableError or
     ConvergenceNotCertifiedError when the operator is not modelable at the
-    requested tolerances."""
+    requested tolerances.  A ShiftSection is built in closed form by
+    _section_model; any other operator by the dense pipeline below."""
     d_op, basis, hered = build_defect(alpha, T)
+    kind = pair_type_estimate(alpha, k).type
+    if isinstance(T, ShiftSection):
+        bundle = _section_model(d_op, basis, k, T, M, model_tol, kind)
+        diagnostics = dict(bundle.diagnostics)
+        diagnostics["policy"] = type(hered.policy_used).__name__
+        return replace(bundle, diagnostics=diagnostics)
     c_mat = basis.conj().T @ d_op.entries  # (r, d)
     if basis.shape[1] == 0:
         c_mat = np.zeros((0, T.dim), dtype=np.complex128)
@@ -404,7 +591,6 @@ def build_model(
     else:
         V, m_used, tail = build_transform(c_mat, k, T, M=M, tol=model_tol)
     w_op, w_basis, s_hat, s_info, gram = build_W_S(V, T, tol=model_tol)
-    kind = pair_type_estimate(alpha, k).type
     bundle = ModelBundle(
         D=d_op,
         defect_basis=basis,
@@ -486,10 +672,14 @@ def bundle_direct_sum(
 def minimality_check(bundle: ModelBundle) -> dict:
     """Numerical-rank check that the auxiliary spaces are not padded:
     ran C must fill the defect basis and ran W the W-basis."""
-    c_sv = np.linalg.svd(bundle.C, compute_uv=False) if bundle.C.size else np.array([])
-    w_sv = np.abs(np.linalg.eigvalsh(bundle.W.entries))  # W is Hermitian
-    c_scale = float(c_sv[0]) if c_sv.size else 0.0
-    w_scale = float(np.max(w_sv))
+    c_sv = _monomial_abs(bundle.C)
+    if c_sv is None:
+        c_sv = np.linalg.svd(bundle.C, compute_uv=False)
+    w_sv = _monomial_abs(bundle.W.entries)  # a section's W is diagonal
+    if w_sv is None:
+        w_sv = np.abs(np.linalg.eigvalsh(bundle.W.entries))  # W is Hermitian
+    c_scale = float(np.max(c_sv, initial=0.0))
+    w_scale = float(np.max(w_sv, initial=0.0))
     c_rank = int(np.sum(c_sv > _RANK_TOL * max(c_scale, 1e-300)))
     w_rank = int(np.sum(w_sv > _RANK_TOL * max(w_scale, 1e-300))) if w_scale > _RANK_TOL else 0
     ok = c_rank == bundle.defect_rank and w_rank == bundle.w_rank

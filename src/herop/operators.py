@@ -147,13 +147,23 @@ class ShiftSection:
         k = self.kappa.coeffs[: self.dim]
         return np.sqrt(k[:-1] / k[1:])
 
-    def operator(self) -> DenseOperator:
-        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        idx = np.arange(self.dim - 1)
+    @cached_property
+    def row_entries(self) -> tuple[int, np.ndarray]:
+        """(s, t): row i of the matrix holds its one entry, t_i, at column
+        i + s; t_i = 0 where that column is past the edge.  s is 1 backward
+        and -1 forward."""
+        t = np.zeros(self.dim)
         if self.direction is Direction.BACKWARD:
-            m[idx, idx + 1] = self.couplings
-        else:
-            m[idx + 1, idx] = 1.0 / self.couplings
+            t[:-1] = self.couplings
+            return 1, t
+        t[1:] = 1.0 / self.couplings
+        return -1, t
+
+    def operator(self) -> DenseOperator:
+        s, t = self.row_entries
+        rows = np.arange(self.dim - 1) + (s < 0)
+        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        m[rows, rows + s] = t[rows]
         return DenseOperator(m)
 
     def powers(self, grams: bool = True) -> Iterator[tuple[float, np.ndarray]]:
@@ -322,14 +332,16 @@ def hereditary_apply(
         if tail <= tol:
             policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
             break
-    if value.ndim == 1:
-        value = np.diag(value)
+    if value.ndim == 1:  # a section's sum is a real diagonal, Hermitian with no check
+        value = DenseOperator(np.diag(value.astype(np.complex128)))
+    else:
+        value = DenseOperator(_symmetrize(value, terms, 2e-12))
     if policy is None:
         if abs_tail_bound(alpha, limit) == 0.0:
             policy = ExactPolynomial(limit)
         elif geometric and sup_beyond is not None:
             partial = HereditaryResult(
-                DenseOperator(_symmetrize(value, terms, 2e-12)),
+                value,
                 Truncated(limit, "symbol window ended before the tail was certified"),
                 terms,
             )
@@ -342,7 +354,7 @@ def hereditary_apply(
                 f"spectral radius estimate {rho:.6f} and symbol tail do not certify "
                 f"convergence, sum truncated at {limit}",
             )
-    return HereditaryResult(DenseOperator(_symmetrize(value, terms, 2e-12)), policy, terms)
+    return HereditaryResult(value, policy, terms)
 
 
 def _geometric_tail(
@@ -511,19 +523,25 @@ def operator_norm(T: Operator) -> float:
     return float(np.linalg.norm(T.operator().entries, 2))
 
 
+def _clipped_roots(eig: np.ndarray, floor: float, what: str) -> np.ndarray:
+    """Square roots of the eigenvalues eig (in any order) of a Hermitian
+    matrix.  Eigenvalues within floor of zero are clipped to zero; a more
+    negative one raises NotPSDError with the message "<what> <eigenvalue>
+    below -<floor>"."""
+    low = float(np.min(eig))
+    if low < -floor:
+        raise NotPSDError(f"{what} {low:.3e} below -{floor:.3e}", low)
+    return np.sqrt(np.where(np.abs(eig) <= floor, 0.0, np.maximum(eig, 0.0)))
+
+
 def _eigen_sqrt(
     eig: np.ndarray, vec: np.ndarray, floor: float, what: str
 ) -> tuple[DenseOperator, np.ndarray]:
     """(root, root eigenvalues) of a Hermitian matrix, from its ascending
     eigenvalues and eigenvectors (np.linalg.eigh), so that callers who read
-    more from the same eigensolve run it once.
-
-    Eigenvalues within floor of zero are clipped to zero; a more negative
-    one raises NotPSDError with the message "<what> <eigenvalue> below
-    -<floor>"."""
-    if eig[0] < -floor:
-        raise NotPSDError(f"{what} {eig[0]:.3e} below -{floor:.3e}", float(eig[0]))
-    roots = np.sqrt(np.where(np.abs(eig) <= floor, 0.0, np.maximum(eig, 0.0)))
+    more from the same eigensolve run it once.  The eigenvalues are clipped
+    by _clipped_roots."""
+    roots = _clipped_roots(eig, floor, what)
     root = (vec * roots) @ vec.conj().T
     root += root.conj().T
     root *= 0.5

@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herop.cli import RunConfig, dumps_canonical, main
-from herop.operators import write_matrix_csv
+from herop.model import build_model
+from herop.operators import Direction, shift_section, write_matrix_csv
+from herop.series import invert_kernel
+from herop.specdsl import elaborate, parse_kernel_spec
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +247,47 @@ class TestSubcommands:
         assert payload["passed"] is True
         assert payload["diagnostics"]["intertwine_residual"] <= 1e-10
         assert payload["minimality"]["minimal"] is True
+
+    def test_model_build_on_section_refuses_an_ill_defined_isometry(self, capsys):
+        # a cap below the nilpotency index leaves W = diag(0, ..., 0, 1, ..., 1):
+        # ||W e_11|| = 1 while W T e_11 = 0.  The transform norm (ModelInvalidError)
+        # and the PSD floor of I - V*V (NotPSDError) are checked first and hold
+        code, out = run_cli(
+            capsys,
+            "model", "build", "--kernel", "pow1mt(-0.5)", "--section", "64", "-N", "255",
+            "--degree", "10",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "S is not well defined at this tolerance: ||Wx|| != ||WTx||"
+        assert payload["witness"] == {"well_definedness_residual": 1.0}
+
+    def test_model_build_csvs_on_section_match_the_dense_build(self, tmp_path):
+        spec = "tail(poly[1,0.4,0.16],0.05,2.0,3)"
+        code, _, _ = run_cli_checked(
+            "model", "build", "--kernel", spec, "--section", "64", "-N", "255",
+            "--csv-dir", str(tmp_path),
+        )
+        assert code == 0
+        k = elaborate(parse_kernel_spec(spec), 255)
+        T = shift_section(k, Direction.BACKWARD, 64)
+        dense = build_model(invert_kernel(k).alpha, k, T.operator())
+        expected = {
+            name: mat
+            for name, mat in (
+                ("defect", dense.D.entries),
+                ("complement", dense.W.entries),
+                ("transform", dense.V),
+                ("isometry", dense.S),
+            )
+            if mat.size
+        }
+        assert sorted(os.listdir(tmp_path)) == sorted(f"{name}.csv" for name in expected)
+        for name, mat in expected.items():
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            got = np.array([[complex(cell) for cell in line.split(",")] for line in lines])
+            assert got.shape == mat.shape, name
+            assert np.max(np.abs(got - mat)) <= 1e-14, name
 
     def test_model_build_from_operator_csv(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

@@ -383,7 +383,7 @@ class TestNorm2:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(n, ratio * n + 1))
         x = 10.0**exponent * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-        assert _norm2(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14)
+        assert _norm2(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14, abs=0.0)
 
     def test_zero_matrix(self):
         assert _norm2(np.zeros((40, 4), dtype=complex)) == 0.0
@@ -392,7 +392,7 @@ class TestNorm2:
         # an unscaled Gram squares the entries to ~1e-400, i.e. to 0
         x = 1e-200 * np.random.default_rng(3).standard_normal((120, 6)).astype(complex)
         assert np.linalg.eigvalsh(x.conj().T @ x)[-1] == 0.0
-        assert _norm2(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14)
+        assert _norm2(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14, abs=0.0)
 
 
 class TestNoTallSVD:
@@ -673,3 +673,129 @@ class TestStructuredPowersMatchDense:
         assert tail_section == 0.0 and tail_conj <= 1e-20
         alpha = binomial_series(0.5, PowSign.PLUS, 2 * d)
         assert isinstance(hereditary_apply(alpha, section).policy_used, ExactNilpotent)
+
+
+def build_or_refusal(alpha, k, T, M=None):
+    try:
+        return build_model(alpha, k, T, M=M)
+    except (ModelInvalidError, NotPSDError, TailUncertifiableError, ConvergenceNotCertifiedError,
+            ValueError) as exc:
+        return exc
+
+
+RESIDUALS = (
+    "intertwine_residual", "isometry_residual", "sw_residual", "S_welldef_residual",
+    "polar_correction", "contraction_excess", "truncation_tail_bound",
+)
+
+
+class TestSectionModelMatchesDense:
+    """build_model builds a section in closed form; on the section's dense
+    matrix it runs the dense pipeline.  Both must give the same model."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 128),
+        forward=st.booleans(),
+        weights=st.sampled_from(["k", "binomial", "random"]),
+        s=st.sampled_from([0.25, 0.5, 1.0]),
+        degree=st.one_of(st.none(), st.integers(0, 140)),
+    )
+    # rank 1 (kappa = k), rank d backward and forward, and a cap below d
+    @example(seed=0, d=128, forward=False, weights="k", s=0.5, degree=None)
+    @example(seed=1, d=128, forward=False, weights="binomial", s=0.5, degree=None)
+    @example(seed=2, d=96, forward=True, weights="binomial", s=0.25, degree=None)
+    @example(seed=3, d=64, forward=False, weights="k", s=0.5, degree=10)
+    def test_against_the_dense_pipeline(self, seed, d, forward, weights, s, degree):
+        rng = np.random.default_rng(seed)
+        n = d + 8
+        alpha, k = binomial_series(s, PowSign.PLUS, n), binomial_series(s, PowSign.MINUS, n)
+        if weights == "k":
+            kappa = k
+        elif weights == "binomial":  # (alpha * kappa)_j >= 0 backward: rank d
+            kappa = binomial_series(s + rng.uniform(0.1, 1.0), PowSign.MINUS, n)
+        else:
+            kappa = TruncatedSeries(random_weights(rng, n + 1, 0.0), None)
+        section = shift_section(kappa, Direction.FORWARD if forward else Direction.BACKWARD, d)
+        fast = build_or_refusal(alpha, k, section, degree)
+        slow = build_or_refusal(alpha, k, section.operator(), degree)
+        assert type(fast) is type(slow)
+        if isinstance(fast, Exception):
+            for key, value in getattr(slow, "witness", {}).items():
+                assert fast.witness[key] == pytest.approx(value, rel=0.0, abs=1e-12)
+            return
+        assert (fast.defect_rank, fast.w_rank, fast.M) == (slow.defect_rank, slow.w_rank, slow.M)
+        assert fast.diagnostics["policy"] == slow.diagnostics["policy"]
+        assert minimality_check(fast) == minimality_check(slow)
+        for name in ("D", "W"):
+            got, want = getattr(fast, name).entries, getattr(slow, name).entries
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+        assert fast.V.shape == slow.V.shape
+        assert np.max(np.abs(fast.V - slow.V), initial=0.0) <= 1e-12
+        for key in RESIDUALS:
+            want = pytest.approx(slow.diagnostics[key], rel=0.0, abs=1e-12)
+            assert fast.diagnostics[key] == want, key
+        passed = [
+            all(b.diagnostics[key] <= 1e-8 for key in RESIDUALS[:2] + ("S_welldef_residual",))
+            for b in (fast, slow)
+        ]
+        assert passed[0] == passed[1]
+
+    @pytest.mark.parametrize(
+        "scale, error, message",
+        [
+            (1.1, ModelInvalidError, "transform norm"),  # norm first: I - V*V is not PSD either
+            (1.0 + 1e-9, NotPSDError, "most negative eigenvalue"),
+        ],
+    )
+    def test_refusals_come_in_the_dense_order(self, scale, error, message):
+        # k scaled up makes V*V = scale * I.  The symmetry check between the
+        # two cannot fire on a section, whose V*V is real and diagonal
+        alpha, k, T = half_order_setup(32)
+        scaled = TruncatedSeries(scale * k.coeffs, None)
+        for op in (T, T.operator()):
+            with pytest.raises(error, match=message):
+                build_model(alpha, scaled, op)
+
+    def test_section_with_an_isometry(self):
+        # a cap below the nilpotency index with a loose tolerance: W is
+        # diag(0, ..., 0, 1, ..., 1) and S a shift with one completed column
+        # (any isometric completion is admissible; here S W - W T has one
+        # entry per row and column whichever is taken)
+        alpha, k, T = half_order_setup(24)
+        bundle = build_model(alpha, k, T, M=9, model_tol=2.0)
+        dense = build_model(alpha, k, T.operator(), M=9, model_tol=2.0)
+        assert bundle.w_rank == dense.w_rank == 14
+        assert np.array_equal(bundle.S.conj().T @ bundle.S, np.eye(14))
+        for key in RESIDUALS:
+            want = pytest.approx(dense.diagnostics[key], rel=0.0, abs=1e-12)
+            assert bundle.diagnostics[key] == want, key
+
+
+class TestSectionTakesNoFactorisation:
+    @pytest.mark.parametrize("case", ["rank one", "rank d", "forward", "with S"])
+    def test_no_dense_solver_runs(self, monkeypatch, case):
+        alpha, k = binomial_series(0.5, PowSign.PLUS, 255), binomial_series(0.5, PowSign.MINUS, 255)
+        kappa, direction, M, tol = k, Direction.BACKWARD, None, 1e-8
+        if case in ("rank d", "forward"):
+            kappa = binomial_series(1.0, PowSign.MINUS, 255)
+            direction = Direction.FORWARD if case == "forward" else Direction.BACKWARD
+        if case == "with S":
+            M, tol = 10, 2.0
+        T = shift_section(kappa, direction, 64)
+        linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        calls = []
+
+        def counted(name, solve):
+            return lambda *args, **kwargs: calls.append(name) or solve(*args, **kwargs)
+
+        for module in (np.linalg, linalg):  # np.linalg.norm calls the inner svd
+            for name in ("eigh", "eigvalsh", "svd", "pinv"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        bundle = build_model(alpha, k, T, M=M, model_tol=tol)
+        assert minimality_check(bundle)["minimal"]
+        verify_relation_DCW(alpha, T, bundle.C, bundle.W.entries, seeded_unit_vectors(64, 16))
+        assert bundle.defect_rank == (1 if case in ("rank one", "with S") else 64)
+        assert bundle.w_rank == (53 if case == "with S" else 0)
+        assert calls == []
