@@ -2,7 +2,13 @@
 versioned JSON reports (schema 1) with CSV trend-table sidecars.
 
 Exit codes: 0 all verdicts hold (possibly as trends), 1 any failure,
-2 indeterminate results only, 3 usage error.
+2 indeterminate results only, 3 usage error.  A numerical failure
+(series.NumericalFailure: overflow, non-finite coefficients, lost Hermitian
+symmetry, a model identity or tail bound that does not hold) is a failure:
+exit 1 with the report {"error": message, "witness": {...}, "reports": []}
+beside the usual schema, command, seed and N keys.  Malformed input (a
+ValueError or OSError) is a usage error: exit 3 and one "herop: error:" line
+on stderr.
 """
 
 from __future__ import annotations
@@ -19,19 +25,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import conditions as cond
-from .conditions import ConditionReport, SignPattern, Verdict, GenerationFailedError
+from .conditions import ConditionReport, SignPattern, Verdict
 from .ergodic import MOVING_BASIS, cesaro_probe, default_n_grid
-from .model import (
-    ModelInvalidError,
-    TailUncertifiableError,
-    build_model,
-    minimality_check,
-    verify_relation_DCW,
-)
+from .model import build_model, minimality_check, verify_relation_DCW
 from .operators import (
-    ConvergenceNotCertifiedError,
     Direction,
-    NotPSDError,
     read_matrix_csv,
     write_matrix_csv,
     seeded_unit_vectors,
@@ -39,7 +37,7 @@ from .operators import (
     shift_membership_forward,
     shift_section,
 )
-from .series import TruncatedSeries, invert_kernel, kernel_underflow_index, reciprocal
+from .series import NumericalFailure, TruncatedSeries, invert_kernel, kernel_underflow_index, reciprocal
 from .specdsl import SpecSemanticError, elaborate, parse_kernel_spec
 
 __all__ = ["main", "RunConfig", "dumps_canonical"]
@@ -99,7 +97,16 @@ def dumps_canonical(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
+def _emit(command: str, config: RunConfig, reports: Sequence[ConditionReport], extra: dict) -> None:
+    """The schema-1 report, to --out or stdout."""
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "seed": config.seed,
+        "N": config.truncation,
+        "reports": [r.to_json_dict() for r in reports],
+        **extra,
+    }
     text = dumps_canonical(payload) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
@@ -136,18 +143,6 @@ def _exit_code(verdicts: Sequence[Verdict]) -> int:
     return 0
 
 
-def _payload(command: str, config: RunConfig, reports: Sequence[ConditionReport], **extra) -> dict:
-    body = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "seed": config.seed,
-        "N": config.truncation,
-        "reports": [r.to_json_dict() for r in reports],
-    }
-    body.update(extra)
-    return body
-
-
 def _series_from_flags(args) -> TruncatedSeries:
     text = args.spec
     if text is None and args.spec_file:
@@ -159,9 +154,12 @@ def _series_from_flags(args) -> TruncatedSeries:
 
 
 # --- subcommand runners -------------------------------------------------------
+#
+# Each runner returns (exit code, condition reports, extra payload keys);
+# main names the command and emits the one report.
 
 
-def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> int:
+def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> tuple[int, list, dict]:
     """The four pair conditions; `report bundle` adds the six kernel-side ones."""
     pair = reciprocal(_series_from_flags(args), config.truncation)
     reports = [
@@ -191,12 +189,10 @@ def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> int:
             violations.append("kernel-side conditions skipped: kernel coefficient products overflow")
     reports.sort(key=lambda r: r.condition_id)
     _write_trend_csvs(reports, config)
-    command = "report bundle" if bundle else "kernel check"
-    _emit(_payload(command, config, reports, violations=violations), config)
-    return _exit_code([r.verdict for r in reports])
+    return _exit_code([r.verdict for r in reports]), reports, {"violations": violations}
 
 
-def _run_kernel_invert(args, config: RunConfig) -> int:
+def _run_kernel_invert(args, config: RunConfig) -> tuple[int, list, dict]:
     alpha = _series_from_flags(args)
     pair = reciprocal(alpha, config.truncation)
     head = min(16, pair.k.trunc_len)
@@ -212,11 +208,10 @@ def _run_kernel_invert(args, config: RunConfig) -> int:
         "violations": list(pair.violations),
     }
     _write_csv(config, "kernel.csv", enumerate(pair.k.coeffs))
-    _emit(_payload("kernel invert", config, [], **extra), config)
-    return 0 if not pair.violations else 1
+    return (1 if pair.violations else 0), [], extra
 
 
-def _run_shift_membership(args, config: RunConfig) -> int:
+def _run_shift_membership(args, config: RunConfig) -> tuple[int, list, dict]:
     if args.a is not None and args.s is not None:
         alpha = elaborate(parse_kernel_spec(f"pow1mt({args.a})"), config.truncation)
         kappa = elaborate(parse_kernel_spec(f"pow1mt({-args.s})"), config.truncation)
@@ -240,11 +235,10 @@ def _run_shift_membership(args, config: RunConfig) -> int:
         "witness": report.witness,
         "N_used": report.N_used,
     }
-    _emit(_payload("shift membership", config, [], **extra), config)
-    return _exit_code([report.in_Cw, report.in_Cw_plus])
+    return _exit_code([report.in_Cw, report.in_Cw_plus]), [], extra
 
 
-def _run_model_build(args, config: RunConfig) -> int:
+def _run_model_build(args, config: RunConfig) -> tuple[int, list, dict]:
     spec_text = args.kernel or args.spec
     if spec_text is None:
         raise SpecSemanticError(0, "missing --kernel/--spec")
@@ -254,22 +248,7 @@ def _run_model_build(args, config: RunConfig) -> int:
         T = read_matrix_csv(args.operator)
     else:
         T = shift_section(k, Direction.BACKWARD, 32 if args.section is None else args.section)
-    try:
-        bundle = build_model(pair.alpha, k, T, M=args.degree, model_tol=config.model_tol)
-    except (
-        ModelInvalidError, NotPSDError, TailUncertifiableError, ConvergenceNotCertifiedError
-    ) as exc:
-        _emit(
-            _payload(
-                "model build",
-                config,
-                [],
-                error=str(exc),
-                witness=getattr(exc, "witness", {}),
-            ),
-            config,
-        )
-        return 1
+    bundle = build_model(pair.alpha, k, T, M=args.degree, model_tol=config.model_tol)
     mini = minimality_check(bundle)
     if config.csv_dir:
         os.makedirs(config.csv_dir, exist_ok=True)
@@ -299,11 +278,10 @@ def _run_model_build(args, config: RunConfig) -> int:
         "defect_relation": relation,
         "passed": passed,
     }
-    _emit(_payload("model build", config, [], **extra), config)
-    return 0 if passed and mini["minimal"] else 1
+    return (0 if passed and mini["minimal"] else 1), [], extra
 
 
-def _run_ergodic_probe(args, config: RunConfig) -> int:
+def _run_ergodic_probe(args, config: RunConfig) -> tuple[int, list, dict]:
     spec_text = args.kernel or args.spec
     if spec_text is None:
         raise SpecSemanticError(0, "missing --kernel/--spec")
@@ -334,22 +312,10 @@ def _run_ergodic_probe(args, config: RunConfig) -> int:
                 }
             )
             _write_csv(config, f"probe_{label}.csv", zip(probe.n_grid, values), key="n")
-    _emit(
-        _payload(
-            "ergodic probe",
-            config,
-            [],
-            a=args.a,
-            p=args.p,
-            n_grid=list(grid),
-            probes=rows,
-        ),
-        config,
-    )
-    return 0
+    return 0, [], {"a": args.a, "p": args.p, "n_grid": list(grid), "probes": rows}
 
 
-def _run_example_signs(args, config: RunConfig) -> int:
+def _run_example_signs(args, config: RunConfig) -> tuple[int, list, dict]:
     # argparse drops a bare "--" value, so --pattern=-- arrives as []
     if not isinstance(args.pattern, str) or not args.pattern.strip():
         raise ValueError('--pattern must be a non-empty string of + and -; '
@@ -357,25 +323,15 @@ def _run_example_signs(args, config: RunConfig) -> int:
     pattern = SignPattern.from_string(
         args.pattern, epsilon=args.eps, tail_amplitude=args.a, tail_exponent=args.b
     )
-    try:
-        pair, report = cond.generate_sign_pattern_kernel(pattern, config.truncation)
-    except GenerationFailedError as exc:
-        _emit(_payload("example signs", config, [], error=str(exc), witness=exc.witness), config)
-        return 1
+    pair, report = cond.generate_sign_pattern_kernel(pattern, config.truncation)
     _write_trend_csvs([report], config)
     head = min(16, pair.alpha.trunc_len)
-    _emit(
-        _payload(
-            "example signs",
-            config,
-            [report],
-            alpha_head=[float(v) for v in pair.alpha.coeffs[:head]],
-            inversion_residual=pair.inversion_residual,
-            violations=list(pair.violations),
-        ),
-        config,
-    )
-    return _exit_code([report.verdict])
+    extra = {
+        "alpha_head": [float(v) for v in pair.alpha.coeffs[:head]],
+        "inversion_residual": pair.inversion_residual,
+        "violations": list(pair.violations),
+    }
+    return _exit_code([report.verdict]), [report], extra
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -477,6 +433,18 @@ _RUNNERS = {
 }
 
 
+def _floating_point_failure(err: str, flag: int) -> None:
+    """numpy's error callback under main.  An overflow, invalid value or
+    division by zero that no herop function expects (those that expect one
+    run under np.errstate) becomes a NumericalFailure naming the function,
+    not a RuntimeWarning and a non-finite number inside a verdict."""
+    frame = sys._getframe(1)
+    while frame and not frame.f_globals.get("__name__", "").startswith("herop."):
+        frame = frame.f_back
+    where = f"{frame.f_globals['__name__']}.{frame.f_code.co_name}" if frame else "numpy"
+    raise NumericalFailure(f"floating-point {err} in {where}", {"floating_point": err, "in": where})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -492,7 +460,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             csv_dir=args.csv_dir,
             seed=args.seed,
         )
-        return runner(args, config)
+        try:
+            with np.errstate(over="call", invalid="call", divide="call", call=_floating_point_failure):
+                code, reports, extra = runner(args, config)
+        except NumericalFailure as exc:
+            code, reports, extra = 1, [], {"error": str(exc), "witness": exc.witness}
+        _emit(f"{args.group} {args.action}", config, reports, extra)
+        return code
     except (OSError, ValueError) as exc:  # spec and shift errors are ValueErrors
         sys.stderr.write(f"herop: error: {exc}\n")
         return 3

@@ -18,6 +18,7 @@ import numpy as np
 
 from .series import (
     KernelPair,
+    NumericalFailure,
     Polynomial,
     PowerTail,
     TruncatedSeries,
@@ -267,11 +268,11 @@ def muller_condition_estimate(
     if not m_grid or m_grid[0] < 1 or 2 * max(m_grid) > n:
         raise ValueError("m_grid must satisfy 1 <= m and 2*max(m_grid) <= N")
     s_values = np.array([_pair_decay_sup(kc, m) for m in m_grid])
-    sample_idx = np.unique(np.array([n // 4, n // 2, (3 * n) // 4, n]))
+    sample_idx = sorted({n // 4, n // 2, (3 * n) // 4, n})
     ratio = kc[:-1] / kc[1:]
     witness = {
         "trend": _trend_rows(np.array(m_grid), s_values),
-        "root_samples": {str(int(i)): float(kc[i] ** (1.0 / i)) for i in sample_idx if i >= 1},
+        "root_samples": {str(i): float(kc[i] ** (1.0 / i)) for i in sample_idx if i >= 1},
         "sup_k_ratio": float(np.max(ratio)),
     }
     decreasing = bool(np.all(np.diff(s_values) <= 1e-12))
@@ -481,10 +482,8 @@ def holder_exponent_estimate(
 # --- prescribed-sign kernel generator ---------------------------------------
 
 
-class GenerationFailedError(RuntimeError):
-    def __init__(self, message: str, witness: dict):
-        super().__init__(message)
-        self.witness = witness
+class GenerationFailedError(NumericalFailure):
+    """The epsilon halvings ran out before the signs were realized."""
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,7 @@ class ErgodicProbe:
 
 
 def default_n_grid(n_max: int, points: int = 14, n_min: int = 8) -> list[int]:
-    grid = np.unique(
-        np.round(np.geomspace(n_min, n_max, points)).astype(int)
-    )
-    return [int(n) for n in grid]
+    return sorted({round(n) for n in np.geomspace(n_min, n_max, points).tolist()})
 
 
 def _weighted_means(norms_p: np.ndarray, a: float, n_grid: Sequence[int]) -> np.ndarray:

@@ -24,7 +24,7 @@ from .operators import (
     direct_sum,
     hereditary_apply,
 )
-from .series import TruncatedSeries, alpha_at_one, pair_type_estimate
+from .series import NumericalFailure, TruncatedSeries, alpha_at_one, pair_type_estimate
 
 __all__ = [
     "ModelBundle",
@@ -103,14 +103,12 @@ def _norm2(x: np.ndarray) -> float:
     return _gram_norm((x[lo : lo + n].copy() for lo in range(0, x.shape[0], max(n, 1))), n)
 
 
-class ModelInvalidError(RuntimeError):
-    def __init__(self, message: str, witness: Optional[dict] = None):
-        super().__init__(message)
-        self.witness = witness or {}
+class ModelInvalidError(NumericalFailure):
+    """A model identity fails at the requested tolerance."""
 
 
-class TailUncertifiableError(RuntimeError):
-    pass
+class TailUncertifiableError(NumericalFailure):
+    """No degree cap certifies the transform's tail."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,9 +432,10 @@ def verify_relation_DCW(
         for m in (d_op.entries, C, W)
     )
     a1 = alpha_at_one(alpha)
-    worst = 0.0  # a NaN term (alpha(1) = inf against W x = 0) never replaces it
+    worst = 0.0
     for dxi, cxi, wxi, nxi in zip(dx.tolist(), cx.tolist(), wx.tolist(), norms2(probes).tolist()):
-        worst = max(worst, abs(dxi - cxi - a1.value * wxi) / max(nxi, 1e-300))
+        w_term = a1.value * wxi if wxi else 0.0  # W x = 0 drops out even when alpha(1) = inf
+        worst = max(worst, abs(dxi - cxi - w_term) / max(nxi, 1e-300))
     return {"residual": worst, "alpha_at_one": a1.value, "alpha_one_certified": a1.certified}
 
 

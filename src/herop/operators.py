@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .conditions import Verdict
-from .series import TruncatedSeries, _convolve, abs_tail_bound
+from .series import NumericalFailure, TruncatedSeries, _convolve, _finite, abs_tail_bound
 
 __all__ = [
     "DenseOperator",
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-class NotPSDError(ValueError):
+class NotPSDError(NumericalFailure):
     def __init__(self, message: str, min_eigenvalue: float):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
@@ -58,7 +58,7 @@ class UnboundedShiftError(ValueError):
     """Weight ratios grow without any stabilizing bound."""
 
 
-class ConvergenceNotCertifiedError(RuntimeError):
+class ConvergenceNotCertifiedError(NumericalFailure):
     def __init__(self, message: str, partial: "HereditaryResult"):
         super().__init__(message)
         self.partial = partial
@@ -269,8 +269,10 @@ def _symmetrize(m: np.ndarray, scale: float, rel: float) -> np.ndarray:
     against the size of the summed terms, not of the sum, which may cancel
     to zero."""
     asym = float(np.linalg.norm(m - m.conj().T, "fro"))
-    if asym > rel * max(scale, 1e-300):
-        raise ValueError(f"accumulated sum lost Hermitian symmetry: {asym:.3e}")
+    bound = rel * max(scale, 1e-300)
+    if not asym <= bound:  # NaN included
+        witness = {"asymmetry": asym, "bound": bound}
+        raise NumericalFailure(f"accumulated sum lost Hermitian symmetry: {asym:.3e}", witness)
     return 0.5 * (m + m.conj().T)
 
 
@@ -429,7 +431,8 @@ def shift_membership_backward(
     sup_shift = _check_backward_bounded(kc)
 
     gamma = _convolve(np.abs(ac), kc, n + 1)
-    ratio = gamma / kc
+    with np.errstate(over="ignore"):
+        ratio = _finite(gamma / kc, "gamma / kappa overflowed")
     i_sup = int(np.argmax(ratio))
     head = ratio[: max((3 * n) // 4, 1)]
     stabilized = i_sup <= n // 2 or bool(
@@ -488,7 +491,8 @@ def shift_membership_forward(
         certified = False
 
     weak_values = np.correlate(window, np.abs(a), mode="valid")
-    weak_ratio = weak_values / kc[: m_max + 1]
+    with np.errstate(over="ignore"):
+        weak_ratio = _finite(weak_values / kc[: m_max + 1], "weak ratio overflowed")
     i_sup = int(np.argmax(weak_ratio))
     in_cw = Verdict.TREND_HOLDS if i_sup <= m_max // 2 else Verdict.INDETERMINATE
 

@@ -16,6 +16,7 @@ is rejected at parse validation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -134,8 +135,11 @@ class _Parser:
         m = _NUMBER.match(self.text, self.pos)
         if not m:
             raise SpecSyntaxError(self.pos, "a number", self._found())
+        value = float(m.group())
+        if not math.isfinite(value):  # a literal past float range, e.g. 1e309
+            raise SpecSyntaxError(self.pos, "a number within float range", m.group())
         self.pos = m.end()
-        return float(m.group())
+        return value
 
     def _integer(self) -> int:
         self._skip_ws()
@@ -314,6 +318,7 @@ def elaborate(node: KernelSpecAst, n_max: int) -> TruncatedSeries:
         n0 = node.from_degree
         if n0 <= n_max:
             idx = np.arange(n0, n_max + 1, dtype=float)
-            out[n0:] = node.amplitude * idx ** (-node.exponent)
+            with np.errstate(over="ignore"):  # TruncatedSeries reports overflow
+                out[n0:] = node.amplitude * idx ** (-node.exponent)
         return TruncatedSeries(out, PowerTail(node.amplitude, node.exponent, n0))
     raise TypeError(f"unknown node {node!r}")

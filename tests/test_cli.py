@@ -121,15 +121,55 @@ class TestExitCodes:
         "spec, degree",
         [("poly[1,-1,-1]", 1476), ("pow1mt(300)", 1050)],  # Fibonacci; (1-t)**-300
     )
-    def test_inversion_overflow_is_one_error_line(self, capsys, spec, degree):
-        code, err = run_cli_quiet(capsys, "kernel", "check", "--spec", spec, "-N", "4096")
-        assert code == 3
-        assert err == f"herop: error: inversion overflowed at degree {degree}\n"
+    def test_inversion_overflow_is_one_error_line(self, spec, degree):
+        # overflow is a numerical failure, not a usage error: exit 1 and a
+        # one-line report whose error and witness name the first bad degree
+        code, out, err = run_cli_checked("kernel", "check", "--spec", spec, "-N", "4096")
+        assert code == 1 and err == "" and out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["error"] == f"inversion overflowed at degree {degree}"
+        assert payload["witness"] == {"degree": degree} and payload["reports"] == []
 
-    def test_binomial_overflow_is_one_error_line(self, capsys):
-        code, err = run_cli_quiet(capsys, "kernel", "check", "--spec", "pow1mt(1e308)", "-N", "4096")
+    def test_binomial_overflow_is_one_error_line(self):
+        code, out, err = run_cli_checked("kernel", "check", "--spec", "pow1mt(1e308)", "-N", "4096")
+        assert code == 1 and err == "" and out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["error"] == "coefficient window is not finite at degree 2"
+        assert payload["witness"] == {"degree": 2} and payload["reports"] == []
+
+    @pytest.mark.parametrize(
+        "argv, error, degree",
+        [
+            (["kernel", "invert", "--spec", "pow1mt(300)", "-N", "2000"],
+             "inversion overflowed", 1050),
+            (["kernel", "invert", "--spec", "pow1mt(1e308)", "-N", "512"],
+             "coefficient window is not finite", 2),
+            # Cesaro numbers of order 1e308 overflow; every probe used to read
+            # DecaysToZero on NaN values
+            (["ergodic", "probe", "--kernel", "pow1mt(-2)", "--a", "1e308", "--nmax", "200",
+              "-N", "64"], "Cesaro numbers of order 1e+308 overflowed", 2),
+            # gamma_n / kappa_n leaves float range; this used to read
+            # sup_ratio "inf" with in_Cw TrendHolds
+            (["shift", "membership", "--spec", "tail(poly[1,0.5,0.3,2],1e300,1.5,3)", "--kappa",
+              "poly[1.0]*tail(pow1mt(0.3)*pow1mt(-300),0.05,1.5,5)", "-N", "512"],
+             "gamma / kappa overflowed", 6),
+        ],
+        ids=["invert-inverse", "invert-window", "probe-cesaro", "membership-ratio"],
+    )
+    def test_numerical_failure_is_an_exit_one_report(self, argv, error, degree):
+        code, out, err = run_cli_checked(*argv)
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        assert payload["command"] == " ".join(argv[:2])
+        assert payload["error"] == f"{error} at degree {degree}"
+        assert payload["witness"] == {"degree": degree} and payload["reports"] == []
+
+    def test_non_finite_coefficient_file_line_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "k.txt"
+        path.write_text("1.0\ninf\n", encoding="utf-8")
+        code, err = run_cli_quiet(capsys, "kernel", "check", "--spec", f'file("{path}")', "-N", "8")
         assert code == 3
-        assert err == "herop: error: coefficient window contains non-finite entries\n"
+        assert err == f"herop: error: {path}:2: not a finite number: 'inf'\n"
 
     @pytest.mark.parametrize(
         "argv, what",
@@ -496,3 +536,83 @@ def test_long_products_do_not_depend_on_blas_threads(src_env):
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_probe_and_bundle_leave_numpy_ma_unimported(src_env):
+    """np.unique imports numpy.ma, 10-19 ms per process; sorted sets of ints
+    give the same grids without it."""
+    code = (
+        "import sys; from herop.cli import main; "
+        "main(['ergodic', 'probe', '--kernel', 'pow1mt(-0.5)', '--a', '0.8', '--nmax', '64']); "
+        "main(['report', 'bundle', '--spec', 'pow1mt(0.5)', '-N', '256']); "
+        "sys.exit('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+# --- the CLI contract on any spec ----------------------------------------------
+
+# exponents and coefficients; amplitudes, epsilons and tail exponents
+# must be positive, and negative ones only reach a usage error
+_REALS = st.floats(-3.0, 3.0) | st.floats(-300.0, 300.0) | st.sampled_from([1e308, -1e308])
+_POSITIVE = st.floats(1e-3, 3.0) | st.floats(1e-3, 300.0) | st.just(1e308)
+
+
+def _spec_terms(inner):
+    return st.one_of(
+        st.builds("inv({})".format, inner),
+        st.builds("{}*{}".format, inner, inner),
+        st.builds("tail({},{!r},{!r},{})".format, inner, _POSITIVE, _REALS, st.integers(1, 8)),
+    )
+
+
+_SPECS = st.recursive(
+    st.one_of(
+        st.builds("pow1mt({!r})".format, _REALS),
+        st.builds(lambda cs: "poly[" + ",".join(map(repr, cs)) + "]",
+                  st.lists(_REALS, min_size=1, max_size=4)),
+    ),
+    _spec_terms,
+    max_leaves=4,
+)
+
+
+@st.composite
+def _any_command(draw):
+    """argv of one of the seven subcommands on a spec from the DSL grammar."""
+    command = draw(st.sampled_from([
+        "kernel check", "kernel invert", "report bundle", "shift membership", "model build",
+        "ergodic probe", "example signs",
+    ]))
+    spec = draw(_SPECS)
+
+    def real(flag, values=_POSITIVE):  # "--a=-1e+308": argparse reads "-1e+308" as a flag
+        return f"{flag}={draw(values)!r}"
+
+    if command == "shift membership":
+        direction = draw(st.sampled_from(["backward", "forward"]))
+        args = ["--spec", spec, "--kappa", draw(_SPECS), "--direction", direction]
+    elif command == "model build":
+        args = ["--kernel", spec, "--section", str(draw(st.integers(1, 16)))]
+    elif command == "ergodic probe":
+        args = ["--kernel", spec, real("--a", _REALS), "--nmax", str(draw(st.sampled_from([9, 64, 200])))]
+    elif command == "example signs":
+        pattern = draw(st.text("+-", min_size=1, max_size=5))
+        args = [f"--pattern={pattern}", real("--eps"), real("--a"), real("--b")]
+    else:
+        args = ["--spec", spec]
+    return [*command.split(), *args, "-N", str(draw(st.sampled_from([8, 64, 512])))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_any_command())
+def test_every_subcommand_keeps_the_contract(argv):
+    """Exit code 0-3, no traceback or warning, a JSON report for 0-2, and a
+    numerical failure never passed off as a usage error."""
+    code, out, err = run_cli_checked(*argv)
+    assert code in (0, 1, 2, 3)
+    if code == 3:
+        assert not any(word in err for word in ("overflowed", "non-finite", "Hermitian symmetry"))
+    else:
+        assert isinstance(json.loads(out), dict)

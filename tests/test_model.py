@@ -252,6 +252,16 @@ class TestDefectRelation:
         assert report["alpha_at_one"] == 0.0
         assert report["residual"] <= 1e-8
 
+    def test_infinite_alpha_at_one_against_vanishing_wx_is_still_checked(self):
+        # alpha = 1/(1-t) has alpha(1) = inf; on T = 0, D = I while C = W = 0,
+        # so ||Dx||^2 = 1 and the relation fails by 1.  The term
+        # alpha(1) ||Wx||^2 = inf * 0 must count as 0, not as a skipped NaN
+        alpha = binomial_series(1.0, PowSign.MINUS, 8)
+        zero = np.zeros((1, 1))
+        report = verify_relation_DCW(alpha, DenseOperator(zero), zero, zero, [np.ones(1)])
+        assert report["alpha_at_one"] == math.inf
+        assert report["residual"] == 1.0
+
 
 class TestMinimality:
     def test_constructed_bundle_minimal(self):

@@ -32,6 +32,7 @@ from herop.operators import (
     write_matrix_csv,
 )
 from herop.series import (
+    NumericalFailure,
     Polynomial,
     PowSign,
     TruncatedSeries,
@@ -358,8 +359,9 @@ class TestSpectralQuantities:
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         asym = float(np.linalg.norm(m - m.conj().T, "fro"))
         np.testing.assert_array_equal(_symmetrize(m, asym, 1.0), 0.5 * (m + m.conj().T))
-        with pytest.raises(ValueError, match="lost Hermitian symmetry"):
+        with pytest.raises(NumericalFailure, match="lost Hermitian symmetry") as info:
             _symmetrize(m, asym, 0.99)
+        assert info.value.witness == {"asymmetry": asym, "bound": 0.99 * asym}
 
     def test_radius_of_nilpotent_is_zero(self):
         assert backward(0.5, 16, 8).spectral_radius <= 1e-12

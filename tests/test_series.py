@@ -10,6 +10,7 @@ from herop.series import (
     Binomial,
     Derived,
     FileList,
+    NumericalFailure,
     OutOfDomainError,
     Polynomial,
     PowSign,
@@ -274,6 +275,13 @@ class TestCoefficientFile:
         with pytest.raises(ValueError, match="bad.txt:2"):
             read_coefficient_file(str(path))
 
+    def test_non_finite_line_reports_location(self, tmp_path):
+        # user input, so a ValueError (usage error), not a NumericalFailure
+        path = tmp_path / "bad.txt"
+        path.write_text("1.0\n0.5\n-inf  # overflowed upstream\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.txt:3: not a finite number: '-inf'$"):
+            read_coefficient_file(str(path))
+
 
 class TestImmutability:
     def test_coefficients_are_read_only(self):
@@ -282,7 +290,7 @@ class TestImmutability:
             s.coeffs[0] = 2.0
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalFailure, match="not finite at degree 1$"):
             TruncatedSeries(np.array([1.0, math.nan]), None)
 
 
@@ -555,8 +563,9 @@ def test_reciprocal_keeps_binomial_tag_at_large_n():
 def test_binomial_inverse_overflow_names_first_infinite_degree():
     # (1-t)**-300 leaves float range at n = 1050, with no earlier
     # intermediate overflow to report a lower degree
-    with pytest.raises(ValueError, match="inversion overflowed at degree 1050$"):
+    with pytest.raises(NumericalFailure, match="inversion overflowed at degree 1050$") as info:
         reciprocal(binomial_series(300.0, PowSign.PLUS, 4096), 4096)
+    assert info.value.witness == {"degree": 1050}
     # below it the inverse exists, but alpha * k leaves float range
     pair = reciprocal(binomial_series(300.0, PowSign.PLUS, 1000), 1000)
     assert "inversion residual nan above 1e-10" in pair.violations

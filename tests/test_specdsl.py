@@ -57,6 +57,8 @@ class TestParseErrors:
             ("", 0),
             ("pow1mt(0.5))", 11),
             ("poly[1,-1]*", 11),
+            ("poly[1,1e309]", 7),  # past float range: input, not an overflow
+            ("tail(poly[1],-1e400,2,3)", 13),
         ],
     )
     def test_syntax_errors_carry_offsets(self, text, offset):
