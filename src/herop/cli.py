@@ -352,7 +352,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The herop argument parser, built once per process and shared by
+    every main(argv) call in it (the first call pays for the build).
+    parse_args keeps no state between calls; callers must not modify it."""
     parser = _ArgumentParser(prog="herop", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True)
 

@@ -175,9 +175,18 @@ def check_hypotheses_B(pair: KernelPair) -> ConditionReport:
     kc = k.coeffs[: n + 1]
     # a direct np.convolve, not series._convolve's blocked GEMM: the argsup
     # below decides Holds or TrendHolds on rounding ties, so gamma keeps its
-    # bits until the error bounds of ROADMAP item 3 can decide those ties
+    # bits until the error bounds of ROADMAP item 5 can decide those ties
     beta = np.trim_zeros(np.abs(alpha.coeffs[: n + 1]), "b")
     gamma = np.convolve(beta, kc)[: n + 1] if beta.size else np.zeros(n + 1)
+    # nor past a gamma beyond float range (np.convolve raises no overflow
+    # flag): the window ends before it, as before a zero weight
+    over = np.flatnonzero(~np.isfinite(gamma))
+    if over.size:
+        n = int(over[0]) - 1
+        if n < 1:
+            witness = {"gamma_overflow_index": n + 1}
+            return ConditionReport("HypB", Verdict.INDETERMINATE, witness, max(n, 0))
+        kc, gamma = kc[: n + 1], gamma[: n + 1]
     ratio_k = kc[:-1] / kc[1:]
     ratio_g = gamma / kc
     i_k, i_g = int(np.argmax(ratio_k)), int(np.argmax(ratio_g))
@@ -188,13 +197,16 @@ def check_hypotheses_B(pair: KernelPair) -> ConditionReport:
         "argsup_gamma_over_k": i_g,
         "trend": _trend_rows(np.arange(0, n + 1, max(1, n // 64)), ratio_g[:: max(1, n // 64)]),
     }
+    if over.size:
+        witness["gamma_overflow_index"] = n + 1
     flat_k = np.ptp(ratio_k[ratio_k.size // 2 :]) <= 1e-12 * max(1.0, ratio_k[i_k])
     flat_g = np.ptp(ratio_g[ratio_g.size // 2 :]) <= 1e-12 * max(1.0, ratio_g[i_g])
     attained = i_k <= n // 2 and i_g <= n // 2
     stabilized = _running_sup_stabilized(ratio_k) and _running_sup_stabilized(ratio_g)
-    if flat_k and flat_g and attained and not cut.size:
+    whole = not (cut.size or over.size)
+    if flat_k and flat_g and attained and whole:
         return ConditionReport("HypB", Verdict.HOLDS, witness, n)
-    if (attained or stabilized) and not cut.size:
+    if (attained or stabilized) and whole:
         return ConditionReport("HypB", Verdict.TREND_HOLDS, witness, n)
     return ConditionReport("HypB", Verdict.INDETERMINATE, witness, n)
 

@@ -18,6 +18,7 @@ from itertools import islice
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .conditions import Verdict
 from .series import NumericalFailure, TruncatedSeries, _convolve, _finite, abs_tail_bound
@@ -66,6 +67,9 @@ class ConvergenceNotCertifiedError(NumericalFailure):
 
 # a power whose Frobenius norm is at most this has vanished outright
 _NILPOTENT_TOL = 1e-300
+
+# entries of a section's Gram table formed at a time
+_TABLE_BLOCK = 1 << 16
 
 # every operator object has dim and operator(), the dense matrix it stands for
 Operator = Union["DenseOperator", "ShiftSection", "BlockDiagOperator"]
@@ -166,17 +170,38 @@ class ShiftSection:
         m[rows, rows + s] = t[rows]
         return DenseOperator(m)
 
-    def powers(self, grams: bool = True) -> Iterator[tuple[float, np.ndarray]]:
-        """DenseOperator.powers in closed form: T*^n T^n is the diagonal
-        k_{j-n}/k_j at j >= n (backward) or k_{j+n}/k_j at j < d-n (forward)."""
+    def gram_blocks(self, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(n, rows n.. of the Gram table) for rows start..stop, at most
+        _TABLE_BLOCK entries at a time: row n is the diagonal of T*^n T^n,
+        k_{j-n}/k_j at j >= n (backward) or k_{j+n}/k_j at j < d-n
+        (forward), and 0 elsewhere."""
         k, d = self.kappa.coeffs[: self.dim], self.dim
-        for n in range(1, d + 1):
-            gram = np.zeros(d)
-            if self.direction is Direction.BACKWARD:
-                gram[n:] = k[: d - n] / k[n:]
-            else:
-                gram[: d - n] = k[n:] / k[: d - n]
-            yield math.sqrt(float(np.sum(gram))), gram
+        # row n of this Toeplitz view of 2d numbers holds the numerators
+        if self.direction is Direction.BACKWARD:
+            numerators = sliding_window_view(np.concatenate([np.zeros(d), k]), d)[::-1]
+        else:
+            numerators = sliding_window_view(np.concatenate([k, np.zeros(d)]), d)
+        step = max(1, _TABLE_BLOCK // d)
+        for n in range(start, stop + 1, step):
+            yield n, numerators[n : min(n + step, stop + 1)] / k
+
+    @cached_property
+    def _fro_norms(self) -> list[float]:
+        """||T^n||_F for n = 1.. as far as a walk of the powers has gone."""
+        return []
+
+    def powers(self, grams: bool = False) -> Iterator[tuple[float, None]]:
+        """DenseOperator.powers in closed form, norms only: ||T^n||_F for
+        n = 1..d (T^d = 0), the square roots of the Gram table's row sums.
+        Rows are formed a block at a time as the walk reaches them, and
+        their norms kept for later walks.  The Grams go out as None:
+        _section_sum adds the table's rows."""
+        norms = self._fro_norms
+        for n in range(1, self.dim + 1):
+            if n > len(norms):
+                _, rows = next(self.gram_blocks(n, self.dim))
+                norms.extend(np.sqrt(np.sum(rows, axis=1)).tolist())
+            yield norms[n - 1], None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """T v in the dtype of v and the (real) couplings: real stays real."""
@@ -308,21 +333,25 @@ def hereditary_apply(
     rho = T.spectral_radius
     geometric = rho < 1.0 - 10.0 * tol
 
-    # a section's Grams are diagonals, kept as vectors until the end
-    one = np.ones(d) if isinstance(T, ShiftSection) else np.eye(d, dtype=np.complex128)
-    value = coeffs[0] * one
+    # a section's Grams are the diagonals of its Gram table, added after
+    # the policy is chosen from the norms alone
+    section = isinstance(T, ShiftSection)
+    value = coeffs[0] * (np.ones(d) if section else np.eye(d, dtype=np.complex128))
     terms = abs(coeffs[0]) * d
     fro_norms = [math.sqrt(d)]  # Frobenius norms of T^n, n = 0..
     policy: Optional[Policy] = None
     sup_beyond = alpha.certifier.sup_tail(coeffs, limit)
     envelope = None  # (q, env) from the first contracting Frobenius norm
+    kept = 0  # the terms n = 1..kept enter the sum
 
-    for n, (fro, gram) in enumerate(islice(T.powers(), limit), 1):
+    for n, (fro, gram) in enumerate(islice(T.powers(grams=not section), limit), 1):
         fro_norms.append(fro)
         if fro <= _NILPOTENT_TOL:
             policy = ExactNilpotent(order=n)
             break
-        value += coeffs[n] * gram
+        if not section:
+            value += coeffs[n] * gram
+        kept = n
         terms += abs(coeffs[n]) * fro * fro
         if not geometric or sup_beyond is None:
             continue
@@ -334,8 +363,8 @@ def hereditary_apply(
         if tail <= tol:
             policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
             break
-    if value.ndim == 1:  # a section's sum is a real diagonal, Hermitian with no check
-        value = DenseOperator(np.diag(value.astype(np.complex128)))
+    if section:  # a real diagonal, Hermitian with no check
+        value = DenseOperator(np.diag(_section_sum(T, coeffs, value, kept).astype(np.complex128)))
     else:
         value = DenseOperator(_symmetrize(value, terms, 2e-12))
     if policy is None:
@@ -357,6 +386,18 @@ def hereditary_apply(
                 f"convergence, sum truncated at {limit}",
             )
     return HereditaryResult(value, policy, terms)
+
+
+def _section_sum(T: ShiftSection, coeffs: np.ndarray, value: np.ndarray, kept: int) -> np.ndarray:
+    """value + sum_{n=1..kept} coeffs[n] * (row n of T's Gram table), added
+    in n's order: each block of rows is reduced down its columns with the
+    running sum as its first row, so every entry sees the additions of
+    `value += coeffs[n] * gram` in turn and gets their bits (-0.0, the
+    identity of IEEE addition, keeps signed zeros)."""
+    for n, rows in T.gram_blocks(1, kept):
+        rows *= coeffs[n : n + rows.shape[0], None]
+        value = np.add.reduce(np.vstack([value, rows]), axis=0, initial=-0.0)
+    return value
 
 
 def _geometric_tail(

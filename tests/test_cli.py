@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herop import cli
 from herop.cli import RunConfig, dumps_canonical, main
 from herop.model import build_model
 from herop.operators import Direction, shift_section, write_matrix_csv
@@ -469,6 +471,17 @@ class TestSubcommands:
         assert hyp_b["verdict"] == "Indeterminate"
         assert "nan" not in json.dumps(hyp_b)
 
+    @pytest.mark.parametrize("command", ["kernel check", "report bundle"])
+    def test_gamma_overflow_cuts_the_hypb_window(self, capsys, command):
+        # gamma = |alpha| * k passes float range at degree 585 for this kernel
+        code = main([*command.split(), "--spec", "pow1mt(300)", "-N", "600"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""  # NPType fails, as before the cut
+        hyp_b = next(r for r in json.loads(captured.out)["reports"] if r["condition_id"] == "HypB")
+        assert hyp_b["verdict"] == "Indeterminate"
+        assert hyp_b["witness"]["gamma_overflow_index"] == 585 and hyp_b["N_used"] == 584
+        assert "inf" not in json.dumps(hyp_b["witness"])
+
     def test_out_flag_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out = run_cli(
@@ -485,6 +498,83 @@ class TestSubcommands:
         spec_path.write_text("pow1mt(0.5)\n", encoding="utf-8")
         code, out = run_cli(capsys, "kernel", "check", "--spec-file", str(spec_path), "-N", "128")
         assert code == 0
+
+
+README_COMMANDS = [
+    'kernel check --spec "pow1mt(0.5)" -N 4096',
+    'kernel invert --spec "poly[1,-1,-1]" -N 16 --csv-dir {out}',
+    "shift membership --a 0.5 --s 0.75 -N 2000",
+    'shift membership --spec "poly[1,-1]" --kappa "pow1mt(-1)" --direction forward',
+    'model build --kernel "tail(poly[1,0.4,0.16],0.05,2.0,3)" --section 64 -N 255',
+    'ergodic probe --kernel "pow1mt(-0.5)" --a 0.8 --p 2 --nmax 2000 --csv-dir {out}',
+    'example signs --pattern "+-+" --eps 1e-3 -N 512',
+    'report bundle --spec "pow1mt(0.5)" -N 4096 --csv-dir {out}',
+]
+
+
+def _read_tree(path):
+    return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+class TestParserReuse:
+    """main builds the argument parser once per process; every later call
+    must behave as the first call of a fresh process."""
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+        init = cli._ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        argv = ["shift", "membership", "--a", "0.5", "--s", "0.6", "-N", "64"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            one_tree = len(built)
+            for _ in range(4):
+                assert main(argv) == 0
+        assert built.count("herop") == 1 and len(built) == one_tree
+
+    def test_usage_error_leaves_no_state(self, src_env):
+        argv = ["kernel", "check", "--spec", "pow1mt(0.5)", "-N", "256"]
+        assert run_cli_checked("kernel", "check", "--bogus")[0] == 3
+        assert run_cli_checked(*argv) == _fresh_process(src_env, argv)
+
+    def test_norm_power_alias_does_not_stick(self, capsys):
+        base = ["ergodic", "probe", "--kernel", "pow1mt(-0.5)", "--a", "0.8", "--nmax", "64"]
+        code, out = run_cli(capsys, *base, "--q", "1.5")
+        assert code == 0 and json.loads(out)["p"] == 1.5
+        code, out = run_cli(capsys, *base)
+        assert code == 0 and json.loads(out)["p"] == 2.0
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: herop")
+
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_readme_commands_repeat_the_fresh_process_bytes(self, src_env, tmp_path, command):
+        runs = []
+        for where in ("fresh", "first", "second"):
+            out_dir = tmp_path / where
+            argv = [a.replace("{out}", str(out_dir)) for a in shlex.split(command)]
+            if where == "fresh":
+                result = _fresh_process(src_env, argv)
+            else:
+                result = run_cli_checked(*argv)
+            text = [r.replace(str(out_dir), "{out}") if isinstance(r, str) else r for r in result]
+            runs.append((text, _read_tree(out_dir) if out_dir.exists() else None))
+        assert runs[0] == runs[1] == runs[2]
+
+
+def _fresh_process(env, argv):
+    """(exit code, stdout, stderr) of python -m herop.cli in a new interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-m", "herop.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def _fuzz_operator(kind, d, rng):

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from herop import model
+from herop import model, operators
 from herop.model import (
     _norm2,
     ModelBundle,
@@ -25,6 +26,7 @@ from herop.operators import (
     ConvergenceNotCertifiedError,
     DenseOperator,
     ExactNilpotent,
+    GeometricTail,
     direct_sum,
     Direction,
     hereditary_apply,
@@ -683,6 +685,91 @@ class TestStructuredPowersMatchDense:
         assert tail_section == 0.0 and tail_conj <= 1e-20
         alpha = binomial_series(0.5, PowSign.PLUS, 2 * d)
         assert isinstance(hereditary_apply(alpha, section).policy_used, ExactNilpotent)
+
+
+class WalkedSection:
+    """A section read one power at a time: the Gram diagonal of T^n is
+    k_{j-n}/k_j at j >= n (backward) or k_{j+n}/k_j at j < d-n (forward),
+    and ||T^n||_F the square root of its sum.  The Grams go out as diagonal
+    matrices, so hereditary_apply adds them by its general loop."""
+
+    spectral_radius = 0.0
+
+    def __init__(self, section):
+        self.section, self.dim = section, section.dim
+
+    def powers(self, grams=True):
+        k, d = self.section.kappa.coeffs[: self.dim], self.dim
+        for n in range(1, d + 1):
+            gram = np.zeros(d)
+            if self.section.direction is Direction.BACKWARD:
+                gram[n:] = k[: d - n] / k[n:]
+            else:
+                gram[: d - n] = k[n:] / k[: d - n]
+            yield math.sqrt(float(np.sum(gram))), (np.diag(gram) if grams else None)
+
+
+def degree_cap_or_refusal(c_norm, k, T, M):
+    try:
+        return model._degree_cap(c_norm, k, T, M, 1e-10)
+    except (TailUncertifiableError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def table_against_walk(seed, d, forward, drift, symbol, limit, degree, block):
+    """Compare a section's Gram table with the walk, bit for bit: the
+    hereditary sum's value, terms and policy, and _degree_cap's (M, tail).
+    block is the table's block size in entries; returns the policy."""
+    rng = np.random.default_rng(seed)
+    k = TruncatedSeries(random_weights(rng, d + 8, drift), None)
+    if symbol == "binomial":
+        alpha = binomial_series(rng.uniform(0.1, 2.0), PowSign.PLUS, limit)
+    else:
+        coeffs = rng.standard_normal(limit + 1) * 0.8 ** np.arange(limit + 1)
+        alpha = TruncatedSeries(coeffs, Polynomial(limit) if symbol == "polynomial" else None)
+    with unittest.mock.patch.object(operators, "_TABLE_BLOCK", block):
+        section = shift_section(k, Direction.FORWARD if forward else Direction.BACKWARD, d)
+        c_norm = rng.uniform(0.1, 2.0)
+        assert degree_cap_or_refusal(c_norm, k, section, degree) == degree_cap_or_refusal(
+            c_norm, k, WalkedSection(section), degree
+        )
+        # the hereditary walk goes on from the norms the cap's walk kept
+        table, table_raised = hereditary_or_partial(alpha, section)
+        walk, walk_raised = hereditary_or_partial(alpha, WalkedSection(section))
+        assert table_raised == walk_raised
+        assert table.policy_used == walk.policy_used and table.terms == walk.terms
+        assert np.array_equal(table.value.entries, walk.value.entries)
+        table_diag, walk_diag = table.value.entries.diagonal().real, walk.value.entries.diagonal().real
+        assert np.array_equal(table_diag.view(np.int64), walk_diag.view(np.int64))
+    return walk.policy_used
+
+
+class TestSectionTableMatchesTheWalk:
+    """A section forms its Gram diagonals as one table, in blocks of rows,
+    and adds them block by block; every bit must match the walk that forms
+    and adds one diagonal per power."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 64),
+        forward=st.booleans(),
+        drift=st.sampled_from([-2.0, -0.6, -0.3, 0.0, 0.3, 0.6]),
+        symbol=st.sampled_from(["binomial", "polynomial", "bare"]),
+        limit=st.integers(1, 63),
+        degree=st.one_of(st.none(), st.integers(0, 70)),
+        block=st.sampled_from([1, 100, 1 << 16]),
+    )
+    # steeply decreasing forward weights: a certified geometric tail at M = 39
+    @example(seed=2, d=64, forward=True, drift=-2.0, symbol="binomial", limit=63, degree=None,
+             block=100)
+    def test_hereditary_sum_and_degree_cap(self, seed, d, forward, drift, symbol, limit, degree, block):
+        table_against_walk(seed, d, forward, drift, symbol, min(limit, d - 1), degree, block)
+
+    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
+    def test_decreasing_forward_weights_reach_the_geometric_tail(self, block):
+        policy = table_against_walk(2, 64, True, -2.0, "binomial", 63, None, block)
+        assert isinstance(policy, GeometricTail) and policy.M == 39 and policy.tail_bound > 0.0
 
 
 def build_or_refusal(alpha, k, T, M=None):
