@@ -8,8 +8,6 @@ Usage: python scripts/model_demo.py [--kernel SPEC] [--section 64] [-N 511]
 import argparse
 import sys
 
-import numpy as np
-
 from herop.model import build_model, minimality_check, verify_relation_DCW
 from herop.operators import Direction, operator_norm, seeded_unit_vectors, shift_section
 from herop.series import invert_kernel
@@ -38,9 +36,7 @@ def main() -> int:
         print(f"{key:<16}: {bundle.diagnostics[key]:.3e}")
     print(f"minimal         : {minimality_check(bundle)['minimal']}")
     probes = seeded_unit_vectors(args.section, 16, seed=0)
-    relation = verify_relation_DCW(
-        pair.alpha, section, bundle.C, np.zeros((args.section,) * 2), probes
-    )
+    relation = verify_relation_DCW(pair.alpha, section, bundle.C, bundle.W, probes)
     print(f"defect relation : {relation['residual']:.3e} "
           f"(alpha(1) = {relation['alpha_at_one']:.6g})")
     return 0

@@ -252,22 +252,16 @@ def _run_model_build(args, config: RunConfig) -> tuple[int, list, dict]:
     mini = minimality_check(bundle)
     if config.csv_dir:
         os.makedirs(config.csv_dir, exist_ok=True)
-        for name, mat in (
-            ("defect", bundle.D.entries),
-            ("complement", bundle.W.entries),
-            ("transform", bundle.V),
-            ("isometry", bundle.S),
-        ):
+        names = ("defect", "complement", "transform", "isometry")
+        for name, mat in zip(names, (bundle.D, bundle.W, bundle.V, bundle.S)):
+            mat = getattr(mat, "entries", mat)  # the dense matrix, built here for a section
             if mat.size:
                 write_matrix_csv(os.path.join(config.csv_dir, f"{name}.csv"), mat)
-    dim = bundle.D.dim
-    probes = seeded_unit_vectors(dim, 16, seed=config.seed)
-    relation = verify_relation_DCW(pair.alpha, T, bundle.C, bundle.W.entries, probes)
+    probes = seeded_unit_vectors(T.dim, 16, seed=config.seed)
+    relation = verify_relation_DCW(pair.alpha, T, bundle.C, bundle.W, probes)
     diag = dict(bundle.diagnostics)
-    passed = all(
-        diag[key] <= config.model_tol
-        for key in ("isometry_residual", "intertwine_residual", "S_welldef_residual")
-    )
+    checked = ("isometry_residual", "intertwine_residual", "S_welldef_residual")
+    passed = all(diag[key] <= config.model_tol for key in checked)
     extra = {
         "diagnostics": diag,
         "defect_rank": bundle.defect_rank,

@@ -17,12 +17,15 @@ from .operators import (
     DenseOperator,
     HereditaryResult,
     ShiftSection,
+    SparseMatrix,
+    _block_diag,
     _clipped_roots,
     _contraction_envelope,
     _eigen_sqrt,
     _symmetrize,
     direct_sum,
     hereditary_apply,
+    operator_norm,
 )
 from .series import NumericalFailure, TruncatedSeries, alpha_at_one, pair_type_estimate
 
@@ -80,22 +83,6 @@ def _gram_norm(chunks: Iterable[np.ndarray], n: int) -> float:
     return s * math.sqrt(max(float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1]), 0.0))
 
 
-def _monomial_abs(mat: np.ndarray) -> Optional[np.ndarray]:
-    """|non-zero entries| of a matrix with at most one non-zero in every row
-    and column, which are its non-zero singular values; None for any other
-    matrix."""
-    nz = mat != 0
-    if nz.sum(axis=0).max(initial=0) > 1 or nz.sum(axis=1).max(initial=0) > 1:
-        return None
-    return np.abs(mat[nz])
-
-
-def _spectral_norm(mat: np.ndarray) -> float:
-    """||mat||_2: the largest |entry| when _monomial_abs applies, else by SVD."""
-    sv = _monomial_abs(mat)
-    return float(np.linalg.norm(mat, 2)) if sv is None else float(np.max(sv, initial=0.0))
-
-
 def _norm2(x: np.ndarray) -> float:
     """Spectral norm of x, by _gram_norm over copies of chunks as many rows
     as x has columns."""
@@ -117,15 +104,16 @@ class ModelBundle:
 
     V is stored as an ((M+1)*r, d) matrix whose degree-n block row is
     sqrt(k_n) * C * T^n, i.e. the Euclidean coordinates of the transform into
-    the weighted power-series space tensored with the defect space."""
+    the weighted power-series space tensored with the defect space.  A
+    section's model holds its matrices as SparseMatrix triplets."""
 
-    D: DenseOperator
-    defect_basis: np.ndarray  # (d, r) orthonormal columns spanning ran D
-    C: np.ndarray  # (r, d): D expressed against the defect basis
-    V: np.ndarray  # ((M+1)*r, d)
-    W: DenseOperator
-    w_basis: np.ndarray  # (d, w) orthonormal columns spanning ran W
-    S: np.ndarray  # (w, w) isometry in w_basis coordinates
+    D: Union[DenseOperator, SparseMatrix]
+    defect_basis: Union[np.ndarray, SparseMatrix]  # (d, r) orthonormal columns spanning ran D
+    C: Union[np.ndarray, SparseMatrix]  # (r, d): D expressed against the defect basis
+    V: Union[np.ndarray, SparseMatrix]  # ((M+1)*r, d)
+    W: Union[DenseOperator, SparseMatrix]
+    w_basis: Union[np.ndarray, SparseMatrix]  # (d, w) orthonormal columns spanning ran W
+    S: Union[np.ndarray, SparseMatrix]  # (w, w) isometry in w_basis coordinates
     k: TruncatedSeries
     M: int
     kind: str  # "Critical" | "Subcritical" | "Indeterminate"
@@ -139,32 +127,27 @@ class ModelBundle:
     def w_rank(self) -> int:
         return int(self.w_basis.shape[1])
 
-    def s_full(self) -> np.ndarray:
-        """S transported to the ambient space (zero off the W range)."""
-        return self.w_basis @ self.S @ self.w_basis.conj().T
-
 
 def build_defect(
     alpha: TruncatedSeries, T: Union[DenseOperator, ShiftSection]
-) -> tuple[DenseOperator, np.ndarray, HereditaryResult]:
+) -> tuple[Union[DenseOperator, SparseMatrix], Union[np.ndarray, SparseMatrix], HereditaryResult]:
     """Defect operator D = alpha(T*, T)^(1/2) and an orthonormal basis of its
     range (eigenvectors of D with eigenvalue above _RANK_TOL * ||D||).
     Eigenvalues of the hereditary sum within _PSD_TOL times its summed
     terms count as zero, so a sum that cancels to zero is PSD.
 
     On a section the sum is the diagonal h_j = (alpha * kappa)_j / kappa_j,
-    so D = diag(sqrt h) and the basis is the kept unit vectors, in eigh's
-    ascending order of h (ties by index), with no eigensolve."""
+    so D = diag(sqrt h) and the basis is the kept unit vectors (SparseMatrix
+    triplets), in eigh's ascending order of h (ties by index), no eigensolve."""
     hered = hereditary_apply(alpha, T, tol=_PSD_TOL)
     floor, what = _PSD_TOL * hered.terms, "hereditary value has eigenvalue"
     if isinstance(T, ShiftSection):
-        h = hered.value.entries.diagonal().real
+        h = hered.value.vals
         roots = _clipped_roots(h, floor, what)
         order = np.argsort(h, kind="stable")
         kept = order[roots[order] > _RANK_TOL * max(float(np.max(roots)), 1e-300)]
-        basis = np.zeros((T.dim, kept.size), dtype=np.complex128)
-        basis[kept, np.arange(kept.size)] = 1.0
-        return DenseOperator(np.diag(roots.astype(np.complex128))), basis, hered
+        basis = SparseMatrix(kept, np.arange(kept.size), np.ones(kept.size), (T.dim, kept.size))
+        return SparseMatrix.diagonal(roots), basis, hered
     eig, vec = np.linalg.eigh(hered.value.entries)
     d_op, roots = _eigen_sqrt(eig, vec, floor, what)
     keep = roots > _RANK_TOL * max(float(np.max(roots)), 1e-300)
@@ -405,7 +388,7 @@ def verify_model(
     joint += joint.conj().T
     joint *= 0.5
     residuals["isometry_residual"] = float(np.max(np.abs(np.linalg.eigvalsh(joint))))
-    sw = bundle.s_full() @ w_mat
+    sw = bundle.w_basis @ bundle.S @ bundle.w_basis.conj().T @ w_mat  # S on the ambient space
     sw -= w_mat @ mat
     residuals["sw_residual"] = float(np.linalg.norm(sw, 2))
     return residuals
@@ -420,17 +403,22 @@ def verify_relation_DCW(
 ) -> dict:
     """Residual of the defect relation ||Dx||^2 = ||Cx||^2 + alpha(1)||Wx||^2
     over the probe set, normalized by ||x||^2.  D, C and W each take all
-    probes in one product, so each matrix is read once."""
+    probes in one product, so each matrix is read once; a SparseMatrix with
+    real values gives the dense product's bits from its triplets."""
     d_op, _, _ = build_defect(alpha, T)
     probes = np.array(probe_vectors, dtype=np.complex128).reshape(len(probe_vectors), T.dim).T
 
     def norms2(y: np.ndarray) -> np.ndarray:  # squared norms of the columns
         return np.sum(y.real**2 + y.imag**2, axis=0)
 
-    dx, cx, wx = (
-        norms2(np.atleast_2d(np.asarray(m, dtype=np.complex128)) @ probes)
-        for m in (d_op.entries, C, W)
-    )
+    def times(m) -> np.ndarray:  # m @ probes, for an operator or a matrix
+        if not isinstance(m, SparseMatrix):
+            return np.atleast_2d(np.asarray(getattr(m, "entries", m), dtype=np.complex128)) @ probes
+        y = np.zeros((m.shape[0], probes.shape[1]), dtype=np.complex128)
+        y[m.rows] = m.vals[:, None] * probes[m.cols]
+        return y
+
+    dx, cx, wx = (norms2(times(m)) for m in (d_op, C, W))
     a1 = alpha_at_one(alpha)
     worst = 0.0
     for dxi, cxi, wxi, nxi in zip(dx.tolist(), cx.tolist(), wx.tolist(), norms2(probes).tolist()):
@@ -440,18 +428,12 @@ def verify_relation_DCW(
 
 
 def _section_model(
-    d_op: DenseOperator,
-    basis: np.ndarray,
-    k: TruncatedSeries,
-    T: ShiftSection,
-    M: Optional[int],
-    tol: float,
-    kind: str,
-) -> ModelBundle:
+    d_op: SparseMatrix, basis: SparseMatrix, k: TruncatedSeries, T: ShiftSection, M: Optional[int], tol: float
+) -> tuple:
     """build_model's transform, complement, isometry and residuals on a
-    section, from vectors in O(d M) work.  Row i of T has its one entry t_i
-    at column i + s, and D and the basis are diagonal and unit vectors
-    (build_defect), so:
+    section, as (C, V, W, w_basis, S, M, residuals) from vectors in O(d M)
+    work and memory.  Row i of T has its one entry t_i at column i + s, and
+    D and the basis are diagonal and unit vectors (build_defect), so:
 
     - row (n, i) of V is sqrt(k_n) D_b t_b t_{b+s} ... t_{b+(n-1)s}, at
       column b + n s, for the i-th kept unit vector e_b;
@@ -461,17 +443,14 @@ def _section_model(
       permutation.
 
     Every residual is measured on these pieces in verify_model's norms, and
-    the refusals come in build_W_S's order.  The dense fields are filled
-    from them in eigh's order, as the dense pipeline orders them.  Where S
+    the refusals come in build_W_S's order.  The fields are SparseMatrix
+    triplets in eigh's order, as the dense pipeline orders them.  Where S
     needs a completion, any isometric one is admissible, and sw_residual
     depends on the one taken (the dense pipeline's SVD may take another)."""
     d = T.dim
     s, t = T.row_entries
-    roots = d_op.entries.diagonal().real
-    b = np.argmax(basis.real, axis=0)  # the kept unit vectors
+    roots, b = d_op.vals, basis.rows  # D's diagonal and the kept unit vectors
     r = b.size
-    c_mat = np.zeros((r, d), dtype=np.complex128)
-    c_mat[np.arange(r), b] = roots[b]
     m_used, tail, kc = 0, 0.0, np.ones(1)  # with D = 0, k is not read, as in the dense pipeline
     if r:
         # C C* = diag(roots[b]^2), so build_transform's bound is ||D||^2
@@ -486,8 +465,6 @@ def _section_model(
     factors[1:] = t[np.clip(cols[:-1], 0, d - 1)]
     vals = np.sqrt(kc)[:, None] * np.cumprod(factors, axis=0)
     cols = np.clip(cols, 0, d - 1)
-    V = np.zeros((vals.size, d), dtype=np.complex128)
-    V[np.arange(vals.size), cols.ravel()] = vals.ravel()
     gram = np.bincount(cols.ravel(), weights=(vals * vals).ravel(), minlength=d)  # diag V*V
 
     # complement: V*V is real and diagonal, so build_W_S's symmetry check
@@ -504,23 +481,16 @@ def _section_model(
 
     # S in p's coordinates: column a maps to the position of p_a - s when
     # W T e_{p_a} is non-zero and p_a - s is kept, and the columns and rows
-    # left over pair up in order (an isometric completion)
+    # left over pair up in order (an isometric completion).  Least squares
+    # puts ratio_a = ||W T e_{p_a}|| / ||W e_{p_a}|| (or 0) where S puts 1
     nw = p.size
     at = np.full(d, -1)
     at[p] = np.arange(nw)
     dst = at[(p - s) % d]
     shifts = (wt[p] > 0.0) & (dst >= 0)
-    s_ls = np.zeros((nw, nw))
-    s_ls[dst[shifts], shifts.nonzero()[0]] = wt[p][shifts] / w[p][shifts]
-    row_of = np.empty(nw, dtype=np.intp)
-    row_of[shifts] = dst[shifts]
-    free = np.ones(nw, dtype=bool)
-    free[dst[shifts]] = False
-    row_of[~shifts] = np.flatnonzero(free)
-    s_hat = np.zeros((nw, nw), dtype=np.complex128)
-    s_hat[row_of, np.arange(nw)] = 1.0
-    # S is a partial permutation: S*S is the diagonal of its column sums
-    iso_residual = float(np.max(np.abs(np.sum(np.abs(s_hat) ** 2, axis=0) - 1.0), initial=0.0))
+    ratio = np.where(shifts, wt[p] / w[p], 0.0)
+    row_of = np.where(shifts, dst, 0)
+    row_of[~shifts] = np.flatnonzero(np.bincount(dst[shifts], minlength=nw) == 0)
 
     # residuals.  Row (n, i) of shifted - V T has its one entry at column
     # b + (n+1) s, so its Gram is diagonal too: the norm is the root of the
@@ -532,33 +502,28 @@ def _section_model(
     if top > 0.0:
         sums = np.bincount(((cols + s) % d).ravel(), weights=((resid / top) ** 2).ravel())
         intertwine = top * math.sqrt(float(np.max(sums)))
-    sw = np.zeros((d, d))
-    sw[p[row_of], p] = w[p]  # S W
-    sw[(np.arange(d) - s) % d, np.arange(d)] -= wt  # - W T
+    # S W - W T from triplets, those at one position summed in turn
+    every = np.arange(d)
+    pos = np.concatenate([p[row_of] * d + p, (every - s) % d * d + every])
+    pos, where = np.unique(pos, return_inverse=True)
+    sw = np.bincount(where.ravel(), weights=np.concatenate([w[p], -wt]), minlength=pos.size)
     diagnostics = {
         "intertwine_residual": intertwine,
         "isometry_residual": float(np.max(np.abs(w * w + gram - 1.0))),
-        "sw_residual": _spectral_norm(sw),
-        "S_welldef_residual": max(wd_residual, iso_residual),
-        "polar_correction": _spectral_norm(s_hat - s_ls),
+        "sw_residual": operator_norm(SparseMatrix(*np.divmod(pos, d), sw, (d, d))),
+        "S_welldef_residual": wd_residual,  # a partial permutation is an exact isometry
+        "polar_correction": float(np.max(np.abs(1.0 - ratio), initial=0.0)),  # ||S - S_ls||
         "contraction_excess": max(0.0, norm_v - 1.0),
         "truncation_tail_bound": tail,
-        "type": kind,
     }
-    w_basis = np.zeros((d, nw), dtype=np.complex128)
-    w_basis[p, np.arange(nw)] = 1.0
-    return ModelBundle(
-        D=d_op,
-        defect_basis=basis,
-        C=c_mat,
-        V=V,
-        W=DenseOperator(np.diag(w.astype(np.complex128))),
-        w_basis=w_basis,
-        S=s_hat,
-        k=k,
-        M=m_used,
-        kind=kind,
-        diagnostics=diagnostics,
+    return (
+        SparseMatrix(np.arange(r), b, roots[b], (r, d)),
+        SparseMatrix(np.arange(vals.size), cols.ravel(), vals.ravel(), (vals.size, d)),
+        SparseMatrix.diagonal(w),
+        SparseMatrix(p, np.arange(nw), np.ones(nw), (d, nw)),
+        SparseMatrix(row_of, np.arange(nw), np.ones(nw), (nw, nw)),
+        m_used,
+        diagnostics,
     )
 
 
@@ -577,19 +542,15 @@ def build_model(
     _section_model; any other operator by the dense pipeline below."""
     d_op, basis, hered = build_defect(alpha, T)
     kind = pair_type_estimate(alpha, k).type
-    if isinstance(T, ShiftSection):
-        bundle = _section_model(d_op, basis, k, T, M, model_tol, kind)
-        diagnostics = dict(bundle.diagnostics)
-        diagnostics["policy"] = type(hered.policy_used).__name__
-        return replace(bundle, diagnostics=diagnostics)
-    c_mat = basis.conj().T @ d_op.entries  # (r, d)
-    if basis.shape[1] == 0:
-        c_mat = np.zeros((0, T.dim), dtype=np.complex128)
-        V = np.zeros((0, T.dim), dtype=np.complex128)
-        m_used, tail = 0, 0.0
+    section = isinstance(T, ShiftSection)
+    if section:
+        c_mat, V, w_op, w_basis, s_hat, m_used, diagnostics = _section_model(d_op, basis, k, T, M, model_tol)
     else:
-        V, m_used, tail = build_transform(c_mat, k, T, M=M, tol=model_tol)
-    w_op, w_basis, s_hat, s_info, gram = build_W_S(V, T, tol=model_tol)
+        c_mat = basis.conj().T @ d_op.entries  # (r, d)
+        V, m_used, tail = np.zeros((0, T.dim), dtype=np.complex128), 0, 0.0
+        if basis.shape[1]:
+            V, m_used, tail = build_transform(c_mat, k, T, M=M, tol=model_tol)
+        w_op, w_basis, s_hat, s_info, gram = build_W_S(V, T, tol=model_tol)
     bundle = ModelBundle(
         D=d_op,
         defect_basis=basis,
@@ -603,9 +564,10 @@ def build_model(
         kind=kind,
         diagnostics={},
     )
-    diagnostics = verify_model(T, bundle, gram)
-    diagnostics.update(s_info)
-    diagnostics["truncation_tail_bound"] = tail
+    if not section:
+        diagnostics = verify_model(T, bundle, gram)
+        diagnostics.update(s_info)
+        diagnostics["truncation_tail_bound"] = tail
     diagnostics["policy"] = type(hered.policy_used).__name__
     diagnostics["type"] = kind
     return replace(bundle, diagnostics=diagnostics)
@@ -633,26 +595,14 @@ def bundle_direct_sum(
             V[n * r : n * r + r1, :d1] = b1.V[n * r1 : (n + 1) * r1]
         if n <= b2.M and r2:
             V[n * r + r1 : (n + 1) * r, d1:] = b2.V[n * r2 : (n + 1) * r2]
-    basis = np.zeros((d1 + d2, r), dtype=np.complex128)
-    basis[:d1, :r1] = b1.defect_basis
-    basis[d1:, r1:] = b2.defect_basis
-    w_basis = np.zeros((d1 + d2, b1.w_rank + b2.w_rank), dtype=np.complex128)
-    w_basis[:d1, : b1.w_rank] = b1.w_basis
-    w_basis[d1:, b1.w_rank :] = b2.w_basis
-    s = np.zeros((b1.w_rank + b2.w_rank,) * 2, dtype=np.complex128)
-    s[: b1.w_rank, : b1.w_rank] = b1.S
-    s[b1.w_rank :, b1.w_rank :] = b2.S
-    c_mat = np.zeros((r, d1 + d2), dtype=np.complex128)
-    c_mat[:r1, :d1] = b1.C
-    c_mat[r1:, d1:] = b2.C
     bundle = ModelBundle(
         D=direct_sum(b1.D, b2.D),
-        defect_basis=basis,
-        C=c_mat,
+        defect_basis=_block_diag(b1.defect_basis, b2.defect_basis),
+        C=_block_diag(b1.C, b2.C),
         V=V,
         W=direct_sum(b1.W, b2.W),
-        w_basis=w_basis,
-        S=s,
+        w_basis=_block_diag(b1.w_basis, b2.w_basis),
+        S=_block_diag(b1.S, b2.S),
         k=b1.k,
         M=m,
         kind=b1.kind,
@@ -671,10 +621,9 @@ def bundle_direct_sum(
 def minimality_check(bundle: ModelBundle) -> dict:
     """Numerical-rank check that the auxiliary spaces are not padded:
     ran C must fill the defect basis and ran W the W-basis."""
-    c_sv = _monomial_abs(bundle.C)
+    c_sv, w_sv = (m.monomial_abs() if isinstance(m, SparseMatrix) else None for m in (bundle.C, bundle.W))
     if c_sv is None:
         c_sv = np.linalg.svd(bundle.C, compute_uv=False)
-    w_sv = _monomial_abs(bundle.W.entries)  # a section's W is diagonal
     if w_sv is None:
         w_sv = np.abs(np.linalg.eigvalsh(bundle.W.entries))  # W is Hermitian
     c_scale = float(np.max(c_sv, initial=0.0))

@@ -25,6 +25,7 @@ from .series import NumericalFailure, TruncatedSeries, _convolve, _finite, abs_t
 
 __all__ = [
     "DenseOperator",
+    "SparseMatrix",
     "Direction",
     "ShiftSection",
     "HereditaryResult",
@@ -72,7 +73,7 @@ _NILPOTENT_TOL = 1e-300
 _TABLE_BLOCK = 1 << 16
 
 # every operator object has dim and operator(), the dense matrix it stands for
-Operator = Union["DenseOperator", "ShiftSection", "BlockDiagOperator"]
+Operator = Union["DenseOperator", "ShiftSection", "BlockDiagOperator", "SparseMatrix"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +83,9 @@ class DenseOperator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=np.complex128).copy()
+        m = np.asarray(self.entries, dtype=np.complex128)
+        if m.flags.writeable or not m.flags.c_contiguous:  # herop's own come read-only: no copy
+            m = m.copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("entries must form a square matrix of dimension >= 1")
         if not np.all(np.isfinite(m.view(np.float64))):
@@ -114,6 +117,61 @@ class DenseOperator:
             if fro <= _NILPOTENT_TOL:
                 return
             power = power @ mat
+
+
+def _owned(m: np.ndarray) -> DenseOperator:  # a matrix herop built: frozen, not copied
+    m.setflags(write=False)
+    return DenseOperator(m)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """A matrix as (row, col, value) triplets at distinct positions, such as
+    a section model's D, C, V, W, S and bases.  The dense complex matrix,
+    `entries`, is built on first read and cached; indexing, numpy's array
+    protocol and other ndarray attributes read it."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def diagonal(cls, vals: np.ndarray) -> "SparseMatrix":
+        return cls(np.arange(vals.size), np.arange(vals.size), vals, (vals.size, vals.size))
+
+    @property
+    def dim(self) -> int:
+        return self.shape[0]
+
+    def operator(self) -> "SparseMatrix":
+        return self
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        m = np.zeros(self.shape, dtype=np.complex128)
+        m[self.rows, self.cols] = self.vals
+        m.setflags(write=False)
+        return m
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.asarray(self.entries, dtype=dtype)
+        return out.copy() if copy else out
+
+    def __getitem__(self, key):
+        return self.entries[key]
+
+    def __getattr__(self, name: str):  # conj, T, size, ...: the dense matrix's
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.entries, name)
+
+    def monomial_abs(self) -> Optional[np.ndarray]:
+        """|non-zero values|, the non-zero singular values if no two share a row or column, else None."""
+        nz = self.vals != 0
+        if any(np.bincount(ix[nz], minlength=1).max() > 1 for ix in (self.rows, self.cols)):
+            return None
+        return np.abs(self.vals[nz])
 
 
 class Direction(Enum):
@@ -168,7 +226,7 @@ class ShiftSection:
         rows = np.arange(self.dim - 1) + (s < 0)
         m = np.zeros((self.dim, self.dim), dtype=np.complex128)
         m[rows, rows + s] = t[rows]
-        return DenseOperator(m)
+        return _owned(m)
 
     def gram_blocks(self, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
         """(n, rows n.. of the Gram table) for rows start..stop, at most
@@ -283,7 +341,7 @@ Policy = Union[ExactNilpotent, GeometricTail, Truncated, ExactPolynomial]
 
 @dataclass(frozen=True)
 class HereditaryResult:
-    value: DenseOperator
+    value: Union[DenseOperator, SparseMatrix]  # a section's is its real diagonal
     policy_used: Policy
     terms: float  # sum_n |alpha_n| ||T^n||_F^2, which bounds the summed terms
 
@@ -364,9 +422,9 @@ def hereditary_apply(
             policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
             break
     if section:  # a real diagonal, Hermitian with no check
-        value = DenseOperator(np.diag(_section_sum(T, coeffs, value, kept).astype(np.complex128)))
+        value = SparseMatrix.diagonal(_section_sum(T, coeffs, value, kept))
     else:
-        value = DenseOperator(_symmetrize(value, terms, 2e-12))
+        value = _owned(_symmetrize(value, terms, 2e-12))
     if policy is None:
         if abs_tail_bound(alpha, limit) == 0.0:
             policy = ExactPolynomial(limit)
@@ -522,14 +580,10 @@ def shift_membership_forward(
     # certified symbol tail * decreasing-weight bound
     sym_tail = abs_tail_bound(alpha, a.size - 1)
     dec = bool(np.all(np.diff(kc) <= 1e-15))
-    if sym_tail is not None and math.isfinite(sym_tail) and (dec or sym_tail == 0.0):
-        tails = kc[np.arange(m_max + 1) + a.size - 1] * sym_tail if dec else np.zeros(m_max + 1)
-        if sym_tail == 0.0:
-            tails = np.zeros(m_max + 1)
-        certified = True
-    else:
-        tails = None
-        certified = False
+    certified = sym_tail is not None and math.isfinite(sym_tail) and (dec or sym_tail == 0.0)
+    tails = np.zeros(m_max + 1)  # read only when certified
+    if certified and dec and sym_tail != 0.0:
+        tails = kc[np.arange(m_max + 1) + a.size - 1] * sym_tail
 
     weak_values = np.correlate(window, np.abs(a), mode="valid")
     with np.errstate(over="ignore"):
@@ -564,8 +618,9 @@ def shift_membership_forward(
 # --- spectral quantities -----------------------------------------------------
 
 
-def operator_norm(T: Operator) -> float:
-    return float(np.linalg.norm(T.operator().entries, 2))
+def operator_norm(T: Operator) -> float:  # a diagonal SparseMatrix reads its largest |value|
+    sv = T.monomial_abs() if isinstance(T, SparseMatrix) else None
+    return float(np.linalg.norm(T.operator().entries, 2) if sv is None else np.max(sv, initial=0.0))
 
 
 def _clipped_roots(eig: np.ndarray, floor: float, what: str) -> np.ndarray:
@@ -590,7 +645,7 @@ def _eigen_sqrt(
     root = (vec * roots) @ vec.conj().T
     root += root.conj().T
     root *= 0.5
-    return DenseOperator(root), roots
+    return _owned(root), roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -616,16 +671,18 @@ class BlockDiagOperator:
         return direct_sum(*self.blocks)
 
 
-def direct_sum(*ops: Operator) -> DenseOperator:
-    mats = [o.operator().entries for o in ops]
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total), dtype=np.complex128)
-    at = 0
+def _block_diag(*mats) -> np.ndarray:
+    """The complex matrix with mats down its diagonal and zeros elsewhere."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=np.complex128)
+    r = c = 0
     for m in mats:
-        d = m.shape[0]
-        out[at : at + d, at : at + d] = m
-        at += d
-    return DenseOperator(out)
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
+def direct_sum(*ops: Operator) -> DenseOperator:
+    return _owned(_block_diag(*(o.operator().entries for o in ops)))
 
 
 def seeded_unit_vectors(
@@ -676,7 +733,7 @@ def read_matrix_csv(path: str) -> DenseOperator:
     if len(rows) != len(rows[0]):
         raise ValueError(f"{path}: a {len(rows)}x{len(rows[0])} matrix is not square")
     try:
-        return DenseOperator(np.array(rows, dtype=np.complex128))
+        return _owned(np.array(rows, dtype=np.complex128))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -34,6 +34,7 @@ from herop.operators import (
     operator_norm,
     seeded_unit_vectors,
     shift_section,
+    SparseMatrix,
 )
 from herop.series import (
     Polynomial,
@@ -896,3 +897,86 @@ class TestSectionTakesNoFactorisation:
         assert bundle.defect_rank == (1 if case in ("rank one", "with S") else 64)
         assert bundle.w_rank == (53 if case == "with S" else 0)
         assert calls == []
+
+
+class TestSectionModelMemory:
+    @pytest.mark.parametrize("M, tol", [(None, 1e-8), (10, 2.0)], ids=["rank one", "with S"])
+    def test_no_square_array_is_alive(self, M, tol):
+        # the CLI's section build without --csv-dir: the model, its minimality
+        # and the defect relation keep every array O(d), so the traced peak
+        # stays below one real d x d matrix (8 d^2 bytes)
+        d = 2000
+        k = binomial_series(0.5, PowSign.MINUS, 2047)
+        alpha = invert_kernel(k).alpha
+        T = shift_section(k, Direction.BACKWARD, d)
+        probes = seeded_unit_vectors(d, 16)
+        tracemalloc.start()
+        try:
+            bundle = build_model(alpha, k, T, M=M, model_tol=tol)
+            mini = minimality_check(bundle)
+            relation = verify_relation_DCW(alpha, T, bundle.C, bundle.W, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mini["minimal"] and relation["residual"] <= 1e-12
+        assert (bundle.defect_rank, bundle.w_rank) == ((1, 0) if M is None else (1, d - 11))
+        assert peak < 8 * d * d, peak
+
+
+def dense_defect(alpha, T):
+    """build_defect with D handed over as a DenseOperator of its matrix."""
+    d_op, basis, hered = build_defect(alpha, T)
+    return DenseOperator(d_op.entries), basis, hered
+
+
+class TestStructuredRelationMatchesDense:
+    """verify_relation_DCW multiplies a SparseMatrix D, C or W through its
+    triplets.  With real values each entry is one rounded product, so the
+    residual carries the dense products' bits: this is what keeps section
+    reports byte-identical."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 128),
+        forward=st.booleans(),
+        symbol=st.sampled_from(["binomial", "polynomial"]),
+        s=st.sampled_from([0.25, 0.5, 1.0]),
+        r=st.integers(0, 4),
+    )
+    # binomial: rank 1 backward, rank d forward (s < 1) and rank 1 forward
+    # (s = 1); polynomial: rank d both ways, with alpha(1) > 0 reading W
+    @example(seed=0, d=128, forward=False, symbol="binomial", s=0.5, r=1)
+    @example(seed=1, d=128, forward=True, symbol="binomial", s=0.5, r=4)
+    @example(seed=2, d=96, forward=True, symbol="binomial", s=1.0, r=2)
+    @example(seed=3, d=128, forward=False, symbol="polynomial", s=0.25, r=3)
+    @example(seed=4, d=128, forward=True, symbol="polynomial", s=1.0, r=0)
+    def test_same_residual_bits(self, seed, d, forward, symbol, s, r):
+        rng = np.random.default_rng(seed)
+        n = d + 8
+        if symbol == "binomial":
+            alpha, kappa = binomial_series(s, PowSign.PLUS, n), binomial_series(s, PowSign.MINUS, n)
+        else:  # 1 - c t against kappa_(j+1)/kappa_j < 1 + s: h > 1 - 2c > 0
+            alpha = poly(1.0, -rng.uniform(0.05, 0.45))
+            kappa = binomial_series(1.0 + s / 2, PowSign.MINUS, n)
+        T = shift_section(kappa, Direction.FORWARD if forward else Direction.BACKWARD, d)
+        rank = build_defect(alpha, T)[1].shape[1]
+        assert rank == (d if symbol == "polynomial" or (forward and s < 1.0) else 1)
+        C = SparseMatrix(np.arange(r), rng.integers(0, d, r), rng.standard_normal(r), (r, d))
+        W = SparseMatrix.diagonal(rng.uniform(0.0, 1.0, d))
+        probes = seeded_unit_vectors(d, 16, seed=seed % 1000)
+        structured = verify_relation_DCW(alpha, T, C, W, probes)
+        with unittest.mock.patch.object(model, "build_defect", dense_defect):
+            dense = verify_relation_DCW(alpha, T, C.entries, W.entries, probes)
+        assert structured == dense
+
+    def test_a_field_is_built_once(self):
+        alpha, k, T = half_order_setup(64)
+        bundle = build_model(alpha, k, T)
+        assert isinstance(bundle.V, SparseMatrix)
+        first = np.asarray(bundle.V)
+        assert bundle.V.entries is first and np.asarray(bundle.V) is first
+        assert bundle.V[:64, :64].base is first  # indexing reads the same matrix
+        assert not first.flags.writeable and first.dtype == np.complex128
+        assert bundle.W.entries is bundle.W.entries and bundle.D.entries is bundle.D.entries
+        assert np.array(bundle.V) is not first  # a requested copy is a copy
