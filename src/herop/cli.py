@@ -122,8 +122,7 @@ def _write_csv(config: RunConfig, name: str, rows, key: str = "index") -> None:
     os.makedirs(config.csv_dir, exist_ok=True)
     with open(os.path.join(config.csv_dir, name), "w", encoding="utf-8") as fh:
         fh.write(f"{key},value\n")
-        for index, value in rows:
-            fh.write(f"{int(index)},{format(float(value), '.17g')}\n")
+        fh.writelines("%d,%.17g\n" % (index, value) for index, value in rows)
 
 
 def _write_trend_csvs(reports: Sequence[ConditionReport], config: RunConfig) -> None:

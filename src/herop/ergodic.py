@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import ModelBundle
-from .operators import DenseOperator, ShiftSection, _basis_orbit_norms, _orbit_norms
+from .operators import DenseOperator, ShiftSection, _basis_orbit_norms, _orbit_norms, operator_norm
 from .series import cesaro_number, cesaro_numbers
 
 __all__ = [
@@ -245,8 +245,7 @@ def trichotomy_test(
         b = 1.0 - order + 0.25  # b > 1 - a for k = (1-t)^(-a)
         if b <= 0:
             b = 0.5
-    w_mat = bundle.W.entries
-    w_scale = float(np.linalg.norm(w_mat, 2))
+    w_scale = operator_norm(bundle.W)  # a section's diagonal W is read off, not decomposed
     rows = []
     consistent = True
     for i, vec in enumerate(vectors):
@@ -258,7 +257,7 @@ def trichotomy_test(
         # the transient part of the mean decays like 1/n, so one Richardson
         # step isolates the limit contributed by the isometric component
         limit_est = max(0.0, 2.0 * float(mean_at[-1]) - float(mean_at[0]))
-        wx = float(np.linalg.norm(w_mat @ x))
+        wx = float(np.linalg.norm(bundle.W.apply(x)))
         # all three indicators live on the |isometric component| scale
         ratios = {
             "power": min_norm / nx,

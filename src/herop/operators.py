@@ -72,7 +72,9 @@ _NILPOTENT_TOL = 1e-300
 # entries of a section's Gram table formed at a time
 _TABLE_BLOCK = 1 << 16
 
-# every operator object has dim and operator(), the dense matrix it stands for
+# every operator object has dim, operator(), the dense matrix it stands for, and
+# apply(v, out=None), which writes T v into out when it is given (out must not
+# overlap v) and returns it, else returns T v in a new array
 Operator = Union["DenseOperator", "ShiftSection", "BlockDiagOperator", "SparseMatrix"]
 
 
@@ -97,8 +99,8 @@ class DenseOperator:
     def dim(self) -> int:
         return int(self.entries.shape[0])
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.entries @ v
+    def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.matmul(self.entries, v, out=out)
 
     def operator(self) -> "DenseOperator":
         return self
@@ -146,6 +148,15 @@ class SparseMatrix:
 
     def operator(self) -> "SparseMatrix":
         return self
+
+    def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The matrix times v, summed from the triplets."""
+        if out is None:
+            out = np.zeros(self.shape[0], np.result_type(v.dtype, self.vals.dtype))
+        else:
+            out[...] = 0
+        np.add.at(out, self.rows, self.vals * v[self.cols])
+        return out
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -261,13 +272,17 @@ class ShiftSection:
                 norms.extend(np.sqrt(np.sum(rows, axis=1)).tolist())
             yield norms[n - 1], None
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """T v in the dtype of v and the (real) couplings: real stays real."""
-        out = np.zeros_like(v, dtype=np.result_type(v, self.couplings))
+        c = self.couplings
+        if out is None:
+            out = np.empty(v.shape, np.result_type(v.dtype, c.dtype))
         if self.direction is Direction.BACKWARD:
-            out[:-1] = self.couplings * v[1:]
+            np.multiply(c, v[1:], out=out[:-1])
+            out[-1] = 0
         else:
-            out[1:] = v[:-1] / self.couplings
+            np.divide(v[:-1], c, out=out[1:])
+            out[0] = 0
         return out
 
 
@@ -275,18 +290,33 @@ def shift_section(kappa: TruncatedSeries, direction: Direction, d: int) -> Shift
     return ShiftSection(kappa, direction, d)
 
 
+def _vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) for a contiguous 1-D float64 or complex128 array,
+    bit for bit (the same dot products and square root), without the
+    wrapper's argument handling."""
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
+
+
 def _orbit_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
     """||T^j x|| for j = 0..n_max by repeated T.apply; once a power vanishes
     exactly, the walk stops and the rest stay zero.  The walk keeps the
-    dtype that T.apply returns, so a real vector on a section stays real."""
+    dtype that the first T.apply returns, so a real vector on a section
+    stays real; after it, two buffers take turns as apply's out."""
     v = np.asarray(x)
     out = np.zeros(n_max + 1)
-    out[0] = float(np.linalg.norm(v))
+    out[0] = float(np.linalg.norm(v))  # x may have any dtype and strides
+    if n_max < 1:
+        return out
+    v = T.apply(v)
+    spare = np.empty_like(v)
     for j in range(1, n_max + 1):
-        v = T.apply(v)
-        out[j] = float(np.linalg.norm(v))
-        if out[j] == 0.0:
+        out[j] = _vector_norm(v)
+        if out[j] == 0.0 or j == n_max:
             break
+        v, spare = T.apply(v, out=spare), v
     return out
 
 
@@ -448,13 +478,14 @@ def hereditary_apply(
 
 def _section_sum(T: ShiftSection, coeffs: np.ndarray, value: np.ndarray, kept: int) -> np.ndarray:
     """value + sum_{n=1..kept} coeffs[n] * (row n of T's Gram table), added
-    in n's order: each block of rows is reduced down its columns with the
-    running sum as its first row, so every entry sees the additions of
-    `value += coeffs[n] * gram` in turn and gets their bits (-0.0, the
-    identity of IEEE addition, keeps signed zeros)."""
+    in n's order: the running sum is added into each block's first row,
+    which is then reduced down its columns, so every entry sees the
+    additions of `value += coeffs[n] * gram` in turn and gets their bits
+    (IEEE addition commutes; -0.0, its identity, keeps signed zeros)."""
     for n, rows in T.gram_blocks(1, kept):
         rows *= coeffs[n : n + rows.shape[0], None]
-        value = np.add.reduce(np.vstack([value, rows]), axis=0, initial=-0.0)
+        rows[0] += value
+        value = np.add.reduce(rows, axis=0, initial=-0.0)
     return value
 
 
@@ -659,11 +690,12 @@ class BlockDiagOperator:
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v, dtype=np.complex128)
+    def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(v.shape, dtype=np.complex128)
         at = 0
         for block in self.blocks:
-            out[at : at + block.dim] = block.apply(v[at : at + block.dim])
+            block.apply(v[at : at + block.dim], out=out[at : at + block.dim])
             at += block.dim
         return out
 
@@ -739,7 +771,9 @@ def read_matrix_csv(path: str) -> DenseOperator:
 
 
 def write_matrix_csv(path: str, mat: np.ndarray) -> None:
+    """mat as rows of 're+imj' cells, each part in %.17g: one % format per
+    row, fed the row's interleaved real and imaginary parts."""
+    m = np.ascontiguousarray(mat, dtype=np.complex128)
+    row_format = ",".join(["%.17g%+.17gj"] * m.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in mat:
-            fh.write(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
-            fh.write("\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in m.view(np.float64))

@@ -512,6 +512,49 @@ README_COMMANDS = [
 ]
 
 
+def _per_cell_matrix_csv(mat) -> str:
+    """The earlier write_matrix_csv: one f-string per cell."""
+    return "".join(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n" for row in mat)
+
+
+def _per_cell_rows_csv(rows, key) -> str:
+    """The earlier cli._write_csv: one f-string per row of numbers."""
+    return f"{key},value\n" + "".join(f"{int(i)},{format(float(v), '.17g')}\n" for i, v in rows)
+
+
+def _awkward_values(size, seed):
+    """Signed zeros, infinities, nan, extremes and random scales."""
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308, 1 / 3, 1e22]
+    rng = np.random.default_rng(seed)
+    n = size - len(special)
+    return np.concatenate([special, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)])
+
+
+class TestCsvSidecarBytes:
+    @pytest.mark.parametrize("kind", ["complex", "real", "transposed"])
+    def test_matrix_csv_matches_the_per_cell_formatter(self, tmp_path, kind):
+        mat = _awkward_values(64, seed=3).reshape(8, 8)
+        if kind != "real":  # parts set apart: 1j * inf would be nan + inf j
+            mat = mat.astype(np.complex128)
+            mat.imag = _awkward_values(64, seed=4)[::-1].reshape(8, 8)
+        if kind == "transposed":
+            mat = mat.T
+        write_matrix_csv(str(tmp_path / "m.csv"), mat)
+        assert (tmp_path / "m.csv").read_bytes() == _per_cell_matrix_csv(mat).encode()
+
+    def test_row_csv_matches_the_per_cell_formatter(self, tmp_path):
+        values = _awkward_values(40, seed=5)
+        cases = {
+            "lists": [[i, float(v)] for i, v in enumerate(values)],
+            "numpy-scalars": list(zip(np.arange(values.size) * 3, values)),
+            "python-floats": list(enumerate(values.tolist())),
+        }
+        config = RunConfig(csv_dir=str(tmp_path))
+        for name, rows in cases.items():
+            cli._write_csv(config, f"{name}.csv", rows, key="n")
+            assert (tmp_path / f"{name}.csv").read_bytes() == _per_cell_rows_csv(rows, "n").encode()
+
+
 def _read_tree(path):
     return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
 

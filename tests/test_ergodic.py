@@ -1,4 +1,7 @@
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from herop.operators import (
     seeded_unit_vectors,
     shift_section,
 )
-from herop.series import PowSign, binomial_series, cesaro_numbers
+from herop.series import PowSign, binomial_series, cesaro_numbers, invert_kernel
 from herop.specdsl import elaborate, parse_kernel_spec
 
 ASSANI = np.array([[-1.0, 2.0], [0.0, -1.0]], dtype=complex)
@@ -214,6 +217,28 @@ class TestTrichotomy:
             ratios = row["indicator_ratios"]
             assert ratios["power"] == pytest.approx(ratios["complement"], abs=1e-6)
             assert ratios["cesaro"] <= ratios["power"] + 0.02
+
+
+    @pytest.mark.parametrize("degree", [None, 10], ids=["critical", "degree-10"])
+    def test_section_bundle_builds_no_dense_w(self, degree):
+        # W is a diagonal SparseMatrix: its norm is read off and W x summed
+        # from the triplets, and the rows are those of the same bundle with
+        # W stored dense
+        d = 1000
+        k = binomial_series(0.5, PowSign.MINUS, 1023)
+        section = shift_section(k, Direction.BACKWARD, d)
+        bundle = build_model(invert_kernel(k).alpha, k, section, M=degree, model_tol=2.0)
+        vectors = seeded_unit_vectors(d, 2, seed=1)
+        tracemalloc.start()
+        try:
+            report = trichotomy_test(section, bundle, vectors, n_max=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d * d  # one d x d complex matrix
+        dense = dataclasses.replace(bundle, W=DenseOperator(bundle.W.entries))
+        assert report == trichotomy_test(section, dense, vectors, n_max=64)
+        assert (bundle.w_rank > 0) == (degree is not None)
 
 
 class TestAssaniMatrix:

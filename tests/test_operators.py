@@ -15,12 +15,15 @@ from herop.operators import (
     ExactPolynomial,
     GeometricTail,
     NotPSDError,
+    ShiftSection,
+    SparseMatrix,
     Truncated,
     UnboundedShiftError,
     _basis_orbit_norms,
     _eigen_sqrt,
     _orbit_norms,
     _symmetrize,
+    _vector_norm,
     direct_sum,
     hereditary_apply,
     operator_norm,
@@ -196,13 +199,149 @@ class TestOrbitNorms:
         calls = []
 
         class Counted:
-            def apply(self, v):
+            def apply(self, v, out=None):
                 calls.append(1)
-                return section.apply(v)
+                return section.apply(v, out=out)
 
         norms = _orbit_norms(Counted(), seeded_unit_vectors(24, 1, seed=9)[0], 60)
         assert np.all(norms[:24] > 0.0) and np.all(norms[24:] == 0.0)
         assert len(calls) == 24
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _allocating_apply(T, v):
+    """T v as each operator computed it before apply took an out buffer:
+    a new array every step."""
+    if isinstance(T, ShiftSection):
+        out = np.zeros_like(v, dtype=np.result_type(v, T.couplings))
+        if T.direction is Direction.BACKWARD:
+            out[:-1] = T.couplings * v[1:]
+        else:
+            out[1:] = v[:-1] / T.couplings
+        return out
+    if isinstance(T, BlockDiagOperator):
+        out = np.empty_like(v, dtype=np.complex128)
+        at = 0
+        for block in T.blocks:
+            out[at : at + block.dim] = _allocating_apply(block, v[at : at + block.dim])
+            at += block.dim
+        return out
+    return T.entries @ v
+
+
+def _reference_walk(T, x, n_max):
+    v = np.asarray(x)
+    out = np.zeros(n_max + 1)
+    out[0] = float(np.linalg.norm(v))
+    for j in range(1, n_max + 1):
+        v = _allocating_apply(T, v)
+        out[j] = float(np.linalg.norm(v))
+        if out[j] == 0.0:
+            break
+    return out
+
+
+def forward(s, n_weights, d):
+    return shift_section(binomial_series(s, PowSign.MINUS, n_weights), Direction.FORWARD, d)
+
+
+def _scattered(d, seed):
+    """A SparseMatrix with two entries in some rows and none in others."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(d * d, size=2 * d, replace=False)
+    vals = rng.standard_normal(cells.size) + 1j * rng.standard_normal(cells.size)
+    return SparseMatrix(cells // d, cells % d, vals, (d, d))
+
+
+_WALKED = {
+    "backward": lambda: backward(0.5, 64, 24),
+    "forward": lambda: forward(0.5, 64, 24),
+    "dense": lambda: _normal_contraction(12, seed=5),
+    "block-diagonal": lambda: BlockDiagOperator(
+        (backward(0.5, 64, 9), forward(0.25, 64, 7), _normal_contraction(3, seed=2))
+    ),
+}
+
+
+class TestVectorNorm:
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.random.default_rng(1).standard_normal(4099),
+            np.array([1.0, 1j]) @ np.random.default_rng(2).standard_normal((2, 4099)),
+            np.zeros(17),
+            np.array([-0.0, 0.0, -0.0]),
+            np.zeros(9, dtype=np.complex128),
+            np.full(33, 5e-324),
+            np.random.default_rng(3).random(65) * 1e-310 * (1 - 1j),
+            np.full(3, 1e154),
+            np.full(5, 1e154),
+            np.array([8e153 + 8e153j, -8e153j]),
+            np.array([1.7e308, -1.7e308j]),
+        ],
+        ids=["real", "complex", "zero", "signed-zero", "complex-zero", "subnormal",
+             "complex-subnormal", "near-overflow", "overflow", "complex-near-overflow",
+             "complex-overflow"],
+    )
+    def test_matches_numpy_bit_for_bit(self, v):
+        with np.errstate(over="ignore"):  # both overflow to inf alike
+            assert _same_bits(_vector_norm(v), float(np.linalg.norm(v)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        exponents=st.lists(st.floats(-330.0, 160.0), min_size=1, max_size=300),
+        complex_entries=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_numpy_on_any_scale(self, exponents, complex_entries, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(len(exponents)) * 10.0 ** np.array(exponents)
+        if complex_entries:
+            v = v + 1j * rng.standard_normal(v.size) * 10.0 ** np.array(exponents[::-1])
+        with np.errstate(over="ignore"):
+            assert _same_bits(_vector_norm(v), float(np.linalg.norm(v)))
+
+
+class TestWalkAgainstTheAllocatingWalk:
+    @pytest.mark.parametrize("name", list(_WALKED))
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n_max", [0, 1, 10, 40])
+    def test_same_bits(self, name, complex_entries, n_max):
+        # n_max 40 walks every section past its exact zero
+        T = _WALKED[name]()
+        x = seeded_unit_vectors(T.dim, 1, seed=6, complex_entries=complex_entries)[0]
+        assert _same_bits(_orbit_norms(T, x, n_max), _reference_walk(T, x, n_max))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        log_k=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=128),
+        direction=st.sampled_from(list(Direction)),
+        complex_entries=st.booleans(),
+        in_block=st.booleans(),
+    )
+    def test_same_bits_on_any_weights(self, log_k, direction, complex_entries, in_block):
+        T = shift_section(TruncatedSeries(10.0 ** np.array(log_k), None), direction, len(log_k))
+        if in_block:
+            T = BlockDiagOperator((T, _normal_contraction(2, seed=1)))
+        x = seeded_unit_vectors(T.dim, 1, seed=len(log_k), complex_entries=complex_entries)[0]
+        assert _same_bits(_orbit_norms(T, x, T.dim + 2), _reference_walk(T, x, T.dim + 2))
+
+
+class TestApplyOut:
+    @pytest.mark.parametrize("name", [*_WALKED, "sparse"])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_out_is_returned_with_the_same_bits(self, name, complex_entries):
+        T = _scattered(10, seed=4) if name == "sparse" else _WALKED[name]()
+        v = seeded_unit_vectors(T.dim, 1, seed=7, complex_entries=complex_entries)[0]
+        fresh = T.apply(v)
+        buf = np.full_like(fresh, np.nan)
+        assert T.apply(v, out=buf) is buf
+        assert _same_bits(buf, fresh)
+        np.testing.assert_allclose(fresh, T.operator().entries @ v, rtol=1e-14, atol=1e-15)
 
 
 def _basis(d, n, dtype=np.complex128):
