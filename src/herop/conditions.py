@@ -357,8 +357,10 @@ def tau_condition_check(omega: TruncatedSeries) -> ConditionReport:
         raise ValueError("all weights must be positive")
     j_max = n // 2
     tau = np.empty(j_max + 1)
+    buf = np.empty(n + 1)  # one quotient buffer for every j
     for j in range(j_max + 1):
-        tau[j] = np.max(w[2 * j :] / w[j : n - j + 1]) / w[j]
+        q = np.divide(w[2 * j :], w[j : n - j + 1], out=buf[: n - 2 * j + 1])
+        tau[j] = q.max() / w[j]
     partial = np.cumsum(tau)
     witness = {
         "partial_sum": float(partial[-1]),

@@ -126,12 +126,15 @@ def _owned(m: np.ndarray) -> DenseOperator:  # a matrix herop built: frozen, not
     return DenseOperator(m)
 
 
+_DENSE_NAMES = ("conj", "T", "size")  # the ndarray attributes herop reads off a SparseMatrix
+
+
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """A matrix as (row, col, value) triplets at distinct positions, such as
     a section model's D, C, V, W, S and bases.  The dense complex matrix,
     `entries`, is built on first read and cached; indexing, numpy's array
-    protocol and other ndarray attributes read it."""
+    protocol and the ndarray attributes in `_DENSE_NAMES` read it."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -172,9 +175,9 @@ class SparseMatrix:
     def __getitem__(self, key):
         return self.entries[key]
 
-    def __getattr__(self, name: str):  # conj, T, size, ...: the dense matrix's
-        if name.startswith("__"):
-            raise AttributeError(name)
+    def __getattr__(self, name: str):
+        if name not in _DENSE_NAMES:  # fail without building the d x d entries
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return getattr(self.entries, name)
 
     def monomial_abs(self) -> Optional[np.ndarray]:

@@ -411,22 +411,28 @@ def _blocked_product(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 
 
 def _invert_coeffs(c: np.ndarray, n_max: int) -> np.ndarray:
-    """Coefficients of 1/f by the convolution recurrence, f given by window c."""
+    """Coefficients of 1/f by the convolution recurrence, f given by window c.
+
+    k_n = -(c_1 k_{n-1} + ... + c_j k_{n-j}) / c_0 with j = min(n, deg).  The
+    kernel is kept reversed, r[n_max - n] = k_n, so each step's k_{n-1}, ...,
+    k_{n-j} is the contiguous run r[i+1 : i+1+j] and its dot makes no copy.
+    Finiteness is scanned once, after the loop: the first non-finite k_n is
+    where the recurrence left float range."""
     if c[0] == 0.0:
         raise SingularAtOriginError("constant term vanishes, series not invertible")
     deg = int(np.max(np.nonzero(c)[0]))  # c[0] != 0 so nonzero is nonempty
     inv0 = 1.0 / c[0]
-    k = np.empty(n_max + 1)
-    k[0] = inv0
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for n in range(1, n_max + 1):
-            j = min(n, deg)
-            stop = n - j - 1
-            acc = np.dot(c[1 : j + 1], k[n - 1 : (stop if stop >= 0 else None) : -1]) if j >= 1 else 0.0
-            k[n] = -inv0 * acc
-            if not math.isfinite(k[n]):
-                raise NumericalFailure(f"inversion overflowed at degree {n}", {"degree": n})
-    return k
+    neg = -inv0
+    r = np.empty(n_max + 1)
+    r[n_max] = inv0
+    with np.errstate(over="ignore", invalid="ignore"):  # scanned below
+        for n in range(1, min(deg, n_max + 1)):  # head: the window grows
+            i = n_max - n
+            r[i] = neg * c[1 : n + 1].dot(r[i + 1 :])
+        dot = c[1 : deg + 1].dot  # steady: a fixed-width run
+        for i in range(n_max - max(deg, 1), -1, -1):
+            r[i] = neg * dot(r[i + 1 : i + 1 + deg])
+    return _finite(r[::-1].copy(), "inversion overflowed")
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,24 @@ class TestTauCondition:
         w = weights(np.exp(np.sqrt(np.arange(0.0, 4097.0))))
         assert tau_condition_check(w).verdict is Verdict.TREND_HOLDS
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 200, 8192])
+    @pytest.mark.parametrize("shape", ["quadratic", "flat", "stretched_exp", "random"])
+    def test_matches_a_temporary_per_j(self, shape, n):
+        # the reference divides into a fresh array for each j; the buffered
+        # divisions are the same and max is exact, so every tau keeps its bits
+        x = np.arange(0.0, n + 1.0)
+        w = {
+            "quadratic": (x + 1.0) ** 2,
+            "flat": np.ones(n + 1),
+            "stretched_exp": np.exp(np.sqrt(x)),
+            "random": np.random.default_rng(n).uniform(0.5, 2.0, n + 1),
+        }[shape]
+        tau = np.array([np.max(w[2 * j :] / w[j : n - j + 1]) / w[j] for j in range(n // 2 + 1)])
+        report = tau_condition_check(weights(w))
+        step = max(1, (n // 2) // 64)  # every tau is a trend row when n < 256
+        assert report.witness["trend"] == [[j, float(tau[j])] for j in range(0, n // 2 + 1, step)]
+        assert report.witness["partial_sum"] == float(np.cumsum(tau)[-1])
+
 
 class TestReciprocalSummability:
     def test_quadratic_weights_converge(self):

@@ -922,6 +922,22 @@ class TestSectionModelMemory:
         assert (bundle.defect_rank, bundle.w_rank) == ((1, 0) if M is None else (1, d - 11))
         assert peak < 8 * d * d, peak
 
+    def test_unknown_attributes_do_not_build_the_dense_matrix(self):
+        d = 2000
+        k = binomial_series(0.5, PowSign.MINUS, 2047)
+        bundle = build_model(invert_kernel(k).alpha, k, shift_section(k, Direction.BACKWARD, d))
+        tracemalloc.start()
+        try:
+            assert not hasattr(bundle.W, "no_such_name")
+            with pytest.raises(AttributeError, match="'entires'"):
+                bundle.W.entires
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "entries" not in bundle.W.__dict__
+        assert peak < 2**20, peak
+        assert bundle.W.conj().shape == (d, d)  # a forwarded name still reads it
+
 
 def dense_defect(alpha, T):
     """build_defect with D handed over as a DenseOperator of its matrix."""

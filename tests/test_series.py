@@ -571,6 +571,110 @@ def test_binomial_inverse_overflow_names_first_infinite_degree():
     assert "inversion residual nan above 1e-10" in pair.violations
 
 
+
+# --- the inversion recurrence against the per-step-copy loop ----------------
+
+
+def _copying_inverse(c, n_max):
+    """The recurrence as a loop that dots a reversed view of k per step (numpy
+    copies it first): the reference the reversed buffer must match bit for bit."""
+    deg = int(np.max(np.nonzero(c)[0]))
+    inv0 = 1.0 / c[0]
+    k = np.empty(n_max + 1)
+    k[0] = inv0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            j = min(n, deg)
+            stop = n - j - 1
+            acc = np.dot(c[1 : j + 1], k[n - 1 : (stop if stop >= 0 else None) : -1]) if j >= 1 else 0.0
+            k[n] = -inv0 * acc
+            if not math.isfinite(k[n]):
+                raise NumericalFailure(f"inversion overflowed at degree {n}", {"degree": n})
+    return k
+
+
+def _outcome(invert, c, n_max):
+    try:
+        return invert(c, n_max).view(np.int64)
+    except NumericalFailure as exc:
+        return (str(exc), exc.witness)
+
+
+def _assert_same_inverse(c, n_max):
+    from herop.series import _invert_coeffs
+
+    got, ref = _outcome(_invert_coeffs, c, n_max), _outcome(_copying_inverse, c, n_max)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+
+
+def _window(spec, n_max):
+    return elaborate(parse_kernel_spec(spec), n_max).padded(n_max + 1)
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 1000, 32768])
+@pytest.mark.parametrize("deg", [1, 2, 3, 4, 5])
+def test_inversion_matches_copying_loop_on_polynomials(deg, n_max):
+    rng = np.random.default_rng(deg)
+    tail = rng.uniform(0.05, 1.0, deg)
+    c = np.zeros(max(deg, n_max) + 1)  # deg > n_max: the head loop alone
+    c[0], c[1 : deg + 1] = 1.0, -0.95 * tail / tail.sum() * rng.choice([-1.0, 1.0], deg)
+    _assert_same_inverse(c, n_max)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["pow1mt(0.3)*poly[1.0,0.3]", "pow1mt(0.5)*poly[1,0.3]", "tail(poly[1,-0.5],0.05,1.5,2)"],
+)
+def test_inversion_matches_copying_loop_on_dense_windows(spec):
+    # runs up to 16384 long pass OpenBLAS's threaded-ddot length; both loops
+    # call ddot on the same values in the same order, so any split matches
+    c = _window(spec, 16384)
+    assert np.count_nonzero(c) == c.size
+    _assert_same_inverse(c, 16384)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        np.array([2.0]),
+        np.array([2.0, 0.0, 0.0, 0.0]),  # deg = 0: every k_n is -0.0
+        np.array([-0.5, 0.0, 0.0]),  # deg = 0 with a negative constant term
+        np.array([1.0, -0.5]),  # deg = n_max = 1
+        np.linspace(1.0, -0.1, 301),  # deg = n_max
+    ],
+    ids=["constant N=0", "constant", "negative constant", "linear deg=N", "dense deg=N"],
+)
+def test_inversion_matches_copying_loop_at_the_edges(c):
+    _assert_same_inverse(c, c.size - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+    st.lists(st.just(0.0) | st.floats(-3.0, 3.0), max_size=40),
+    st.integers(0, 600),
+)
+def test_inversion_matches_copying_loop_on_drawn_windows(c0, rest, n_max):
+    c = np.zeros(n_max + 1)
+    body = np.array([c0, *rest])[: n_max + 1]
+    c[: body.size] = body
+    _assert_same_inverse(c, n_max)
+
+
+@pytest.mark.parametrize("spec, degree", [("poly[1,-1,-1]", 1476), ("pow1mt(0.5)*poly[1,-3]", 646)])
+def test_inversion_overflow_degree_matches_copying_loop(spec, degree):
+    from herop.series import _invert_coeffs
+
+    c = _window(spec, 4096)
+    with pytest.raises(NumericalFailure, match=f"inversion overflowed at degree {degree}$") as info:
+        _invert_coeffs(c, 4096)
+    assert info.value.witness == {"degree": degree}
+    _assert_same_inverse(c, 4096)
+
+
 # --- extended-precision references ------------------------------------------
 
 
