@@ -20,12 +20,12 @@ from .operators import (
     SparseMatrix,
     _block_diag,
     _clipped_roots,
-    _contraction_envelope,
     _eigen_sqrt,
     _symmetrize,
     direct_sum,
     hereditary_apply,
     operator_norm,
+    tail_certificate,
 )
 from .series import NumericalFailure, TruncatedSeries, alpha_at_one, pair_type_estimate
 
@@ -161,41 +161,6 @@ def build_defect(
     return d_op, basis, hered
 
 
-def _certified_degree_cap(
-    c_norm: float, k: TruncatedSeries, T: Union[DenseOperator, ShiftSection], tol: float
-) -> tuple[int, float]:
-    """Smallest degree cap with certified tail sum_{n>M} k_n ||C T^n||^2 <= tol."""
-    rho = T.spectral_radius
-    if rho >= 1.0 - 1e-8:
-        raise TailUncertifiableError(
-            f"spectral radius estimate {rho:.6f} leaves the degree tail uncertified"
-        )
-    kc = k.coeffs
-    # contraction envelope from the first Frobenius-contractive power
-    fro = [1.0]
-    for norm, _ in islice(T.powers(grams=False), 512):
-        fro.append(norm)
-        if norm < 1.0:
-            break
-    else:
-        raise TailUncertifiableError("no contractive power found within 512 steps")
-    m0 = len(fro) - 1
-    q, env = _contraction_envelope(fro)
-    n_max = kc.size - 1
-    weights = kc * q ** (2.0 * np.arange(n_max + 1))
-    suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-    beyond = k.certifier.weighted_tail(kc, q * q)
-    if beyond is None:
-        raise TailUncertifiableError(
-            "kernel growth past the window is uncertified for this generator"
-        )
-    for m in range(m0, n_max):
-        bound = c_norm**2 * env * (suffix[m + 1] + beyond)
-        if bound <= tol:
-            return m, bound
-    raise TailUncertifiableError("degree tail bound never met inside the kernel window")
-
-
 def _degree_cap(
     c_norm: float,
     k: TruncatedSeries,
@@ -205,31 +170,50 @@ def _degree_cap(
 ) -> tuple[int, Optional[float]]:
     """Degree cap and tail bound of the transform of C, ||C|| <= c_norm.
 
-    Policy: nilpotency index minus one for finite sections (tail exactly 0),
-    else the smallest certified cap, else the caller's explicit M (tail left
-    None when uncertifiable).  The index is the first power whose Frobenius
-    norm is dust (1e-12) relative to the largest power seen, as unitary
-    conjugates of sections leave it."""
+    Policy, from one walk of T's powers: the nilpotency index minus one
+    when a power among the first d (min(M + 1, d) for an explicit M) is
+    dust, 1e-12 relative to the largest seen.  The rule serves every
+    operator: true sections (tail exactly 0), their unitary conjugates, and
+    dense contractions alike, such as every seeded build of the dense-ops
+    benchmark.  Else the caller's explicit M (tail None); else the first
+    M in m0..N-1 that tail_certificate certifies to tol / 10, m0 the first
+    Frobenius-contractive power within 512 and N the kernel window's end.
+    Each refusal carries the numbers behind it as witness."""
     if M is not None and M < 0:
         raise ValueError(f"degree cap M must be non-negative, got {M}")
-    d = T.dim
-    tail_bound: Optional[float] = None
-    nil, dust, peak = None, 0.0, 1.0
-    cap = d if M is None else min(M + 1, d)
-    for n, (fro, _) in enumerate(islice(T.powers(grams=False), cap), 1):
-        peak = max(peak, fro)
-        if fro <= 1e-12 * peak:
-            nil, dust = n, fro
+    d, n_max = T.dim, k.trunc_len - 1
+    fro, peak, m0, walk = [1.0], 1.0, None, T.powers()
+    for n, (norm, _) in enumerate(islice(walk, d if M is None else min(M + 1, d)), 1):
+        fro.append(norm)
+        peak = max(peak, norm)
+        m0 = n if m0 is None and norm < 1.0 else m0
+        if norm <= 1e-12 * peak:
+            window = float(np.sum(k.coeffs[: min(n + 1, k.trunc_len)]))
+            M, tail_bound = (n - 1, (c_norm * norm) ** 2 * window) if M is None else (M, 0.0)
             break
+    else:
+        tail_bound = None
     if M is None:
-        if nil is not None:
-            M = nil - 1
-            window = float(np.sum(k.coeffs[: min(nil + 1, k.trunc_len)]))
-            tail_bound = (c_norm * dust) ** 2 * window  # exact 0 for true sections
-        else:
-            M, tail_bound = _certified_degree_cap(c_norm, k, T, tol / 10.0)
-    elif nil is not None:
-        tail_bound = 0.0
+        rho = T.spectral_radius
+        if rho >= 1.0 - 1e-8:
+            message = f"spectral radius estimate {rho:.6f} leaves the degree tail uncertified"
+            raise TailUncertifiableError(message, {"spectral_radius": rho})
+        for norm, _ in islice(walk, 0 if m0 else max(512 - d, 0)):
+            fro.append(norm)
+            if norm < 1.0:
+                m0 = len(fro) - 1
+                break
+        if m0 is None or m0 > 512:
+            witness = {"powers_walked": 512, "smallest_norm": min(fro[1:513])}
+            raise TailUncertifiableError("no contractive power found within 512 steps", witness)
+        M, tail_bound, q = tail_certificate(k, k.coeffs, fro[: m0 + 1], tol / 10.0, m0, n_max - 1, c_norm**2)
+        if tail_bound is None:
+            raise TailUncertifiableError(
+                "kernel growth past the window is uncertified for this generator", {"q": q}
+            )
+        if M is None:
+            witness = {"window_end": n_max, "smallest_bound": tail_bound, "tol": tol / 10.0}
+            raise TailUncertifiableError("degree tail bound never met inside the kernel window", witness)
     if M + 1 > k.trunc_len:
         raise ValueError(f"kernel window too short for degree cap M={M}")
     if np.any(k.coeffs[: M + 1] <= 0.0):

@@ -61,8 +61,8 @@ class UnboundedShiftError(ValueError):
 
 
 class ConvergenceNotCertifiedError(NumericalFailure):
-    def __init__(self, message: str, partial: "HereditaryResult"):
-        super().__init__(message)
+    def __init__(self, message: str, partial: "HereditaryResult", witness: dict):
+        super().__init__(message, witness)
         self.partial = partial
 
 
@@ -109,7 +109,7 @@ class DenseOperator:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.entries))))
 
-    def powers(self, grams: bool = True) -> Iterator[tuple[float, Optional[np.ndarray]]]:
+    def powers(self, grams: bool = False) -> Iterator[tuple[float, Optional[np.ndarray]]]:
         """(||T^n||_F, T*^n T^n) for n = 1, 2, ..., ending after the first
         power that vanishes; the Gram is left out (None) unless grams."""
         power = mat = self.entries
@@ -262,7 +262,7 @@ class ShiftSection:
         """||T^n||_F for n = 1.. as far as a walk of the powers has gone."""
         return []
 
-    def powers(self, grams: bool = False) -> Iterator[tuple[float, None]]:
+    def powers(self) -> Iterator[tuple[float, None]]:
         """DenseOperator.powers in closed form, norms only: ||T^n||_F for
         n = 1..d (T^d = 0), the square roots of the Gram table's row sums.
         Rows are formed a block at a time as the walk reaches them, and
@@ -392,14 +392,31 @@ def _symmetrize(m: np.ndarray, scale: float, rel: float) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _contraction_envelope(fro: Sequence[float]) -> tuple[float, float]:
-    """(q, env) with ||T^n||^2 <= env * q^(2n) for every n, where fro holds
-    ||T^0||..||T^m0|| and m0 = len(fro) - 1 is the first Frobenius-contractive
-    power: q = ||T^m0||^(1/m0) and, by submultiplicativity,
-    env = (max_j ||T^j|| * q^(1 - m0))^2."""
+def tail_certificate(
+    series: TruncatedSeries, weights: np.ndarray, fro: Sequence[float], tol: float, first: int, last: int,
+    scale: float = 1.0,
+) -> tuple[Optional[int], Optional[float], float]:
+    """The truncation policy of both hereditary sums: (M, bound, q) for the
+    first M in first..last with scale * sum_{n>M} w_n ||T^n||^2 <= bound <= tol,
+    w_n the weights in series' window and series' generator's weighted_tail
+    past it.  fro holds ||T^0||..||T^m0||, m0 the first Frobenius-contractive
+    power, so that q = ||T^m0||^(1/m0) and, by submultiplicativity,
+    ||T^n||^2 <= env * q^(2n) with env = (max_j ||T^j|| * q^(1 - m0))^2.
+    M is None when no cap certifies, the bound then the smallest reached
+    (at last); both are None when the generator cannot bound w_n at q^2."""
     m0 = len(fro) - 1
     q = fro[m0] ** (1.0 / m0)
-    return q, (max(fro) * q ** (1 - m0)) ** 2
+    env = (max(fro) * q ** (1 - m0)) ** 2
+    beyond = series.certifier.weighted_tail(series.coeffs, q * q)
+    if beyond is None:
+        return None, None, q
+    w = weights * q ** (2.0 * np.arange(weights.size))
+    suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+    bounds = scale * env * (suffix[first + 1 : last + 2] + beyond)
+    hit = np.flatnonzero(bounds <= tol)
+    if hit.size:
+        return first + int(hit[0]), float(bounds[hit[0]]), q
+    return None, float(scale * env * (suffix[last + 1] + beyond)), q
 
 
 def hereditary_apply(
@@ -407,22 +424,25 @@ def hereditary_apply(
     T: Union[DenseOperator, ShiftSection],
     tol: float = 1e-12,
 ) -> HereditaryResult:
-    """Evaluate sum_n alpha_n T*^n T^n under the first applicable policy.
-
-    (a) ExactNilpotent when some power vanishes outright (finite sections);
-    (b) GeometricTail when the spectral radius estimate sits below 1 and the
-        neglected tail is certifiably at most tol;
-    (c) Truncated with an explicit warning otherwise.
+    """Evaluate sum_n alpha_n T*^n T^n, stopping at whichever comes first:
+    (a) ExactNilpotent at the first power that vanishes (||T^n||_F <= 1e-300);
+    (b) GeometricTail at the first M > m0 that tail_certificate certifies to
+        tol, m0 the first Frobenius-contractive power, when the spectral
+        radius estimate sits below 1 and alpha's generator bounds its
+        coefficients past the window.
+    At the window's end L: (c) ExactPolynomial when alpha is a polynomial of
+    degree at most L, every term summed; (d) ConvergenceNotCertifiedError,
+    with the partial sum, when (b) applies but no M <= L certifies; (e)
+    Truncated with an explicit warning otherwise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = T.dim
     coeffs = alpha.coeffs
     limit = coeffs.size - 1
-
-    # policy selection data
     rho = T.spectral_radius
-    geometric = rho < 1.0 - 10.0 * tol
+    # sup_tail, not weighted_tail, admits (b), so growing binomial windows stay Truncated
+    certifiable = rho < 1.0 - 10.0 * tol and alpha.certifier.sup_tail(coeffs, limit) is not None
 
     # a section's Grams are the diagonals of its Gram table, added after
     # the policy is chosen from the norms alone
@@ -431,11 +451,10 @@ def hereditary_apply(
     terms = abs(coeffs[0]) * d
     fro_norms = [math.sqrt(d)]  # Frobenius norms of T^n, n = 0..
     policy: Optional[Policy] = None
-    sup_beyond = alpha.certifier.sup_tail(coeffs, limit)
-    envelope = None  # (q, env) from the first contracting Frobenius norm
+    cert = None  # tail_certificate's (M, bound, q), once the first contractive power is known
     kept = 0  # the terms n = 1..kept enter the sum
 
-    for n, (fro, gram) in enumerate(islice(T.powers(grams=not section), limit), 1):
+    for n, (fro, gram) in enumerate(islice(T.powers() if section else T.powers(grams=True), limit), 1):
         fro_norms.append(fro)
         if fro <= _NILPOTENT_TOL:
             policy = ExactNilpotent(order=n)
@@ -444,15 +463,10 @@ def hereditary_apply(
             value += coeffs[n] * gram
         kept = n
         terms += abs(coeffs[n]) * fro * fro
-        if not geometric or sup_beyond is None:
-            continue
-        if envelope is None:
-            if fro < 1.0:
-                envelope = _contraction_envelope(fro_norms)
-            continue
-        tail = _geometric_tail(coeffs, n, limit, *envelope, sup_beyond)
-        if tail <= tol:
-            policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
+        if cert is None and certifiable and fro_norms[-2] < 1.0:  # T^(n-1) is the first contraction
+            cert = tail_certificate(alpha, np.abs(coeffs), fro_norms[:-1], tol, n, limit)
+        if cert is not None and cert[0] == n:
+            policy = GeometricTail(rho_est=rho, M=n, tail_bound=cert[1])
             break
     if section:  # a real diagonal, Hermitian with no check
         value = SparseMatrix.diagonal(_section_sum(T, coeffs, value, kept))
@@ -461,15 +475,12 @@ def hereditary_apply(
     if policy is None:
         if abs_tail_bound(alpha, limit) == 0.0:
             policy = ExactPolynomial(limit)
-        elif geometric and sup_beyond is not None:
-            partial = HereditaryResult(
-                value,
-                Truncated(limit, "symbol window ended before the tail was certified"),
-                terms,
-            )
-            raise ConvergenceNotCertifiedError(
-                f"tail bound not met within the symbol window (n <= {limit})", partial
-            )
+        elif certifiable:
+            warning = "symbol window ended before the tail was certified"
+            partial = HereditaryResult(value, Truncated(limit, warning), terms)
+            found = {"smallest_bound": cert[1]} if cert else {"smallest_norm": min(fro_norms)}
+            message = f"tail bound not met within the symbol window (n <= {limit})"
+            raise ConvergenceNotCertifiedError(message, partial, {"window_end": limit, "tol": tol, **found})
         else:
             policy = Truncated(
                 limit,
@@ -490,17 +501,6 @@ def _section_sum(T: ShiftSection, coeffs: np.ndarray, value: np.ndarray, kept: i
         rows[0] += value
         value = np.add.reduce(rows, axis=0, initial=-0.0)
     return value
-
-
-def _geometric_tail(
-    coeffs: np.ndarray, n_done: int, limit: int, q: float, env: float, sup_beyond: float
-) -> float:
-    """Certified bound on sum_{n > n_done} |alpha_n| ||T^n||^2 from the
-    contraction envelope, with sup_beyond bounding |alpha_n| for n > limit."""
-    powers = q ** (2.0 * np.arange(n_done + 1, limit + 1))
-    known = float(np.dot(np.abs(coeffs[n_done + 1 : limit + 1]), powers))
-    beyond = sup_beyond * q ** (2.0 * (limit + 1)) / (1.0 - q * q)
-    return env * (known + beyond)
 
 
 # --- coefficient-level shift membership -------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -48,6 +49,9 @@ def run_cli_checked(*argv):
     assert [str(w.message) for w in caught] == []
     assert "Traceback" not in err.getvalue()
     return code, out.getvalue(), err.getvalue()
+
+
+_ORTHOGONAL = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))[0]
 
 
 class TestCanonicalJson:
@@ -363,25 +367,42 @@ class TestSubcommands:
         assert payload["defect_relation"]["alpha_one_certified"] is True
 
     @pytest.mark.parametrize(
-        "mat, n, what",
+        "mat, kernel, n, what, keys",
         [
-            (np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))[0], "64",
-             "leaves the degree tail uncertified"),
-            (np.diag([0.99, 0.5, 0.3]), "16", "tail bound not met"),
-            (np.diag([0.99, 0.5, 0.3]), "1023", "tail bound not met"),
+            (_ORTHOGONAL, "pow1mt(-0.5)", "64", "leaves the degree tail uncertified", {"spectral_radius"}),
+            (0.999 * _ORTHOGONAL, "inv(poly[1,-0.5])", "64", "no contractive power found",
+             {"powers_walked", "smallest_norm"}),
+            (np.diag([0.99, 0.5, 0.3]), "inv(poly[1,-0.5])", "64", "kernel growth past the window", {"q"}),
+            (np.diag([0.99, 0.5, 0.3]), "tail(poly[1,0.4,0.16],0.05,2.0,3)", "64",
+             "degree tail bound never met", {"window_end", "smallest_bound", "tol"}),
+            (np.diag([0.99, 0.5, 0.3]), "pow1mt(-0.5)", "16", "tail bound not met",
+             {"window_end", "smallest_bound", "tol"}),
+            (np.diag([0.99, 0.5, 0.3]), "pow1mt(-0.5)", "1023", "tail bound not met",
+             {"window_end", "smallest_bound", "tol"}),
+            (0.999 * _ORTHOGONAL, "pow1mt(-0.5)", "64", "tail bound not met",
+             {"window_end", "smallest_norm", "tol"}),
         ],
-        ids=["orthogonal", "diagonal-16", "diagonal-1023"],
+        ids=["orthogonal", "near-orthogonal-cap", "diagonal-derived-kernel", "diagonal-cap-window",
+             "diagonal-16", "diagonal-1023", "near-orthogonal-sum"],
     )
-    def test_model_build_reports_uncertified_tails(self, tmp_path, mat, n, what):
-        # a verdict with exit 1 and a JSON report, like a ModelInvalidError
+    def test_model_build_reports_uncertified_tails(self, tmp_path, mat, kernel, n, what, keys):
+        # a verdict with exit 1 and a JSON report, like a ModelInvalidError,
+        # whose witness holds the finite numbers behind the message
         path = tmp_path / "op.csv"
         write_matrix_csv(str(path), mat)
-        code, out, err = run_cli_checked(
-            "model", "build", "--kernel", "pow1mt(-0.5)", "--operator", str(path), "-N", n
-        )
+        code, out, err = run_cli_checked("model", "build", "--kernel", kernel, "--operator", str(path), "-N", n)
         payload = json.loads(out)
         assert code == 1 and err == ""
-        assert what in payload["error"] and payload["witness"] == {}
+        witness = payload["witness"]
+        assert what in payload["error"] and set(witness) == keys
+        assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in witness.values())
+        if "window_end" in witness:  # the window's end, and the tol its bounds missed
+            assert witness["window_end"] == int(n)
+            assert witness.get("smallest_bound", math.inf) > witness["tol"]
+        if "smallest_norm" in witness:  # no Frobenius-contractive power in the walk
+            assert witness["smallest_norm"] >= 1.0
+        if "q" in witness:
+            assert 0.0 < witness["q"] < 1.0
 
     @pytest.mark.parametrize("seed", [0, 2, 3, 4, 5])
     def test_model_build_on_unitary_with_vanishing_hereditary_sum(self, tmp_path, seed):

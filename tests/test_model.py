@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import unittest.mock
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from herop.operators import (
     ConvergenceNotCertifiedError,
     DenseOperator,
     ExactNilpotent,
+    ExactPolynomial,
     GeometricTail,
+    HereditaryResult,
     direct_sum,
     Direction,
     hereditary_apply,
@@ -34,10 +37,14 @@ from herop.operators import (
     operator_norm,
     seeded_unit_vectors,
     shift_section,
+    ShiftSection,
     SparseMatrix,
+    Truncated,
 )
+from herop.specdsl import elaborate, parse_kernel_spec
 from herop.series import (
     Polynomial,
+    abs_tail_bound,
     reciprocal,
     PowSign,
     TruncatedSeries,
@@ -699,7 +706,7 @@ class WalkedSection:
     def __init__(self, section):
         self.section, self.dim = section, section.dim
 
-    def powers(self, grams=True):
+    def powers(self, grams=False):
         k, d = self.section.kappa.coeffs[: self.dim], self.dim
         for n in range(1, d + 1):
             gram = np.zeros(d)
@@ -996,3 +1003,259 @@ class TestStructuredRelationMatchesDense:
         assert not first.flags.writeable and first.dtype == np.complex128
         assert bundle.W.entries is bundle.W.entries and bundle.D.entries is bundle.D.entries
         assert np.array(bundle.V) is not first  # a requested copy is a copy
+
+
+# --- the shared truncation policy against the two copies it replaced ---------
+#
+# The degree cap and the hereditary sum as they were before both read one
+# tail certificate, kept here as the reference.  Only their calls of
+# T.powers differ from the originals: sections no longer take a grams flag,
+# and dense operators leave the Grams out by default.
+
+
+def _reference_contraction_envelope(fro):
+    m0 = len(fro) - 1
+    q = fro[m0] ** (1.0 / m0)
+    return q, (max(fro) * q ** (1 - m0)) ** 2
+
+
+def _reference_certified_degree_cap(c_norm, k, T, tol):
+    rho = T.spectral_radius
+    if rho >= 1.0 - 1e-8:
+        raise TailUncertifiableError(
+            f"spectral radius estimate {rho:.6f} leaves the degree tail uncertified"
+        )
+    kc = k.coeffs
+    # contraction envelope from the first Frobenius-contractive power
+    fro = [1.0]
+    for norm, _ in islice(T.powers(), 512):
+        fro.append(norm)
+        if norm < 1.0:
+            break
+    else:
+        raise TailUncertifiableError("no contractive power found within 512 steps")
+    m0 = len(fro) - 1
+    q, env = _reference_contraction_envelope(fro)
+    n_max = kc.size - 1
+    weights = kc * q ** (2.0 * np.arange(n_max + 1))
+    suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
+    beyond = k.certifier.weighted_tail(kc, q * q)
+    if beyond is None:
+        raise TailUncertifiableError(
+            "kernel growth past the window is uncertified for this generator"
+        )
+    for m in range(m0, n_max):
+        bound = c_norm**2 * env * (suffix[m + 1] + beyond)
+        if bound <= tol:
+            return m, bound
+    raise TailUncertifiableError("degree tail bound never met inside the kernel window")
+
+
+def _reference_degree_cap(c_norm, k, T, M, tol):
+    if M is not None and M < 0:
+        raise ValueError(f"degree cap M must be non-negative, got {M}")
+    d = T.dim
+    tail_bound = None
+    nil, dust, peak = None, 0.0, 1.0
+    cap = d if M is None else min(M + 1, d)
+    for n, (fro, _) in enumerate(islice(T.powers(), cap), 1):
+        peak = max(peak, fro)
+        if fro <= 1e-12 * peak:
+            nil, dust = n, fro
+            break
+    if M is None:
+        if nil is not None:
+            M = nil - 1
+            window = float(np.sum(k.coeffs[: min(nil + 1, k.trunc_len)]))
+            tail_bound = (c_norm * dust) ** 2 * window  # exact 0 for true sections
+        else:
+            M, tail_bound = _reference_certified_degree_cap(c_norm, k, T, tol / 10.0)
+    elif nil is not None:
+        tail_bound = 0.0
+    if M + 1 > k.trunc_len:
+        raise ValueError(f"kernel window too short for degree cap M={M}")
+    if np.any(k.coeffs[: M + 1] <= 0.0):
+        raise ValueError(f"kernel coefficients up to the degree cap M={M} must be positive")
+    return M, tail_bound
+
+
+def _reference_geometric_tail(coeffs, n_done, limit, q, env, sup_beyond):
+    powers = q ** (2.0 * np.arange(n_done + 1, limit + 1))
+    known = float(np.dot(np.abs(coeffs[n_done + 1 : limit + 1]), powers))
+    beyond = sup_beyond * q ** (2.0 * (limit + 1)) / (1.0 - q * q)
+    return env * (known + beyond)
+
+
+def _reference_hereditary_apply(alpha, T, tol):
+    d = T.dim
+    coeffs = alpha.coeffs
+    limit = coeffs.size - 1
+    rho = T.spectral_radius
+    geometric = rho < 1.0 - 10.0 * tol
+    section = isinstance(T, ShiftSection)
+    value = coeffs[0] * (np.ones(d) if section else np.eye(d, dtype=np.complex128))
+    terms = abs(coeffs[0]) * d
+    fro_norms = [math.sqrt(d)]
+    policy = None
+    sup_beyond = alpha.certifier.sup_tail(coeffs, limit)
+    envelope = None
+    kept = 0
+    for n, (fro, gram) in enumerate(islice(T.powers() if section else T.powers(grams=True), limit), 1):
+        fro_norms.append(fro)
+        if fro <= operators._NILPOTENT_TOL:
+            policy = ExactNilpotent(order=n)
+            break
+        if not section:
+            value += coeffs[n] * gram
+        kept = n
+        terms += abs(coeffs[n]) * fro * fro
+        if not geometric or sup_beyond is None:
+            continue
+        if envelope is None:
+            if fro < 1.0:
+                envelope = _reference_contraction_envelope(fro_norms)
+            continue
+        tail = _reference_geometric_tail(coeffs, n, limit, *envelope, sup_beyond)
+        if tail <= tol:
+            policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
+            break
+    if section:
+        value = SparseMatrix.diagonal(operators._section_sum(T, coeffs, value, kept))
+    else:
+        value = operators._owned(operators._symmetrize(value, terms, 2e-12))
+    if policy is None:
+        if abs_tail_bound(alpha, limit) == 0.0:
+            policy = ExactPolynomial(limit)
+        elif geometric and sup_beyond is not None:
+            partial = HereditaryResult(
+                value,
+                Truncated(limit, "symbol window ended before the tail was certified"),
+                terms,
+            )
+            raise ConvergenceNotCertifiedError(
+                f"tail bound not met within the symbol window (n <= {limit})", partial, {}
+            )
+        else:
+            policy = Truncated(
+                limit,
+                f"spectral radius estimate {rho:.6f} and symbol tail do not certify "
+                f"convergence, sum truncated at {limit}",
+            )
+    return HereditaryResult(value, policy, terms)
+
+
+def _counting_draws(T, run):
+    """(run(), powers drawn from T's walks while it ran)."""
+    cls, drawn = type(T), [0]
+    original = cls.powers
+
+    def powers(self, *args, **kwargs):
+        for item in original(self, *args, **kwargs):
+            drawn[0] += 1
+            yield item
+
+    with unittest.mock.patch.object(cls, "powers", powers):
+        try:
+            out = run()
+        except (TailUncertifiableError, ConvergenceNotCertifiedError, ValueError) as exc:
+            out = exc
+    return out, drawn[0]
+
+
+def _cap_outcome(out):
+    if isinstance(out, Exception):
+        return type(out), str(out)
+    M, tail = out
+    return M, None if tail is None else np.float64(tail).view(np.int64)
+
+
+def _hereditary_outcome(out):
+    """(raised, policy with its tail bound apart, terms bits, value bits)."""
+    raised = isinstance(out, ConvergenceNotCertifiedError)
+    result = out.partial if raised else out
+    policy, bound = result.policy_used, None
+    if isinstance(policy, GeometricTail):
+        policy, bound = (policy.rho_est, policy.M), policy.tail_bound
+    value = result.value.entries
+    return (raised, str(out) if raised else None, policy, np.float64(result.terms).view(np.int64),
+            value.view(np.int64).tobytes()), bound
+
+
+@st.composite
+def _policy_operators(draw):
+    """Dense contractions, nilpotents, Jordan blocks, unitaries and
+    near-unitaries, or sections in both directions, with a kernel for the
+    cap."""
+    kind = draw(st.sampled_from(["contraction", "upper", "jordan", "unitary", "near-unitary", "section"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 16))
+    if kind == "section":
+        k = TruncatedSeries(random_weights(rng, d + 8, draw(st.sampled_from([-2.0, -0.3, 0.0, 0.3]))), None)
+        return shift_section(k, draw(st.sampled_from(list(Direction))), d), k
+    if kind == "contraction":
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mat = g * (draw(st.floats(0.05, 1.2)) / np.linalg.norm(g, 2))
+    elif kind == "upper":
+        mat = np.triu(rng.standard_normal((d, d)), 1) * draw(st.floats(1e-3, 1.0))
+    elif kind == "jordan":
+        mat = np.eye(d, k=1) * draw(st.floats(1e-3, 1.0))
+    else:
+        mat = random_unitary(d, seed=int(rng.integers(1000))).entries
+        if kind == "near-unitary":
+            mat = mat * draw(st.floats(0.99, 0.9999))
+    spec = draw(st.sampled_from(["pow1mt(-0.5)", "pow1mt(-1.5)", "tail(poly[1,0.4,0.16],0.05,2.0,3)",
+                                 "pow1mt(-0.5)*poly[1,0.3]", "poly[1,0.5,0.25]"]))
+    return DenseOperator(mat), elaborate(parse_kernel_spec(spec), draw(st.integers(3, 300)))
+
+
+class TestOnePolicyMatchesTheTwoCopies:
+    """The degree cap and the hereditary sum read one tail certificate; both
+    must keep the choices of the two copies they replaced: the same cap and
+    tail bits, the same refusals, the same hereditary policy, terms and
+    value bits, and no more powers drawn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        op=_policy_operators(),
+        symbol=st.sampled_from(["binomial", "polynomial", "bare"]),
+        limit=st.integers(1, 200),
+        degree=st.one_of(st.none(), st.integers(0, 70)),
+        c_norm=st.floats(0.1, 2.0),
+        tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(op=(DenseOperator(0.01 * np.eye(100, k=1)), binomial_series(0.5, PowSign.MINUS, 255)),
+             symbol="binomial", limit=200, degree=None, c_norm=1.0, tol=1e-10, seed=0)
+    @example(op=(random_unitary(5, seed=3), binomial_series(0.5, PowSign.MINUS, 255)),
+             symbol="binomial", limit=200, degree=8, c_norm=1.0, tol=1e-10, seed=0)
+    def test_same_choices(self, op, symbol, limit, degree, c_norm, tol, seed):
+        T, k = op
+        new, new_draws = _counting_draws(T, lambda: model._degree_cap(c_norm, k, T, degree, 1e-10))
+        ref, ref_draws = _counting_draws(T, lambda: _reference_degree_cap(c_norm, k, T, degree, 1e-10))
+        assert _cap_outcome(new) == _cap_outcome(ref) and new_draws <= ref_draws
+
+        rng = np.random.default_rng(seed)
+        if symbol == "binomial":
+            alpha = binomial_series(rng.uniform(0.1, 2.0), PowSign.PLUS, limit)
+        else:
+            coeffs = rng.standard_normal(limit + 1) * 0.8 ** np.arange(limit + 1)
+            alpha = TruncatedSeries(coeffs, Polynomial(limit) if symbol == "polynomial" else None)
+        new, new_draws = _counting_draws(T, lambda: hereditary_apply(alpha, T, tol))
+        ref, ref_draws = _counting_draws(T, lambda: _reference_hereditary_apply(alpha, T, tol))
+        (same_new, bound_new), (same_ref, bound_ref) = _hereditary_outcome(new), _hereditary_outcome(ref)
+        assert same_new == same_ref and new_draws <= ref_draws
+        # the tail bound is one suffix sum now, not a dot per step: last bits move
+        assert (bound_new is None) == (bound_ref is None)
+        if bound_ref is not None:
+            assert bound_new == pytest.approx(bound_ref, rel=1e-12, abs=0.0) and bound_new <= tol
+
+
+def test_degree_cap_takes_the_dust_rule_before_the_certificate():
+    # on 0.01 J (J the nilpotent Jordan block, d = 100, ||C|| = 1) the
+    # relative dust rule reads T^7 as the nilpotency index: M = 6, where
+    # the certificate alone would stop at M = 4
+    k = binomial_series(0.5, PowSign.MINUS, 255)
+    T = DenseOperator(0.01 * np.eye(100, k=1))
+    M, tail = model._degree_cap(1.0, k, T, None, 1e-8)
+    assert M == 6 and 0.0 < tail < 1e-20
+    assert _reference_certified_degree_cap(1.0, k, T, 1e-9)[0] == 4
