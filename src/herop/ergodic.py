@@ -13,8 +13,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .model import ModelBundle
-from .operators import DenseOperator, ShiftSection, _basis_orbit_norms, _orbit_norms, operator_norm
-from .series import cesaro_number, cesaro_numbers
+from .operators import (
+    DenseOperator, ShiftSection, _basis_orbit_norms, _orbit_norms, _vector_norm, operator_norm
+)
+from .series import _dot, cesaro_number, cesaro_numbers
 
 __all__ = [
     "MOVING_BASIS",
@@ -76,7 +78,7 @@ def _weighted_means(norms_p: np.ndarray, a: float, n_grid: Sequence[int]) -> np.
     ka1 = cesaro_numbers(a + 1.0, n_max)
     out = np.empty(len(n_grid))
     for i, n in enumerate(n_grid):
-        out[i] = float(np.dot(ka[n::-1], norms_p[: n + 1])) / ka1[n]
+        out[i] = float(_dot(ka[n::-1], norms_p[: n + 1])) / ka1[n]
     return out
 
 
@@ -250,14 +252,14 @@ def trichotomy_test(
     consistent = True
     for i, vec in enumerate(vectors):
         x = np.asarray(vec, dtype=np.complex128)
-        nx = float(np.linalg.norm(x))
+        nx = _vector_norm(x)
         norms = _orbit_norms(T, x, n_max)
         min_norm = float(np.min(norms))
         mean_at = _weighted_means(norms**2, b, [n_max // 2, n_max])
         # the transient part of the mean decays like 1/n, so one Richardson
         # step isolates the limit contributed by the isometric component
         limit_est = max(0.0, 2.0 * float(mean_at[-1]) - float(mean_at[0]))
-        wx = float(np.linalg.norm(bundle.W.apply(x)))
+        wx = _vector_norm(bundle.W.apply(x))
         # all three indicators live on the |isometric component| scale
         ratios = {
             "power": min_norm / nx,

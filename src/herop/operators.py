@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .conditions import Verdict
-from .series import NumericalFailure, TruncatedSeries, _convolve, _finite, abs_tail_bound
+from .series import NumericalFailure, TruncatedSeries, _convolve, _dot, _finite, abs_tail_bound
 
 __all__ = [
     "DenseOperator",
@@ -294,13 +294,13 @@ def shift_section(kappa: TruncatedSeries, direction: Direction, d: int) -> Shift
 
 
 def _vector_norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v) for a contiguous 1-D float64 or complex128 array,
-    bit for bit (the same dot products and square root), without the
-    wrapper's argument handling."""
+    """np.linalg.norm(v) for a 1-D float64 or complex128 array: its dot
+    products and square root, so its bits up to series._DOT_CHUNK entries,
+    and past that a sum whose order no BLAS thread count can change."""
     if v.dtype.kind == "c":
         re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(v.dot(v))
+        return math.sqrt(_dot(re, re) + _dot(im, im))
+    return math.sqrt(_dot(v, v))
 
 
 def _orbit_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
@@ -310,7 +310,8 @@ def _orbit_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
     stays real; after it, two buffers take turns as apply's out."""
     v = np.asarray(x)
     out = np.zeros(n_max + 1)
-    out[0] = float(np.linalg.norm(v))  # x may have any dtype and strides
+    # x may have any dtype: integers and bools count as floats, as in np.linalg.norm
+    out[0] = _vector_norm(v if v.dtype.kind in "fc" else v.astype(float))
     if n_max < 1:
         return out
     v = T.apply(v)
@@ -729,7 +730,7 @@ def seeded_unit_vectors(
         v = rng.standard_normal(dim)
         if complex_entries:
             v = v + 1j * rng.standard_normal(dim)
-        vectors.append(v / np.linalg.norm(v))
+        vectors.append(v / _vector_norm(v))
     return vectors
 
 

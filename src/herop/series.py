@@ -65,6 +65,24 @@ def _finite(c: np.ndarray, what: str) -> np.ndarray:
     return c
 
 
+# OpenBLAS 0.3.31 (x86_64) splits ddot over its threads above 10,000
+# elements, and the split changes the order of the sum with the thread
+# count.  A chunk of at most 8192 stays on one thread, and adding the
+# chunks left to right fixes the order; a vector that fits in one chunk
+# takes the one plain ddot and keeps its bits.
+_DOT_CHUNK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a.dot(b) for 1-D a and b, summed in an order no thread count can change."""
+    if a.shape[0] <= _DOT_CHUNK:
+        return a.dot(b)
+    total = a[:_DOT_CHUNK].dot(b[:_DOT_CHUNK])
+    for i in range(_DOT_CHUNK, a.shape[0], _DOT_CHUNK):
+        total += a[i : i + _DOT_CHUNK].dot(b[i : i + _DOT_CHUNK])
+    return total
+
+
 class SingularAtOriginError(ValueError):
     """Inversion requested for a series with vanishing constant term."""
 

@@ -676,20 +676,49 @@ def test_model_build_on_any_operator_keeps_the_contract(kind, d, seed, s, sign, 
         assert isinstance(json.loads(out), dict)
 
 
+def _stdout_under_one_and_two_blas_threads(env, argv):
+    code = "import sys; from herop.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    return outputs
+
+
 def test_long_products_do_not_depend_on_blas_threads(src_env):
     """Long products are GEMMs, which split their output, never a sum, over
     threads, so one and two BLAS threads print the same bytes."""
     argv = ["shift", "membership", "--a", "0.5", "--s", "0.6", "-N", "65536"]
-    code = "import sys; from herop.cli import main; sys.exit(main(sys.argv[1:]))"
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(src_env, OPENBLAS_NUM_THREADS=threads)
-        done = subprocess.run(
-            [sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    one, two = _stdout_under_one_and_two_blas_threads(src_env, argv)
+    assert one == two
+
+
+def test_long_probes_do_not_depend_on_blas_threads(src_env):
+    """Past 10,000 entries a walk norm or a Cesaro sum taken as one ddot is
+    split over threads; the fixed-order dot prints the same bytes under one
+    and two BLAS threads."""
+    argv = ["ergodic", "probe", "--kernel", "pow1mt(-0.5)", "--a", "0.8", "--nmax", "10500"]
+    one, two = _stdout_under_one_and_two_blas_threads(src_env, argv)
+    assert one == two
+
+
+def test_short_probes_print_the_plain_dot_bytes(capsys, monkeypatch):
+    """Up to a chunk the fixed-order dot is one plain ddot, so a probe whose
+    vectors are that short prints what np.dot and np.linalg.norm print."""
+    from herop import ergodic, operators
+
+    argv = ["ergodic", "probe", "--kernel", "pow1mt(-0.5)", "--a", "0.8", "--nmax", "2000"]
+    fixed = run_cli(capsys, *argv)
+    for module in (operators, ergodic):
+        monkeypatch.setattr(module, "_vector_norm", lambda v: float(np.linalg.norm(v)))
+    monkeypatch.setattr(ergodic, "_dot", np.dot)
+    assert run_cli(capsys, *argv) == fixed
 
 
 def test_probe_and_bundle_leave_numpy_ma_unimported(src_env):

@@ -39,6 +39,7 @@ from herop.series import (
     Polynomial,
     PowSign,
     TruncatedSeries,
+    _dot,
     binomial_series,
     cesaro_numbers,
 )
@@ -304,6 +305,19 @@ class TestVectorNorm:
             v = v + 1j * rng.standard_normal(v.size) * 10.0 ** np.array(exponents[::-1])
         with np.errstate(over="ignore"):
             assert _same_bits(_vector_norm(v), float(np.linalg.norm(v)))
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_long_vectors_take_the_fixed_order_dot(self, complex_entries):
+        """Past a dot chunk, the norm and the walk's norms of x and T x are
+        the fixed-order sums (a square root often rounds two sums to one
+        norm, so several vectors are taken)."""
+        T = backward(0.5, 20002, 20001)
+        for seed in range(8):
+            z = np.random.default_rng(seed).standard_normal((2, 20001)) * np.geomspace(1.0, 1e3, 20001)
+            x = z[0] + 1j * z[1] if complex_entries else z[0]
+            want = [math.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag)) for v in (x, T.apply(x))]
+            assert _same_bits(_vector_norm(x), want[0])
+            assert _same_bits(_orbit_norms(T, x, 1), np.array(want))
 
 
 class TestWalkAgainstTheAllocatingWalk:

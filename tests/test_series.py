@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from herop.series import (
     PowerTail,
     SingularAtOriginError,
     TruncatedSeries,
+    _dot,
     abs_tail_bound,
     alpha_at_one,
     binomial_series,
@@ -673,6 +676,72 @@ def test_inversion_overflow_degree_matches_copying_loop(spec, degree):
         _invert_coeffs(c, 4096)
     assert info.value.witness == {"degree": degree}
     _assert_same_inverse(c, 4096)
+
+
+# --- the fixed-order dot -------------------------------------------------------
+
+
+def _dot_operands(n, seed, view):
+    """Two length-n operands as the probe path passes them: contiguous, a
+    reversed view against a contiguous one, or the real or imaginary view
+    of a complex vector (stride two)."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    if view == "plain":
+        return z[0].real.copy(), z[1].real.copy()
+    if view == "reversed":
+        return z[0].real.copy()[::-1], z[1].real.copy()
+    part = z.real if view == "real" else z.imag
+    return part[0], part[0]
+
+
+_VIEWS = ["plain", "reversed", "real", "imag"]
+
+
+def _same_float_bits(a, b):
+    return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 8192) | st.sampled_from([1, 8191, 8192]),
+    seed=st.integers(0, 2**16),
+    view=st.sampled_from(_VIEWS),
+)
+def test_fixed_order_dot_is_one_ddot_up_to_a_chunk(n, seed, view):
+    a, b = _dot_operands(n, seed, view)
+    assert _same_float_bits(_dot(a, b), a.dot(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(8193, 40000) | st.sampled_from([8193, 16384, 16385, 20001, 24577]),
+    seed=st.integers(0, 2**16),
+    view=st.sampled_from(_VIEWS),
+)
+def test_fixed_order_dot_adds_chunks_left_to_right(n, seed, view):
+    a, b = _dot_operands(n, seed, view)
+    parts = [a[i : i + 8192].dot(b[i : i + 8192]) for i in range(0, n, 8192)]
+    assert _same_float_bits(_dot(a, b), sum(parts[1:], parts[0]))
+
+
+def test_fixed_order_dot_does_not_depend_on_blas_threads(src_env):
+    """At 20001 entries one ddot would be split over two threads; the chunked
+    sum prints the same bits under one and two."""
+    code = (
+        "import numpy as np; from herop.series import _dot; "
+        "z = np.random.default_rng(5).standard_normal((2, 20001)) * [[1.0], [1e-3]]; "
+        "c = z[0] + 1j * z[1]; "
+        "print([float(_dot(a, b)).hex() for a, b in "
+        "[(z[0], z[1]), (z[0][::-1], z[1]), (c.real, c.real), (c.imag, c.imag)]])"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(src_env, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # --- extended-precision references ------------------------------------------
