@@ -83,6 +83,19 @@ def _trend_rows(indices: np.ndarray, values: np.ndarray) -> list:
     return [[int(i), float(v)] for i, v in zip(indices, values)]
 
 
+def _sup_trend(values: np.ndarray, settle_from: int, rel: float, floor: float = 0.0) -> tuple:
+    """(sup, argsup, settled, trend) of a finite-window sequence: the first
+    index of its maximum, whether the running sup grows by at most `rel`
+    (plus `floor`) from index `settle_from` to the end, and every
+    max(1, n // 64)-th entry as (index, value) rows, n the last index."""
+    i_sup = int(np.argmax(values))
+    run = np.maximum.accumulate(values)
+    settled = bool(run[-1] <= (1.0 + rel) * run[settle_from] + floor)
+    step = max(1, (values.size - 1) // 64)
+    trend = _trend_rows(np.arange(0, values.size, step), values[::step])
+    return float(values[i_sup]), i_sup, settled, trend
+
+
 _SIGN_TOL = 1e-14
 
 _CIRCLE_RADII = (0.5, 0.9, 0.99, 1.0)
@@ -142,16 +155,6 @@ def check_hypotheses_A(pair: KernelPair, circle_samples: int = 2048) -> Conditio
     return ConditionReport("HypA", Verdict.TREND_HOLDS, witness, n)
 
 
-def _running_sup_stabilized(values: np.ndarray, rel: float = 0.01) -> bool:
-    """True when the running supremum grows by at most `rel` over the last
-    half of the window."""
-    if values.size < 8:
-        return False
-    run = np.maximum.accumulate(values)
-    half = run[values.size // 2]
-    return bool(run[-1] <= (1.0 + rel) * half + 1e-300)
-
-
 def check_hypotheses_B(pair: KernelPair) -> ConditionReport:
     """Bounded kernel ratio and domination of gamma = |alpha| * k by k.
 
@@ -189,20 +192,22 @@ def check_hypotheses_B(pair: KernelPair) -> ConditionReport:
         kc, gamma = kc[: n + 1], gamma[: n + 1]
     ratio_k = kc[:-1] / kc[1:]
     ratio_g = gamma / kc
-    i_k, i_g = int(np.argmax(ratio_k)), int(np.argmax(ratio_g))
+    # the running sups must settle over each sequence's back half
+    sup_k, i_k, settled_k, _ = _sup_trend(ratio_k, ratio_k.size // 2, 0.01, 1e-300)
+    sup_g, i_g, settled_g, trend = _sup_trend(ratio_g, ratio_g.size // 2, 0.01, 1e-300)
     witness = {
-        "sup_k_ratio": float(ratio_k[i_k]),
+        "sup_k_ratio": sup_k,
         "argsup_k_ratio": i_k,
-        "sup_gamma_over_k": float(ratio_g[i_g]),
+        "sup_gamma_over_k": sup_g,
         "argsup_gamma_over_k": i_g,
-        "trend": _trend_rows(np.arange(0, n + 1, max(1, n // 64)), ratio_g[:: max(1, n // 64)]),
+        "trend": trend,
     }
     if over.size:
         witness["gamma_overflow_index"] = n + 1
-    flat_k = np.ptp(ratio_k[ratio_k.size // 2 :]) <= 1e-12 * max(1.0, ratio_k[i_k])
-    flat_g = np.ptp(ratio_g[ratio_g.size // 2 :]) <= 1e-12 * max(1.0, ratio_g[i_g])
+    flat_k = np.ptp(ratio_k[ratio_k.size // 2 :]) <= 1e-12 * max(1.0, sup_k)
+    flat_g = np.ptp(ratio_g[ratio_g.size // 2 :]) <= 1e-12 * max(1.0, sup_g)
     attained = i_k <= n // 2 and i_g <= n // 2
-    stabilized = _running_sup_stabilized(ratio_k) and _running_sup_stabilized(ratio_g)
+    stabilized = n >= 8 and settled_k and settled_g
     whole = not (cut.size or over.size)
     if flat_k and flat_g and attained and whole:
         return ConditionReport("HypB", Verdict.HOLDS, witness, n)
@@ -331,14 +336,8 @@ def banach_algebra_condition(omega: TruncatedSeries) -> ConditionReport:
         raise ValueError("all weights must be positive")
     inv = 1.0 / w
     rows = w * _convolve(inv, inv, n + 1)
-    i_sup = int(np.argmax(rows))
-    run = np.maximum.accumulate(rows)
-    witness = {
-        "sup": float(rows[i_sup]),
-        "argsup": i_sup,
-        "trend": _trend_rows(np.arange(0, n + 1, max(1, n // 64)), rows[:: max(1, n // 64)]),
-    }
-    last_quarter_flat = run[-1] <= run[(3 * n) // 4] * (1.0 + 1e-6)
+    sup, i_sup, last_quarter_flat, trend = _sup_trend(rows, (3 * n) // 4, 1e-6)
+    witness = {"sup": sup, "argsup": i_sup, "trend": trend}
     if i_sup <= (3 * n) // 4 and last_quarter_flat:
         return ConditionReport("BanachAlg", Verdict.TREND_HOLDS, witness, n)
     tail_rows = rows[n // 2 :]
@@ -362,15 +361,13 @@ def tau_condition_check(omega: TruncatedSeries) -> ConditionReport:
         q = np.divide(w[2 * j :], w[j : n - j + 1], out=buf[: n - 2 * j + 1])
         tau[j] = q.max() / w[j]
     partial = np.cumsum(tau)
-    witness = {
-        "partial_sum": float(partial[-1]),
-        "trend": _trend_rows(np.arange(0, j_max + 1, max(1, j_max // 64)), tau[:: max(1, j_max // 64)]),
-    }
+    sup, _, _, trend = _sup_trend(tau, 0, 0.0)
+    witness = {"partial_sum": float(partial[-1]), "trend": trend}
     tail = partial[-1] - partial[j_max // 2]
     if tail <= 0.05 * max(partial[-1], 1e-300):
         return ConditionReport("TauSummable", Verdict.TREND_HOLDS, witness, n)
     flat = np.all(np.diff(tau[j_max // 2 :]) >= -1e-12)
-    if flat and tau[-1] >= 0.5 * np.max(tau):
+    if flat and tau[-1] >= 0.5 * sup:
         return ConditionReport("TauSummable", Verdict.FAILS, witness, n)
     return ConditionReport("TauSummable", Verdict.INDETERMINATE, witness, n)
 

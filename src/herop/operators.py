@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .conditions import Verdict
+from .conditions import _SIGN_TOL, Verdict, _sup_trend
 from .series import NumericalFailure, TruncatedSeries, _convolve, _dot, _finite, abs_tail_bound
 
 __all__ = [
@@ -523,9 +523,6 @@ class ShiftMembershipReport:
         return self.in_Cw_plus is Verdict.HOLDS
 
 
-_SIGN_TOL = 1e-14
-
-
 def _check_backward_bounded(kappa: np.ndarray) -> float:
     ratios = kappa[:-1] / kappa[1:]
     sup = float(np.max(ratios))
@@ -567,12 +564,9 @@ def shift_membership_backward(
     gamma = _convolve(np.abs(ac), kc, n + 1)
     with np.errstate(over="ignore"):
         ratio = _finite(gamma / kc, "gamma / kappa overflowed")
-    i_sup = int(np.argmax(ratio))
-    head = ratio[: max((3 * n) // 4, 1)]
-    stabilized = i_sup <= n // 2 or bool(
-        np.max(ratio[(3 * n) // 4 :]) <= (1.0 + 0.01) * np.max(head)
-    )
-    in_cw = Verdict.TREND_HOLDS if stabilized else Verdict.INDETERMINATE
+    # settled: the last quarter's max is within 1% of the max before it
+    sup, i_sup, settled, _ = _sup_trend(ratio, max((3 * n) // 4, 1) - 1, 0.01)
+    in_cw = Verdict.TREND_HOLDS if i_sup <= n // 2 or settled else Verdict.INDETERMINATE
 
     prod = _convolve(ac, kc, n + 1)
     slack = _SIGN_TOL * np.maximum(gamma, 1.0)
@@ -582,13 +576,11 @@ def shift_membership_backward(
     in_cw_plus = Verdict.HOLDS if bool(np.all(deficit >= 0.0)) else Verdict.FAILS
     witness = {
         "shift_norm_sq": sup_shift,
-        "sup_gamma_over_kappa": float(ratio[i_sup]),
+        "sup_gamma_over_kappa": sup,
         "argsup": i_sup,
         "product_head": [float(v) for v in prod[: min(8, n + 1)]],
     }
-    return ShiftMembershipReport(
-        Direction.BACKWARD, in_cw, in_cw_plus, float(ratio[i_sup]), min_c, i_min, witness, n
-    )
+    return ShiftMembershipReport(Direction.BACKWARD, in_cw, in_cw_plus, sup, min_c, i_min, witness, n)
 
 
 def shift_membership_forward(
@@ -623,7 +615,7 @@ def shift_membership_forward(
     weak_values = np.correlate(window, np.abs(a), mode="valid")
     with np.errstate(over="ignore"):
         weak_ratio = _finite(weak_values / kc[: m_max + 1], "weak ratio overflowed")
-    i_sup = int(np.argmax(weak_ratio))
+    sup, i_sup, _, _ = _sup_trend(weak_ratio, 0, 0.0)
     in_cw = Verdict.TREND_HOLDS if i_sup <= m_max // 2 else Verdict.INDETERMINATE
 
     i_min = int(np.argmin(values))
@@ -642,12 +634,10 @@ def shift_membership_forward(
         "not_a_part": True,  # forward sections are compressions
         "certified_tails": certified,
         "shift_norm_sq": norm_sq,
-        "sup_weak_ratio": float(weak_ratio[i_sup]),
+        "sup_weak_ratio": sup,
         "values_head": [float(v) for v in values[:8]],
     }
-    return ShiftMembershipReport(
-        Direction.FORWARD, in_cw, in_plus, float(weak_ratio[i_sup]), min_v, i_min, witness, n
-    )
+    return ShiftMembershipReport(Direction.FORWARD, in_cw, in_plus, sup, min_v, i_min, witness, n)
 
 
 # --- spectral quantities -----------------------------------------------------

@@ -1,8 +1,12 @@
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from herop import conditions, operators
 from herop.conditions import (
     SignPattern,
     Verdict,
@@ -17,9 +21,16 @@ from herop.conditions import (
     muller_sufficient_check,
     reciprocal_summability_check,
     tau_condition_check,
+    _sup_trend,
+)
+from herop.operators import (
+    UnboundedShiftError,
+    shift_membership_backward,
+    shift_membership_forward,
 )
 from herop.series import (
     Derived,
+    KernelPair,
     Polynomial,
     PowSign,
     PowerTail,
@@ -380,3 +391,217 @@ class TestSignPatternGenerator:
         assert report.verdict is Verdict.HOLDS
         assert report.witness["achieved_epsilon"] < 10.0
         assert report.witness["halvings"] > 0
+
+
+# --- one sup-and-trend routine: the hand-written forms it replaced ----------
+
+
+def _parent_running_sup_stabilized(values, rel=0.01):
+    if values.size < 8:
+        return False
+    run = np.maximum.accumulate(values)
+    half = run[values.size // 2]
+    return bool(run[-1] <= (1.0 + rel) * half + 1e-300)
+
+
+def _parent_backward_settled(ratio):
+    n = ratio.size - 1
+    head = ratio[: max((3 * n) // 4, 1)]
+    return bool(np.max(ratio[(3 * n) // 4 :]) <= (1.0 + 0.01) * np.max(head))
+
+
+def _parent_banach_flat(rows):
+    n = rows.size - 1
+    run = np.maximum.accumulate(rows)
+    return bool(run[-1] <= run[(3 * n) // 4] * (1.0 + 1e-6))
+
+
+def _parent_trend(values):
+    n = values.size - 1
+    step = max(1, n // 64)
+    return [[int(i), float(v)] for i, v in zip(np.arange(0, n + 1, step), values[::step])]
+
+
+def _hypB_form(values):
+    return values.size >= 8 and _sup_trend(values, values.size // 2, 0.01, 1e-300)[2]
+
+
+def _backward_form(values):
+    n = values.size - 1
+    return _sup_trend(values, max((3 * n) // 4, 1) - 1, 0.01)[2]
+
+
+def _banach_form(values):
+    return _sup_trend(values, (3 * (values.size - 1)) // 4, 1e-6)[2]
+
+
+@contextmanager
+def _spy(module):
+    """Record (values, result) of every _sup_trend call the module makes."""
+    seen = []
+
+    def record(values, *args):
+        out = _sup_trend(values, *args)
+        seen.append((np.array(values), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_sup_trend", record)
+        yield seen
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+# ties, zeros and values at the 1e-300 floor, next to arbitrary magnitudes
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1e-300, 2e-300, 1.0, 1.005, 1.01, 1.0100000000000002, 1.02, 2.0]),
+    st.floats(0.0, 1e3),
+)
+
+
+class TestSupTrend:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ENTRIES, min_size=1, max_size=40).map(np.array))
+    @example(np.array([0.0] * 8 + [1e-300]))
+    @example(np.array([1.0, 1.5, 1.5, 2.0, 2.0]))
+    def test_matches_the_hand_written_forms(self, values):
+        sup, i_sup, _, trend = _sup_trend(values, 0, 0.0)
+        assert i_sup == int(np.argmax(values)) and _bits(sup) == _bits(np.max(values))
+        assert trend == _parent_trend(values)
+        assert _hypB_form(values) == _parent_running_sup_stabilized(values)
+        assert _backward_form(values) == _parent_backward_settled(values)
+        assert _banach_form(values) == _parent_banach_flat(values)
+
+    @pytest.mark.parametrize("size", range(1, 11))
+    @pytest.mark.parametrize("last", [1e-300, 1.5e-300, 2e-300, 1.0])
+    def test_the_floor_decides_near_zero(self, size, last):
+        # a running sup of 0 at the half: only the 1e-300 floor lets the
+        # last entry settle, and only when it is at most the floor
+        values = np.array([0.0] * (size - 1) + [last])
+        assert _hypB_form(values) == _parent_running_sup_stabilized(values)
+        assert _hypB_form(values) == (size >= 8 and last <= 1e-300)
+
+    @pytest.mark.parametrize("size", [1, 2, 64, 65, 66, 128, 129, 130, 8192, 8193])
+    def test_trend_rows_where_the_step_changes(self, size):
+        values = np.random.default_rng(size).uniform(0.0, 2.0, size)
+        trend = _sup_trend(values, 0, 0.0)[3]
+        assert trend == _parent_trend(values)
+        assert len(trend) == (size - 1) // max(1, (size - 1) // 64) + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, 1.0 / 1.03]), min_size=1, max_size=16))
+    @example([2.0, 2.0, 1.0, 1.0])
+    def test_backward_membership_keeps_the_head_tail_rule(self, steps):
+        # ratio_n = 1 + kappa_{n-1} / kappa_n takes the values 1, 1.5, 2,
+        # 2.03 and 3, so heads and tails tie often, or differ by 1.5%;
+        # n runs 1..16
+        kappa = weights(np.cumprod([1.0] + [1.0 / s for s in steps]))
+        with _spy(operators) as seen:
+            try:
+                report = shift_membership_backward(poly(1.0, -1.0), kappa)
+            except UnboundedShiftError:
+                return
+        (ratio, _), = seen
+        n = ratio.size - 1
+        i_sup = int(np.argmax(ratio))
+        holds = i_sup <= n // 2 or _parent_backward_settled(ratio)
+        assert report.in_Cw is (Verdict.TREND_HOLDS if holds else Verdict.INDETERMINATE)
+        assert report.witness["argsup"] == i_sup
+        assert _bits(report.sup_ratio) == _bits(np.max(ratio))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0]), min_size=1, max_size=24))
+    @example([1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    def test_forward_membership_argsup(self, steps):
+        # the weak ratio at m is 1 + kappa_{m+1} / kappa_m, so it ties often
+        kappa = weights(np.cumprod([1.0] + steps))
+        with _spy(operators) as seen:
+            report = shift_membership_forward(poly(1.0, -1.0), kappa)
+        (ratio, _), = seen
+        i_sup = int(np.argmax(ratio))
+        in_cw = Verdict.TREND_HOLDS if i_sup <= (report.N_used // 2) // 2 else Verdict.INDETERMINATE
+        assert report.in_Cw is in_cw
+        assert _bits(report.witness["sup_weak_ratio"]) == _bits(np.max(ratio))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 200, 4096])
+    @pytest.mark.parametrize("shape", ["quadratic", "flat", "exponential", "random"])
+    def test_banach_algebra_keeps_the_last_quarter_rule(self, shape, n):
+        x = np.arange(0.0, n + 1.0)
+        w = {
+            "quadratic": (x + 1.0) ** 2,
+            "flat": np.ones(n + 1),
+            "exponential": 1.1**x,
+            "random": np.random.default_rng(n).uniform(0.5, 2.0, n + 1),
+        }[shape]
+        self._check_banach_algebra(w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=17))
+    def test_banach_algebra_on_small_windows(self, w):
+        self._check_banach_algebra(np.array(w))
+
+    @staticmethod
+    def _check_banach_algebra(w):
+        n = w.size - 1
+        with _spy(conditions) as seen:
+            report = banach_algebra_condition(weights(w))
+        (rows, _), = seen
+        i_sup = int(np.argmax(rows))
+        assert report.witness == {"sup": float(rows[i_sup]), "argsup": i_sup,
+                                  "trend": _parent_trend(rows)}
+        settled = i_sup <= (3 * n) // 4 and _parent_banach_flat(rows)
+        assert (report.verdict is Verdict.TREND_HOLDS) == settled
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 512])
+    @pytest.mark.parametrize(
+        "alpha",
+        [(1.0, -0.5), (1.0, -0.6, -0.3), (1.0, -1.0), (1.0, 0.3, -0.2)],
+        ids=["np-half", "np-quadratic", "critical", "mixed-signs"],
+    )
+    def test_hypotheses_B_keeps_its_hand_written_verdict(self, alpha, n):
+        self._check_hypotheses_B(reciprocal(poly(*alpha), n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, 1.0 / 1.015]), min_size=1, max_size=20),
+           st.sampled_from([0.0, -0.5]))
+    def test_hypotheses_B_on_small_windows(self, steps, a1):
+        # k_{n+1} = k_n * step, so k_n / k_{n+1} ties often or grows by 1.5%
+        n = len(steps)
+        alpha = weights([1.0, a1] + [0.0] * (n - 1))
+        self._check_hypotheses_B(KernelPair(alpha, weights(np.cumprod([1.0] + steps)), 0.0, None))
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 16])
+    def test_hypotheses_B_floor_settles_a_zero_sup(self, n):
+        # gamma / k is 0 up to a last entry of 1e-300: the floor settles it
+        alpha = weights([0.0] * n + [1e-300])
+        pair = KernelPair(alpha, weights(np.ones(n + 1)), 0.0, None)
+        report = self._check_hypotheses_B(pair)
+        assert report.verdict is (Verdict.TREND_HOLDS if n >= 8 else Verdict.INDETERMINATE)
+
+    @staticmethod
+    def _check_hypotheses_B(pair):
+        with _spy(conditions) as seen:
+            report = check_hypotheses_B(pair)
+        (ratio_k, _), (ratio_g, _) = seen
+        n = report.N_used
+        i_k, i_g = int(np.argmax(ratio_k)), int(np.argmax(ratio_g))
+        assert report.witness == {
+            "sup_k_ratio": float(ratio_k[i_k]),
+            "argsup_k_ratio": i_k,
+            "sup_gamma_over_k": float(ratio_g[i_g]),
+            "argsup_gamma_over_k": i_g,
+            "trend": _parent_trend(ratio_g),
+        }
+        flat_k = np.ptp(ratio_k[ratio_k.size // 2 :]) <= 1e-12 * max(1.0, ratio_k[i_k])
+        flat_g = np.ptp(ratio_g[ratio_g.size // 2 :]) <= 1e-12 * max(1.0, ratio_g[i_g])
+        attained = i_k <= n // 2 and i_g <= n // 2
+        stabilized = _parent_running_sup_stabilized(ratio_k) and _parent_running_sup_stabilized(ratio_g)
+        if flat_k and flat_g and attained:
+            assert report.verdict is Verdict.HOLDS
+        elif attained or stabilized:
+            assert report.verdict is Verdict.TREND_HOLDS
+        else:
+            assert report.verdict is Verdict.INDETERMINATE
+        return report
