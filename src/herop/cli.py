@@ -160,6 +160,8 @@ def _series_from_flags(args) -> TruncatedSeries:
 
 def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> tuple[int, list, dict]:
     """The four pair conditions; `report bundle` adds the six kernel-side ones."""
+    if bundle and config.truncation < 8:  # the pair-decay grid starts at m = 4, n = 2m
+        raise ValueError(f"-N must be at least 8 for report bundle, got {config.truncation}")
     pair = reciprocal(_series_from_flags(args), config.truncation)
     reports = [
         cond.check_hypotheses_A(pair),
@@ -173,8 +175,6 @@ def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> tuple[in
         # float underflow (1/k_n must stay finite) whose pair products
         # k_j k_{n-j} stay inside float range
         omega = TruncatedSeries(1.0 / pair.k.coeffs, None)
-        if config.truncation < 8:  # the pair-decay grid starts at m = 4, n = 2m
-            raise ValueError(f"-N must be at least 8 for report bundle, got {config.truncation}")
         m_grid = [m for m in (4, 8, 16, 32) if 2 * m <= config.truncation]
         try:
             with np.errstate(over="raise", invalid="raise"):

@@ -327,8 +327,10 @@ def muller_sufficient_check(k: TruncatedSeries, a_grid: Sequence[float]) -> Cond
 def banach_algebra_condition(omega: TruncatedSeries) -> ConditionReport:
     """Finite-window supremum of sum_j omega_n / (omega_j omega_{n-j}).
 
-    TrendHolds when the running sup stabilizes over the last quarter of the
-    window; Fails when the row sums keep growing through the window end
+    TrendHolds when the sup is first reached by 3n // 4, so the last
+    quarter of the window adds nothing to it, and is not NaN (the argsup of
+    rows holding a NaN, as a weight whose reciprocal overflows leaves);
+    Fails when the row sums keep growing through the window end
     (eventually-monotone growth evidence, as for flat weights)."""
     w = omega.coeffs
     n = omega.degree
@@ -336,9 +338,9 @@ def banach_algebra_condition(omega: TruncatedSeries) -> ConditionReport:
         raise ValueError("all weights must be positive")
     inv = 1.0 / w
     rows = w * _convolve(inv, inv, n + 1)
-    sup, i_sup, last_quarter_flat, trend = _sup_trend(rows, (3 * n) // 4, 1e-6)
+    sup, i_sup, _, trend = _sup_trend(rows, 0, 0.0)
     witness = {"sup": sup, "argsup": i_sup, "trend": trend}
-    if i_sup <= (3 * n) // 4 and last_quarter_flat:
+    if i_sup <= (3 * n) // 4 and not math.isnan(sup):
         return ConditionReport("BanachAlg", Verdict.TREND_HOLDS, witness, n)
     tail_rows = rows[n // 2 :]
     growing = bool(np.all(np.diff(tail_rows) >= -1e-12)) and rows[-1] >= 1.5 * rows[n // 2]

@@ -18,7 +18,6 @@ from itertools import islice
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .conditions import _SIGN_TOL, Verdict, _sup_trend
 from .series import NumericalFailure, TruncatedSeries, _convolve, _dot, _finite, abs_tail_bound
@@ -68,9 +67,6 @@ class ConvergenceNotCertifiedError(NumericalFailure):
 
 # a power whose Frobenius norm is at most this has vanished outright
 _NILPOTENT_TOL = 1e-300
-
-# entries of a section's Gram table formed at a time
-_TABLE_BLOCK = 1 << 16
 
 # every operator object has dim, operator(), the dense matrix it stands for, and
 # apply(v, out=None), which writes T v into out when it is given (out must not
@@ -242,38 +238,34 @@ class ShiftSection:
         m[rows, rows + s] = t[rows]
         return _owned(m)
 
-    def gram_blocks(self, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(n, rows n.. of the Gram table) for rows start..stop, at most
-        _TABLE_BLOCK entries at a time: row n is the diagonal of T*^n T^n,
-        k_{j-n}/k_j at j >= n (backward) or k_{j+n}/k_j at j < d-n
-        (forward), and 0 elsewhere."""
-        k, d = self.kappa.coeffs[: self.dim], self.dim
-        # row n of this Toeplitz view of 2d numbers holds the numerators
-        if self.direction is Direction.BACKWARD:
-            numerators = sliding_window_view(np.concatenate([np.zeros(d), k]), d)[::-1]
-        else:
-            numerators = sliding_window_view(np.concatenate([k, np.zeros(d)]), d)
-        step = max(1, _TABLE_BLOCK // d)
-        for n in range(start, stop + 1, step):
-            yield n, numerators[n : min(n + step, stop + 1)] / k
-
     @cached_property
     def _fro_norms(self) -> list[float]:
-        """||T^n||_F for n = 1.. as far as a walk of the powers has gone."""
-        return []
+        """||T^n||_F for n = 1..d (T^d = 0): ||T^n||_F^2 = sum_i x_i y_{i+n}
+        with (x, y) = (k, 1/k) backward and (1/k, k) forward, one product of
+        positive terms.  A reciprocal or a norm past float range raises
+        NumericalFailure naming its index."""
+        k, d = self.kappa.coeffs[: self.dim], self.dim
+        with np.errstate(over="ignore"):
+            inv = _finite(1.0 / k, "section weight reciprocal overflowed")
+            x, y = (k, inv) if self.direction is Direction.BACKWARD else (inv, k)
+            squares = _finite(_convolve(x, y[::-1], d)[::-1], "section power norm overflowed")
+        return np.sqrt(squares[1:]).tolist() + [0.0]
 
     def powers(self) -> Iterator[tuple[float, None]]:
         """DenseOperator.powers in closed form, norms only: ||T^n||_F for
-        n = 1..d (T^d = 0), the square roots of the Gram table's row sums.
-        Rows are formed a block at a time as the walk reaches them, and
-        their norms kept for later walks.  The Grams go out as None:
-        _section_sum adds the table's rows."""
-        norms = self._fro_norms
-        for n in range(1, self.dim + 1):
-            if n > len(norms):
-                _, rows = next(self.gram_blocks(n, self.dim))
-                norms.extend(np.sqrt(np.sum(rows, axis=1)).tolist())
-            yield norms[n - 1], None
+        n = 1..d.  The Grams go out as None: gram_sum adds them."""
+        for fro in self._fro_norms:
+            yield fro, None
+
+    def gram_sum(self, a: np.ndarray) -> np.ndarray:
+        """The diagonal of sum_{n < len(a)} a_n T*^n T^n, where T*^n T^n is
+        diag(k_{j-n}/k_j) at j >= n backward and diag(k_{j+n}/k_j) at
+        j < d-n forward: (a * k)_j / k_j, or its mirror, as one product
+        whose entries keep the error bound gamma_d (|a| * k)_j / k_j."""
+        k, d = self.kappa.coeffs[: self.dim], self.dim
+        if self.direction is Direction.BACKWARD:
+            return _convolve(a, k, d) / k
+        return _convolve(a, k[::-1], d)[::-1] / k
 
     def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """T v in the dtype of v and the (real) couplings: real stays real."""
@@ -445,10 +437,10 @@ def hereditary_apply(
     # sup_tail, not weighted_tail, admits (b), so growing binomial windows stay Truncated
     certifiable = rho < 1.0 - 10.0 * tol and alpha.certifier.sup_tail(coeffs, limit) is not None
 
-    # a section's Grams are the diagonals of its Gram table, added after
-    # the policy is chosen from the norms alone
+    # a section's sum is one gram_sum, formed after the policy is chosen
+    # from the norms alone
     section = isinstance(T, ShiftSection)
-    value = coeffs[0] * (np.ones(d) if section else np.eye(d, dtype=np.complex128))
+    value = None if section else coeffs[0] * np.eye(d, dtype=np.complex128)
     terms = abs(coeffs[0]) * d
     fro_norms = [math.sqrt(d)]  # Frobenius norms of T^n, n = 0..
     policy: Optional[Policy] = None
@@ -470,7 +462,7 @@ def hereditary_apply(
             policy = GeometricTail(rho_est=rho, M=n, tail_bound=cert[1])
             break
     if section:  # a real diagonal, Hermitian with no check
-        value = SparseMatrix.diagonal(_section_sum(T, coeffs, value, kept))
+        value = SparseMatrix.diagonal(T.gram_sum(coeffs[: kept + 1]))
     else:
         value = _owned(_symmetrize(value, terms, 2e-12))
     if policy is None:
@@ -489,19 +481,6 @@ def hereditary_apply(
                 f"convergence, sum truncated at {limit}",
             )
     return HereditaryResult(value, policy, terms)
-
-
-def _section_sum(T: ShiftSection, coeffs: np.ndarray, value: np.ndarray, kept: int) -> np.ndarray:
-    """value + sum_{n=1..kept} coeffs[n] * (row n of T's Gram table), added
-    in n's order: the running sum is added into each block's first row,
-    which is then reduced down its columns, so every entry sees the
-    additions of `value += coeffs[n] * gram` in turn and gets their bits
-    (IEEE addition commutes; -0.0, its identity, keeps signed zeros)."""
-    for n, rows in T.gram_blocks(1, kept):
-        rows *= coeffs[n : n + rows.shape[0], None]
-        rows[0] += value
-        value = np.add.reduce(rows, axis=0, initial=-0.0)
-    return value
 
 
 # --- coefficient-level shift membership -------------------------------------

@@ -219,13 +219,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bundle_below_the_pair_decay_grid_names_its_flag(self, n):
-        # the pair-decay grid starts at m = 4, which needs N >= 8
-        code, out, err = run_cli_checked("report", "bundle", "--spec", "pow1mt(0.5)", "-N", str(n))
-        if n < 8:
-            assert code == 3 and out == ""
-            assert err == f"herop: error: -N must be at least 8 for report bundle, got {n}\n"
-        else:
-            assert code in (0, 1, 2) and err == ""
+        # the pair-decay grid starts at m = 4, which needs N >= 8, whether
+        # the kernel is positive or not
+        for spec in ("pow1mt(0.5)", "tail(poly[1,-0.5],0.05,2,2)"):
+            code, out, err = run_cli_checked("report", "bundle", "--spec", spec, "-N", str(n))
+            if n < 8:
+                assert code == 3 and out == ""
+                assert err == f"herop: error: -N must be at least 8 for report bundle, got {n}\n"
+            else:
+                assert code in (0, 1, 2) and err == ""
 
     @pytest.mark.parametrize(
         "text, where",

@@ -542,6 +542,15 @@ class TestSupTrend:
     def test_banach_algebra_on_small_windows(self, w):
         self._check_banach_algebra(np.array(w))
 
+    def test_banach_algebra_leaves_a_nan_sup_indeterminate(self):
+        # 1 / 1e-310 overflows, and the zeros that pad the blocked product's
+        # Toeplitz blocks turn the inf into NaN rows; NaN is their argsup
+        w = np.ones(9000)
+        w[5] = 1e-310
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = banach_algebra_condition(weights(w))
+        assert np.isnan(report.witness["sup"]) and report.verdict is Verdict.INDETERMINATE
+
     @staticmethod
     def _check_banach_algebra(w):
         n = w.size - 1

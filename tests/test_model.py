@@ -43,6 +43,7 @@ from herop.operators import (
 )
 from herop.specdsl import elaborate, parse_kernel_spec
 from herop.series import (
+    NumericalFailure,
     Polynomial,
     abs_tail_bound,
     reciprocal,
@@ -706,7 +707,8 @@ class WalkedSection:
     def __init__(self, section):
         self.section, self.dim = section, section.dim
 
-    def powers(self, grams=False):
+    def diagonals(self):
+        """(||T^n||_F, the Gram diagonal of T^n) for n = 1..d."""
         k, d = self.section.kappa.coeffs[: self.dim], self.dim
         for n in range(1, d + 1):
             gram = np.zeros(d)
@@ -714,7 +716,11 @@ class WalkedSection:
                 gram[n:] = k[: d - n] / k[n:]
             else:
                 gram[: d - n] = k[n:] / k[: d - n]
-            yield math.sqrt(float(np.sum(gram))), (np.diag(gram) if grams else None)
+            yield math.sqrt(float(np.sum(gram))), gram
+
+    def powers(self, grams=False):
+        for fro, gram in self.diagonals():
+            yield fro, (np.diag(gram) if grams else None)
 
 
 def degree_cap_or_refusal(c_norm, k, T, M):
@@ -724,10 +730,27 @@ def degree_cap_or_refusal(c_norm, k, T, M):
         return type(exc), str(exc)
 
 
-def table_against_walk(seed, d, forward, drift, symbol, limit, degree, block):
-    """Compare a section's Gram table with the walk, bit for bit: the
-    hereditary sum's value, terms and policy, and _degree_cap's (M, tail).
-    block is the table's block size in entries; returns the policy."""
+def assert_norms_match_the_walk(section):
+    """The section's norms within 1e-13 relative of the walk's, with the
+    same zeros."""
+    norms = np.array([fro for fro, _ in section.powers()])
+    walk_norms = np.array([fro for fro, _ in WalkedSection(section).powers()])
+    assert np.array_equal(norms == 0.0, walk_norms == 0.0)
+    np.testing.assert_allclose(norms, walk_norms, rtol=1e-13, atol=0.0)
+
+
+def assert_sum_within_gamma(section, coeffs, h, walk_h):
+    """h and walk_h, two sums of the terms coeffs[n] T*^n T^n, within
+    4 (d + len(coeffs)) u of the sum of their absolute values."""
+    bound = 4 * (section.dim + coeffs.size) * 2.0**-53 * section.gram_sum(np.abs(coeffs))
+    assert np.all(np.abs(h - walk_h) <= bound)
+
+
+def sums_against_walk(seed, d, forward, drift, symbol, limit, degree):
+    """Compare a section's two products with the walk that forms and adds
+    one Gram diagonal per power: the norms, the hereditary sum's raised
+    flag, policy, terms and diagonal, and _degree_cap's M and tail.
+    Returns the walk's policy."""
     rng = np.random.default_rng(seed)
     k = TruncatedSeries(random_weights(rng, d + 8, drift), None)
     if symbol == "binomial":
@@ -735,27 +758,37 @@ def table_against_walk(seed, d, forward, drift, symbol, limit, degree, block):
     else:
         coeffs = rng.standard_normal(limit + 1) * 0.8 ** np.arange(limit + 1)
         alpha = TruncatedSeries(coeffs, Polynomial(limit) if symbol == "polynomial" else None)
-    with unittest.mock.patch.object(operators, "_TABLE_BLOCK", block):
-        section = shift_section(k, Direction.FORWARD if forward else Direction.BACKWARD, d)
-        c_norm = rng.uniform(0.1, 2.0)
-        assert degree_cap_or_refusal(c_norm, k, section, degree) == degree_cap_or_refusal(
-            c_norm, k, WalkedSection(section), degree
-        )
-        # the hereditary walk goes on from the norms the cap's walk kept
-        table, table_raised = hereditary_or_partial(alpha, section)
-        walk, walk_raised = hereditary_or_partial(alpha, WalkedSection(section))
-        assert table_raised == walk_raised
-        assert table.policy_used == walk.policy_used and table.terms == walk.terms
-        assert np.array_equal(table.value.entries, walk.value.entries)
-        table_diag, walk_diag = table.value.entries.diagonal().real, walk.value.entries.diagonal().real
-        assert np.array_equal(table_diag.view(np.int64), walk_diag.view(np.int64))
-    return walk.policy_used
+    section = shift_section(k, Direction.FORWARD if forward else Direction.BACKWARD, d)
+    walked = WalkedSection(section)
+    assert_norms_match_the_walk(section)
+
+    c_norm = rng.uniform(0.1, 2.0)
+    cap = degree_cap_or_refusal(c_norm, k, section, degree)
+    walk_cap = degree_cap_or_refusal(c_norm, k, walked, degree)
+    if isinstance(walk_cap[0], type) or walk_cap[1] is None:
+        assert cap == walk_cap
+    else:
+        assert cap[0] == walk_cap[0]
+        assert cap[1] == pytest.approx(walk_cap[1], rel=1e-12, abs=0.0)
+
+    new, new_raised = hereditary_or_partial(alpha, section)
+    walk, walk_raised = hereditary_or_partial(alpha, walked)
+    assert new_raised == walk_raised
+    policy, walk_policy = new.policy_used, walk.policy_used
+    assert type(policy) is type(walk_policy)
+    assert getattr(policy, "M", None) == getattr(walk_policy, "M", None)
+    assert getattr(policy, "order", None) == getattr(walk_policy, "order", None)
+    assert new.terms == pytest.approx(walk.terms, rel=1e-12, abs=0.0)
+    kept = policy.order - 1 if isinstance(policy, ExactNilpotent) else policy.M
+    walk_h = walk.value.entries.diagonal().real
+    assert_sum_within_gamma(section, alpha.coeffs[: kept + 1], new.value.vals, walk_h)
+    return walk_policy
 
 
-class TestSectionTableMatchesTheWalk:
-    """A section forms its Gram diagonals as one table, in blocks of rows,
-    and adds them block by block; every bit must match the walk that forms
-    and adds one diagonal per power."""
+class TestSectionSumsMatchTheWalk:
+    """A section's norms and hereditary diagonal are two products of its
+    weights (series._convolve); both must match, to rounding, the walk that
+    forms and adds one Gram diagonal per power, and choose what it chooses."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -766,18 +799,43 @@ class TestSectionTableMatchesTheWalk:
         symbol=st.sampled_from(["binomial", "polynomial", "bare"]),
         limit=st.integers(1, 63),
         degree=st.one_of(st.none(), st.integers(0, 70)),
-        block=st.sampled_from([1, 100, 1 << 16]),
     )
     # steeply decreasing forward weights: a certified geometric tail at M = 39
-    @example(seed=2, d=64, forward=True, drift=-2.0, symbol="binomial", limit=63, degree=None,
-             block=100)
-    def test_hereditary_sum_and_degree_cap(self, seed, d, forward, drift, symbol, limit, degree, block):
-        table_against_walk(seed, d, forward, drift, symbol, min(limit, d - 1), degree, block)
+    @example(seed=2, d=64, forward=True, drift=-2.0, symbol="binomial", limit=63, degree=None)
+    def test_hereditary_sum_and_degree_cap(self, seed, d, forward, drift, symbol, limit, degree):
+        sums_against_walk(seed, d, forward, drift, symbol, min(limit, d - 1), degree)
 
-    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
-    def test_decreasing_forward_weights_reach_the_geometric_tail(self, block):
-        policy = table_against_walk(2, 64, True, -2.0, "binomial", 63, None, block)
+    def test_steep_forward_weights_reach_the_geometric_tail(self):
+        policy = sums_against_walk(2, 64, True, -2.0, "binomial", 63, None)
         assert isinstance(policy, GeometricTail) and policy.M == 39 and policy.tail_bound > 0.0
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_blocked_products_match_the_walk(self, direction):
+        # d = 9000 puts both products on series._blocked_product's GEMMs
+        d = 9000
+        k = TruncatedSeries(random_weights(np.random.default_rng(9), d, 0.0), None)
+        section = shift_section(k, direction, d)
+        assert_norms_match_the_walk(section)
+        coeffs = binomial_series(0.5, PowSign.PLUS, d - 1).coeffs
+        walk_h = coeffs[0] * np.ones(d)
+        for c, (_, gram) in zip(coeffs[1:], WalkedSection(section).diagonals()):
+            walk_h += c * gram
+        assert_sum_within_gamma(section, coeffs, section.gram_sum(coeffs), walk_h)
+
+    @pytest.mark.parametrize(
+        "weights, direction, what, degree",
+        [
+            ([1e-300, 1e-305, 1e-309], Direction.BACKWARD, "reciprocal", 2),
+            ([1e-300, 1e-305, 1e-309], Direction.FORWARD, "reciprocal", 2),
+            ([1.0, 1e300, 1e-300], Direction.BACKWARD, "power norm", 1),
+        ],
+    )
+    def test_norms_past_float_range_are_refused(self, weights, direction, what, degree):
+        # 1 / 1e-309 overflows; so does k_1 * (1 / k_2) = 1e600
+        section = shift_section(TruncatedSeries(np.array(weights), None), direction, 3)
+        with pytest.raises(NumericalFailure, match=f"{what} overflowed at degree {degree}") as exc:
+            hereditary_apply(poly(1.0, -0.5, 0.1), section)
+        assert exc.value.witness == {"degree": degree}
 
 
 def build_or_refusal(alpha, k, T, M=None):
@@ -1093,7 +1151,7 @@ def _reference_hereditary_apply(alpha, T, tol):
     rho = T.spectral_radius
     geometric = rho < 1.0 - 10.0 * tol
     section = isinstance(T, ShiftSection)
-    value = coeffs[0] * (np.ones(d) if section else np.eye(d, dtype=np.complex128))
+    value = None if section else coeffs[0] * np.eye(d, dtype=np.complex128)
     terms = abs(coeffs[0]) * d
     fro_norms = [math.sqrt(d)]
     policy = None
@@ -1120,7 +1178,7 @@ def _reference_hereditary_apply(alpha, T, tol):
             policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
             break
     if section:
-        value = SparseMatrix.diagonal(operators._section_sum(T, coeffs, value, kept))
+        value = SparseMatrix.diagonal(T.gram_sum(coeffs[: kept + 1]))
     else:
         value = operators._owned(operators._symmetrize(value, terms, 2e-12))
     if policy is None:
