@@ -29,6 +29,7 @@ from .series import (
     pair_type_estimate,
     reciprocal,
     _convolve,
+    _finite,
     _invert_coeffs,
 )
 
@@ -324,23 +325,27 @@ def muller_sufficient_check(k: TruncatedSeries, a_grid: Sequence[float]) -> Cond
     return ConditionReport("MullerSufficient", verdict, witness, n)
 
 
+def _weights(omega: TruncatedSeries) -> tuple[np.ndarray, np.ndarray, int]:
+    """(w, 1/w, n) of a weight window w_0..w_n: ValueError unless every weight
+    is positive, NumericalFailure at the first reciprocal that is not finite."""
+    w = omega.coeffs
+    if np.any(w <= 0.0):
+        raise ValueError("all weights must be positive")
+    return w, _finite(1.0 / w, "weight reciprocal is not finite"), omega.degree
+
+
 def banach_algebra_condition(omega: TruncatedSeries) -> ConditionReport:
     """Finite-window supremum of sum_j omega_n / (omega_j omega_{n-j}).
 
     TrendHolds when the sup is first reached by 3n // 4, so the last
-    quarter of the window adds nothing to it, and is not NaN (the argsup of
-    rows holding a NaN, as a weight whose reciprocal overflows leaves);
-    Fails when the row sums keep growing through the window end
-    (eventually-monotone growth evidence, as for flat weights)."""
-    w = omega.coeffs
-    n = omega.degree
-    if np.any(w <= 0.0):
-        raise ValueError("all weights must be positive")
-    inv = 1.0 / w
-    rows = w * _convolve(inv, inv, n + 1)
+    quarter of the window adds nothing to it; Fails when the row sums keep
+    growing through the window end (eventually-monotone growth evidence, as
+    for flat weights).  Rows that are not finite are refused."""
+    w, inv, n = _weights(omega)
+    rows = _finite(w * _convolve(inv, inv, n + 1), "BanachAlg row sum is not finite")
     sup, i_sup, _, trend = _sup_trend(rows, 0, 0.0)
     witness = {"sup": sup, "argsup": i_sup, "trend": trend}
-    if i_sup <= (3 * n) // 4 and not math.isnan(sup):
+    if i_sup <= (3 * n) // 4:
         return ConditionReport("BanachAlg", Verdict.TREND_HOLDS, witness, n)
     tail_rows = rows[n // 2 :]
     growing = bool(np.all(np.diff(tail_rows) >= -1e-12)) and rows[-1] >= 1.5 * rows[n // 2]
@@ -352,10 +357,7 @@ def banach_algebra_condition(omega: TruncatedSeries) -> ConditionReport:
 def tau_condition_check(omega: TruncatedSeries) -> ConditionReport:
     """Summable-majorant condition: tau_j = max_{n >= 2j} omega_n /
     (omega_j omega_{n-j}) should form a summable sequence."""
-    w = omega.coeffs
-    n = omega.degree
-    if np.any(w <= 0.0):
-        raise ValueError("all weights must be positive")
+    w, _, n = _weights(omega)
     j_max = n // 2
     tau = np.empty(j_max + 1)
     buf = np.empty(n + 1)  # one quotient buffer for every j
@@ -376,11 +378,7 @@ def tau_condition_check(omega: TruncatedSeries) -> ConditionReport:
 
 def reciprocal_summability_check(omega: TruncatedSeries) -> ConditionReport:
     """Partial sums of sum 1/omega_n with a dyadic Cauchy-tail trend."""
-    w = omega.coeffs
-    n = omega.degree
-    if np.any(w <= 0.0):
-        raise ValueError("all weights must be positive")
-    inv = 1.0 / w
+    _, inv, n = _weights(omega)
     total = float(np.sum(inv))
     b1 = float(np.sum(inv[n // 4 + 1 : n // 2 + 1]))
     b2 = float(np.sum(inv[n // 2 + 1 :]))
@@ -392,6 +390,11 @@ def reciprocal_summability_check(omega: TruncatedSeries) -> ConditionReport:
         # dyadic block sums of eventually monotone terms do not decay
         return ConditionReport("ReciprocalSummability", Verdict.FAILS, witness, n)
     return ConditionReport("ReciprocalSummability", Verdict.INDETERMINATE, witness, n)
+
+
+def _grows(samples: np.ndarray) -> bool:
+    """Holder samples grow: fewer than 10, or the last 5 above 1.05 x the rest's sup."""
+    return samples.size < 10 or not _sup_trend(samples, samples.size - 6, 0.05, 1e-300)[2]
 
 
 def holder_exponent_estimate(
@@ -450,18 +453,11 @@ def holder_exponent_estimate(
                 break
             lower_only = lower_only or partial_info
             values.append(t ** (-s) * math.sqrt(max(bound, 0.0)))
-            if j == depth and depth < max_depth and not lower_only:
-                arr = np.array(values)
-                if float(np.max(arr[-5:])) > 1.05 * float(np.max(arr[:-5])) + 1e-300:
-                    depth = min(depth + 20, max_depth)
+            if j == depth and depth < max_depth and not lower_only and _grows(np.array(values)):
+                depth = min(depth + 20, max_depth)
             j += 1
         arr = np.array(values)
-        if arr.size >= 10:
-            deep = float(np.max(arr[-5:]))
-            early = float(np.max(arr[:-5]))
-            grows = deep > 1.05 * early + 1e-300
-        else:
-            grows = True
+        grows = _grows(arr)
         per_s[f"{s:g}"] = {
             "sup": float(np.max(arr)) if arr.size else math.inf,
             "grows": bool(grows),

@@ -194,10 +194,6 @@ def _degree_cap(
     else:
         tail_bound = None
     if M is None:
-        rho = T.spectral_radius
-        if rho >= 1.0 - 1e-8:
-            message = f"spectral radius estimate {rho:.6f} leaves the degree tail uncertified"
-            raise TailUncertifiableError(message, {"spectral_radius": rho})
         for norm, _ in islice(walk, 0 if m0 else max(512 - d, 0)):
             fro.append(norm)
             if norm < 1.0:

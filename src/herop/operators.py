@@ -101,10 +101,6 @@ class DenseOperator:
     def operator(self) -> "DenseOperator":
         return self
 
-    @cached_property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.entries))))
-
     def powers(self, grams: bool = False) -> Iterator[tuple[float, Optional[np.ndarray]]]:
         """(||T^n||_F, T*^n T^n) for n = 1, 2, ..., ending after the first
         power that vanishes; the Gram is left out (None) unless grams."""
@@ -201,7 +197,6 @@ class ShiftSection:
     kappa: TruncatedSeries
     direction: Direction
     dim: int
-    spectral_radius = 0.0  # sections are nilpotent
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.dim > self.kappa.trunc_len:
@@ -344,7 +339,6 @@ class ExactNilpotent:
 
 @dataclass(frozen=True)
 class GeometricTail:
-    rho_est: float
     M: int
     tail_bound: float
 
@@ -392,14 +386,16 @@ def tail_certificate(
     """The truncation policy of both hereditary sums: (M, bound, q) for the
     first M in first..last with scale * sum_{n>M} w_n ||T^n||^2 <= bound <= tol,
     w_n the weights in series' window and series' generator's weighted_tail
-    past it.  fro holds ||T^0||..||T^m0||, m0 the first Frobenius-contractive
-    power, so that q = ||T^m0||^(1/m0) and, by submultiplicativity,
-    ||T^n||^2 <= env * q^(2n) with env = (max_j ||T^j|| * q^(1 - m0))^2.
+    past it.  fro holds ||T^0||..||T^m||, ||T^0|| counted as 1 and T^m
+    Frobenius-contractive (m >= 1).  With q = ||T^m||^(1/m), T^(am+i) =
+    T^i (T^m)^a and submultiplicativity give, for every matrix,
+    ||T^n||^2 <= env * q^(2n) with env = max_{i<=m} (||T^i|| * q^-i)^2.
     M is None when no cap certifies, the bound then the smallest reached
     (at last); both are None when the generator cannot bound w_n at q^2."""
-    m0 = len(fro) - 1
-    q = fro[m0] ** (1.0 / m0)
-    env = (max(fro) * q ** (1 - m0)) ** 2
+    m = len(fro) - 1
+    q = fro[m] ** (1.0 / m)
+    top = max(f / q**i for i, f in enumerate(fro))
+    env = top * top
     beyond = series.certifier.weighted_tail(series.coeffs, q * q)
     if beyond is None:
         return None, None, q
@@ -419,32 +415,33 @@ def hereditary_apply(
 ) -> HereditaryResult:
     """Evaluate sum_n alpha_n T*^n T^n, stopping at whichever comes first:
     (a) ExactNilpotent at the first power that vanishes (||T^n||_F <= 1e-300);
-    (b) GeometricTail at the first M > m0 that tail_certificate certifies to
-        tol, m0 the first Frobenius-contractive power, when the spectral
-        radius estimate sits below 1 and alpha's generator bounds its
-        coefficients past the window.
+    (b) GeometricTail at the first M that tail_certificate certifies to tol,
+        when alpha's generator bounds its coefficients past the window.  The
+        certificate is anchored at the first Frobenius-contractive power m,
+        which proves rho(T) < 1, and again at 2m, 4m, ...: T^(2m) is
+        contractive when T^m is, and its envelope bounds each later power
+        no worse than T^m's does.  M >= the anchor.
     At the window's end L: (c) ExactPolynomial when alpha is a polynomial of
     degree at most L, every term summed; (d) ConvergenceNotCertifiedError,
-    with the partial sum, when (b) applies but no M <= L certifies; (e)
-    Truncated with an explicit warning otherwise.
+    with the partial sum, when an anchor exists but no M <= L certifies;
+    (e) Truncated with an explicit warning otherwise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = T.dim
     coeffs = alpha.coeffs
     limit = coeffs.size - 1
-    rho = T.spectral_radius
     # sup_tail, not weighted_tail, admits (b), so growing binomial windows stay Truncated
-    certifiable = rho < 1.0 - 10.0 * tol and alpha.certifier.sup_tail(coeffs, limit) is not None
+    certifiable = alpha.certifier.sup_tail(coeffs, limit) is not None
 
     # a section's sum is one gram_sum, formed after the policy is chosen
     # from the norms alone
     section = isinstance(T, ShiftSection)
     value = None if section else coeffs[0] * np.eye(d, dtype=np.complex128)
     terms = abs(coeffs[0]) * d
-    fro_norms = [math.sqrt(d)]  # Frobenius norms of T^n, n = 0..
+    fro_norms = [1.0]  # Frobenius norms of T^n, n = 0.., T^0 = I counted as 1
     policy: Optional[Policy] = None
-    cert = None  # tail_certificate's (M, bound, q), once the first contractive power is known
+    cert, anchor = None, 0  # tail_certificate's (M, bound, q) at the last anchor, and that anchor
     kept = 0  # the terms n = 1..kept enter the sum
 
     for n, (fro, gram) in enumerate(islice(T.powers() if section else T.powers(grams=True), limit), 1):
@@ -456,10 +453,10 @@ def hereditary_apply(
             value += coeffs[n] * gram
         kept = n
         terms += abs(coeffs[n]) * fro * fro
-        if cert is None and certifiable and fro_norms[-2] < 1.0:  # T^(n-1) is the first contraction
-            cert = tail_certificate(alpha, np.abs(coeffs), fro_norms[:-1], tol, n, limit)
+        if certifiable and fro < 1.0 and n >= 2 * anchor:
+            anchor, cert = n, tail_certificate(alpha, np.abs(coeffs), fro_norms, tol, n, limit)
         if cert is not None and cert[0] == n:
-            policy = GeometricTail(rho_est=rho, M=n, tail_bound=cert[1])
+            policy = GeometricTail(M=n, tail_bound=cert[1])
             break
     if section:  # a real diagonal, Hermitian with no check
         value = SparseMatrix.diagonal(T.gram_sum(coeffs[: kept + 1]))
@@ -468,18 +465,14 @@ def hereditary_apply(
     if policy is None:
         if abs_tail_bound(alpha, limit) == 0.0:
             policy = ExactPolynomial(limit)
-        elif certifiable:
+        elif cert is not None:
             warning = "symbol window ended before the tail was certified"
             partial = HereditaryResult(value, Truncated(limit, warning), terms)
-            found = {"smallest_bound": cert[1]} if cert else {"smallest_norm": min(fro_norms)}
             message = f"tail bound not met within the symbol window (n <= {limit})"
-            raise ConvergenceNotCertifiedError(message, partial, {"window_end": limit, "tol": tol, **found})
+            witness = {"window_end": limit, "tol": tol, "smallest_bound": cert[1]}
+            raise ConvergenceNotCertifiedError(message, partial, witness)
         else:
-            policy = Truncated(
-                limit,
-                f"spectral radius estimate {rho:.6f} and symbol tail do not certify "
-                f"convergence, sum truncated at {limit}",
-            )
+            policy = Truncated(limit, f"no contractive power certified the tail, sum truncated at {limit}")
     return HereditaryResult(value, policy, terms)
 
 

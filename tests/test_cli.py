@@ -381,7 +381,7 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "mat, kernel, n, what, keys",
         [
-            (_ORTHOGONAL, "pow1mt(-0.5)", "64", "leaves the degree tail uncertified", {"spectral_radius"}),
+            (_ORTHOGONAL, "pow1mt(-0.5)", "64", "no contractive power found", {"powers_walked", "smallest_norm"}),
             (0.999 * _ORTHOGONAL, "inv(poly[1,-0.5])", "64", "no contractive power found",
              {"powers_walked", "smallest_norm"}),
             (np.diag([0.99, 0.5, 0.3]), "inv(poly[1,-0.5])", "64", "kernel growth past the window", {"q"}),
@@ -389,10 +389,10 @@ class TestSubcommands:
              "degree tail bound never met", {"window_end", "smallest_bound", "tol"}),
             (np.diag([0.99, 0.5, 0.3]), "pow1mt(-0.5)", "16", "tail bound not met",
              {"window_end", "smallest_bound", "tol"}),
-            (np.diag([0.99, 0.5, 0.3]), "pow1mt(-0.5)", "1023", "tail bound not met",
+            (np.diag([0.99, 0.5, 0.3]), "pow1mt(-0.5)", "1023", "degree tail bound never met",
              {"window_end", "smallest_bound", "tol"}),
-            (0.999 * _ORTHOGONAL, "pow1mt(-0.5)", "64", "tail bound not met",
-             {"window_end", "smallest_norm", "tol"}),
+            (0.999 * _ORTHOGONAL, "pow1mt(-0.5)", "64", "no contractive power found",
+             {"powers_walked", "smallest_norm"}),
         ],
         ids=["orthogonal", "near-orthogonal-cap", "diagonal-derived-kernel", "diagonal-cap-window",
              "diagonal-16", "diagonal-1023", "near-orthogonal-sum"],

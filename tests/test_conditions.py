@@ -1,4 +1,5 @@
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,6 +22,7 @@ from herop.conditions import (
     muller_sufficient_check,
     reciprocal_summability_check,
     tau_condition_check,
+    _grows,
     _sup_trend,
 )
 from herop.operators import (
@@ -31,6 +33,7 @@ from herop.operators import (
 from herop.series import (
     Derived,
     KernelPair,
+    NumericalFailure,
     Polynomial,
     PowSign,
     PowerTail,
@@ -329,6 +332,22 @@ class TestHolderExponent:
         with pytest.raises(ValueError):
             holder_exponent_estimate(TruncatedSeries(np.ones(16), None), [0.0, 0.5])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1e-300, math.inf])),
+                    max_size=30).map(np.array))
+    @example(np.array([1.0] * 5 + [1.05] * 5))
+    @example(np.array([1.0] * 5 + [1.0500000000000003] * 5))
+    @example(np.array([math.inf] * 5 + [1.0] * 5))
+    @example(np.array([1.0] * 9 + [math.inf]))
+    def test_growth_rule_matches_the_inline_form(self, samples):
+        # the rule as it was written inline, twice: the last 5 samples
+        # against 1.05 times the sup of the rest, or fewer than 10 samples
+        if samples.size >= 10:
+            inline = float(np.max(samples[-5:])) > 1.05 * float(np.max(samples[:-5])) + 1e-300
+        else:
+            inline = True
+        assert _grows(samples) == inline
+
 
 def brute_inverse_by_compositions(alpha, n):
     """Kernel coefficient as the signed sum over compositions of n."""
@@ -542,14 +561,28 @@ class TestSupTrend:
     def test_banach_algebra_on_small_windows(self, w):
         self._check_banach_algebra(np.array(w))
 
-    def test_banach_algebra_leaves_a_nan_sup_indeterminate(self):
-        # 1 / 1e-310 overflows, and the zeros that pad the blocked product's
-        # Toeplitz blocks turn the inf into NaN rows; NaN is their argsup
-        w = np.ones(9000)
-        w[5] = 1e-310
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = banach_algebra_condition(weights(w))
-        assert np.isnan(report.witness["sup"]) and report.verdict is Verdict.INDETERMINATE
+    @pytest.mark.parametrize("check", [banach_algebra_condition, tau_condition_check,
+                                       reciprocal_summability_check],
+                             ids=["BanachAlg", "TauSummable", "ReciprocalSummability"])
+    def test_weight_conditions_refuse_a_reciprocal_past_float_range(self, check):
+        # 1 / 1e-310 overflows: at n = 99 the BanachAlg rows were inf (a
+        # TrendHolds with sup inf), at n = 8999 the blocked product's zero
+        # padding made them NaN (an Indeterminate); each condition now
+        # refuses, naming the degree
+        for n in (99, 8999):
+            w = np.ones(n + 1)
+            w[5] = 1e-310
+            with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="at degree 5") as info:
+                check(weights(w))
+            assert info.value.witness == {"degree": 5}
+
+    @pytest.mark.parametrize("n", [99, 8999])
+    def test_banach_algebra_refuses_rows_past_float_range(self, n):
+        # finite reciprocals whose pair products overflow
+        w = np.ones(n + 1)
+        w[3] = 1e-300
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="row sum is not finite at degree 6"):
+            banach_algebra_condition(weights(w))
 
     @staticmethod
     def _check_banach_algebra(w):

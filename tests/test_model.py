@@ -370,11 +370,10 @@ class TestTwoModelsSubcritical:
         assert bundle.kind == "Subcritical"
 
 
-class TestSpectralRadiusOnce:
-    def test_one_eigenvalue_solve_per_operator(self, monkeypatch):
-        # the model and the defect relation each build the defect, and the
-        # degree cap of a contraction reads the radius too: the operator
-        # computes it once and keeps it
+class TestNoEigensolve:
+    def test_build_and_relation_solve_no_eigenvalue_problem(self, monkeypatch):
+        # the walk's own norms certify every tail: neither the model, nor
+        # the defect relation, nor the degree cap asks for T's eigenvalues
         shapes = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: shapes.append(m.shape) or eigvals(m))
@@ -385,7 +384,7 @@ class TestSpectralRadiusOnce:
         bundle = build_model(alpha, k, T)
         probes = seeded_unit_vectors(8, 4, seed=1)
         verify_relation_DCW(alpha, T, bundle.C, bundle.W.entries, probes)
-        assert shapes == [(8, 8)]
+        assert shapes == []
 
 
 class TestNorm2:
@@ -702,8 +701,6 @@ class WalkedSection:
     and ||T^n||_F the square root of its sum.  The Grams go out as diagonal
     matrices, so hereditary_apply adds them by its general loop."""
 
-    spectral_radius = 0.0
-
     def __init__(self, section):
         self.section, self.dim = section, section.dim
 
@@ -800,14 +797,14 @@ class TestSectionSumsMatchTheWalk:
         limit=st.integers(1, 63),
         degree=st.one_of(st.none(), st.integers(0, 70)),
     )
-    # steeply decreasing forward weights: a certified geometric tail at M = 39
+    # steeply decreasing forward weights: a certified geometric tail at M = 14
     @example(seed=2, d=64, forward=True, drift=-2.0, symbol="binomial", limit=63, degree=None)
     def test_hereditary_sum_and_degree_cap(self, seed, d, forward, drift, symbol, limit, degree):
         sums_against_walk(seed, d, forward, drift, symbol, min(limit, d - 1), degree)
 
     def test_steep_forward_weights_reach_the_geometric_tail(self):
         policy = sums_against_walk(2, 64, True, -2.0, "binomial", 63, None)
-        assert isinstance(policy, GeometricTail) and policy.M == 39 and policy.tail_bound > 0.0
+        assert isinstance(policy, GeometricTail) and policy.M == 14 and policy.tail_bound > 0.0
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_blocked_products_match_the_walk(self, direction):
@@ -1068,7 +1065,14 @@ class TestStructuredRelationMatchesDense:
 # The degree cap and the hereditary sum as they were before both read one
 # tail certificate, kept here as the reference.  Only their calls of
 # T.powers differ from the originals: sections no longer take a grams flag,
-# and dense operators leave the Grams out by default.
+# and dense operators leave the Grams out by default.  The spectral radius
+# that gated them, once an operator property, is computed inline.
+
+
+def _reference_radius(T):
+    if isinstance(T, ShiftSection):
+        return 0.0  # sections are nilpotent
+    return float(np.max(np.abs(np.linalg.eigvals(T.entries))))
 
 
 def _reference_contraction_envelope(fro):
@@ -1078,7 +1082,7 @@ def _reference_contraction_envelope(fro):
 
 
 def _reference_certified_degree_cap(c_norm, k, T, tol):
-    rho = T.spectral_radius
+    rho = _reference_radius(T)
     if rho >= 1.0 - 1e-8:
         raise TailUncertifiableError(
             f"spectral radius estimate {rho:.6f} leaves the degree tail uncertified"
@@ -1148,7 +1152,7 @@ def _reference_hereditary_apply(alpha, T, tol):
     d = T.dim
     coeffs = alpha.coeffs
     limit = coeffs.size - 1
-    rho = T.spectral_radius
+    rho = _reference_radius(T)
     geometric = rho < 1.0 - 10.0 * tol
     section = isinstance(T, ShiftSection)
     value = None if section else coeffs[0] * np.eye(d, dtype=np.complex128)
@@ -1175,7 +1179,7 @@ def _reference_hereditary_apply(alpha, T, tol):
             continue
         tail = _reference_geometric_tail(coeffs, n, limit, *envelope, sup_beyond)
         if tail <= tol:
-            policy = GeometricTail(rho_est=rho, M=n, tail_bound=tail)
+            policy = GeometricTail(M=n, tail_bound=tail)
             break
     if section:
         value = SparseMatrix.diagonal(T.gram_sum(coeffs[: kept + 1]))
@@ -1227,16 +1231,55 @@ def _cap_outcome(out):
     return M, None if tail is None else np.float64(tail).view(np.int64)
 
 
+def _assert_cap_no_later(new, ref):
+    """The cap against the reference's, where the reference's radius gate
+    did not refuse.  The envelope is no looser, so the same walk refuses
+    alike, a bound the reference never met may now be met, and a cap comes
+    no later, with no larger a tail at the same cap (to rounding: where
+    both envelopes are one power's norm, each rounds it its own way)."""
+    cap_tol = 1e-11  # _degree_cap certifies to tol / 10
+    if isinstance(ref, Exception):
+        if "never met" in str(ref) and not isinstance(new, Exception):
+            assert new[1] <= cap_tol
+        else:
+            assert _cap_outcome(new) == _cap_outcome(ref)
+        return
+    assert not isinstance(new, Exception) and new[0] <= ref[0]
+    assert (new[1] is None) == (ref[1] is None)
+    if new[1] is not None:
+        assert new[1] <= (ref[1] * (1.0 + 1e-12) if new[0] == ref[0] else cap_tol)
+
+
 def _hereditary_outcome(out):
-    """(raised, policy with its tail bound apart, terms bits, value bits)."""
+    """(raised, policy, where the sum stopped, the tail bound or None,
+    and the bits of the terms and the value)."""
     raised = isinstance(out, ConvergenceNotCertifiedError)
     result = out.partial if raised else out
-    policy, bound = result.policy_used, None
-    if isinstance(policy, GeometricTail):
-        policy, bound = (policy.rho_est, policy.M), policy.tail_bound
-    value = result.value.entries
-    return (raised, str(out) if raised else None, policy, np.float64(result.terms).view(np.int64),
-            value.view(np.int64).tobytes()), bound
+    policy = result.policy_used
+    stop = policy.order if isinstance(policy, ExactNilpotent) else policy.M
+    bound = policy.tail_bound if isinstance(policy, GeometricTail) else None
+    bits = np.float64(result.terms).view(np.int64), result.value.entries.view(np.int64).tobytes()
+    return raised, policy, stop, bound, bits
+
+
+def _assert_hereditary_no_later(new, ref, ref_gated):
+    """The hereditary sum against the reference's.  Its certificates are
+    no looser, so it stops no later; where it stops at the same power by
+    the same rule, it gives the same bits.  It refuses only where the
+    reference refused or the reference's radius gate truncated; where the
+    reference refused, it certifies, or no contractive power in the window
+    proved convergence."""
+    raised, policy, stop, _, bits = _hereditary_outcome(new)
+    ref_raised, ref_policy, ref_stop, _, ref_bits = _hereditary_outcome(ref)
+    assert stop <= ref_stop
+    if (raised, type(policy), stop) == (ref_raised, type(ref_policy), ref_stop):
+        assert bits == ref_bits
+    if raised:
+        assert ref_raised or ref_gated
+    elif ref_raised:
+        assert isinstance(policy, GeometricTail) or "no contractive power" in policy.warning
+    elif isinstance(ref_policy, (GeometricTail, ExactNilpotent)):
+        assert isinstance(policy, (GeometricTail, type(ref_policy)))
 
 
 @st.composite
@@ -1267,10 +1310,11 @@ def _policy_operators(draw):
 
 
 class TestOnePolicyMatchesTheTwoCopies:
-    """The degree cap and the hereditary sum read one tail certificate; both
-    must keep the choices of the two copies they replaced: the same cap and
-    tail bits, the same refusals, the same hereditary policy, terms and
-    value bits, and no more powers drawn."""
+    """The degree cap and the hereditary sum read one tail certificate,
+    anchored on the walk's own norms; against the two copies it replaced,
+    whose radius gate is gone, both draw no more powers, keep every
+    refusal that the gate did not decide, and certify every geometric tail
+    to tol."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1290,7 +1334,9 @@ class TestOnePolicyMatchesTheTwoCopies:
         T, k = op
         new, new_draws = _counting_draws(T, lambda: model._degree_cap(c_norm, k, T, degree, 1e-10))
         ref, ref_draws = _counting_draws(T, lambda: _reference_degree_cap(c_norm, k, T, degree, 1e-10))
-        assert _cap_outcome(new) == _cap_outcome(ref) and new_draws <= ref_draws
+        if not (isinstance(ref, TailUncertifiableError) and "spectral radius" in str(ref)):
+            _assert_cap_no_later(new, ref)
+            assert new_draws <= ref_draws
 
         rng = np.random.default_rng(seed)
         if symbol == "binomial":
@@ -1300,12 +1346,11 @@ class TestOnePolicyMatchesTheTwoCopies:
             alpha = TruncatedSeries(coeffs, Polynomial(limit) if symbol == "polynomial" else None)
         new, new_draws = _counting_draws(T, lambda: hereditary_apply(alpha, T, tol))
         ref, ref_draws = _counting_draws(T, lambda: _reference_hereditary_apply(alpha, T, tol))
-        (same_new, bound_new), (same_ref, bound_ref) = _hereditary_outcome(new), _hereditary_outcome(ref)
-        assert same_new == same_ref and new_draws <= ref_draws
-        # the tail bound is one suffix sum now, not a dot per step: last bits move
-        assert (bound_new is None) == (bound_ref is None)
-        if bound_ref is not None:
-            assert bound_new == pytest.approx(bound_ref, rel=1e-12, abs=0.0) and bound_new <= tol
+        ref_gated = _reference_radius(T) >= 1.0 - 10.0 * tol
+        _assert_hereditary_no_later(new, ref, ref_gated)
+        assert new_draws <= ref_draws
+        bound = _hereditary_outcome(new)[3]
+        assert bound is None or bound <= tol
 
 
 def test_degree_cap_takes_the_dust_rule_before_the_certificate():
