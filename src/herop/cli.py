@@ -173,7 +173,8 @@ def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> tuple[in
     if bundle and np.all(pair.k.coeffs > 0.0) and kernel_underflow_index(pair.k.coeffs) is None:
         # the kernel-side conditions presume positive coefficients above
         # float underflow (1/k_n must stay finite) whose pair products
-        # k_j k_{n-j} stay inside float range
+        # k_j k_{n-j} stay inside float range: an overflow, or BanachAlg's
+        # refusal of its row sums k_j k_{n-j} / k_n past float range, skips them
         omega = TruncatedSeries(1.0 / pair.k.coeffs, None)
         m_grid = [m for m in (4, 8, 16, 32) if 2 * m <= config.truncation]
         try:
@@ -186,7 +187,7 @@ def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> tuple[in
                     cond.reciprocal_summability_check(omega),
                     cond.holder_exponent_estimate(pair.k, [0.1, 0.2, 0.3, 0.4, 0.5]),
                 ]
-        except FloatingPointError:
+        except (FloatingPointError, NumericalFailure):
             violations.append("kernel-side conditions skipped: kernel coefficient products overflow")
     reports.sort(key=lambda r: r.condition_id)
     _write_trend_csvs(reports, config)

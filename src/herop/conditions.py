@@ -252,20 +252,24 @@ def classify_critical(pair: KernelPair) -> ConditionReport:
 # --- kernel decay and algebra side conditions -------------------------------
 
 
-def _pair_decay_sup(weights: np.ndarray, m: int) -> float:
-    """max over 2m <= n <= N of sum_{m <= j <= n/2} w_j w_{n-j} / w_n."""
-    n_max = weights.size - 1
-    masked = np.array(weights)
-    masked[:m] = 0.0
-    full = _convolve(masked, masked, n_max + 1)  # sum over m <= j <= n-m
-    n = np.arange(n_max + 1)
-    half_sq = np.zeros(n_max + 1)
-    even = n[m * 2 :: 2]
-    half_sq[even] = masked[even // 2] ** 2
-    inner = 0.5 * (full + half_sq)  # sum over m <= j <= floor(n/2)
-    valid = n >= 2 * m
-    ratios = inner[valid] / weights[valid]
-    return float(np.max(ratios))
+def _pair_decay_sups(w: np.ndarray, m_grid: Sequence[int]) -> np.ndarray:
+    """max over 2m <= n <= N of sum_{m <= j <= n/2} w_j w_{n-j} / w_n for each
+    m of the ascending m_grid.  One product gives the largest m's half sums;
+    each smaller m adds its terms j = m .. next m - 1 to them.  Every sum has
+    positive terms only, so each keeps a relative error within gamma_N."""
+    n_max = w.size - 1
+    top = m_grid[-1]
+    masked = np.array(w)
+    masked[:top] = 0.0
+    inner = _convolve(masked, masked, n_max + 1)  # sum over top <= j <= n-top
+    inner[2 * top :: 2] += masked[top : n_max // 2 + 1] ** 2
+    inner *= 0.5  # sum over top <= j <= floor(n/2)
+    sups = []
+    for m, stop in reversed(list(zip(m_grid, [*m_grid[1:], top]))):
+        for j in range(m, stop):
+            inner[2 * j :] += w[j] * w[j : n_max + 1 - j]
+        sups.append(np.max(inner[2 * m :] / w[2 * m :]))
+    return np.array(sups[::-1])
 
 
 def muller_condition_estimate(
@@ -285,7 +289,7 @@ def muller_condition_estimate(
     m_grid = sorted(int(m) for m in m_grid)
     if not m_grid or m_grid[0] < 1 or 2 * max(m_grid) > n:
         raise ValueError("m_grid must satisfy 1 <= m and 2*max(m_grid) <= N")
-    s_values = np.array([_pair_decay_sup(kc, m) for m in m_grid])
+    s_values = _pair_decay_sups(kc, m_grid)
     sample_idx = sorted({n // 4, n // 2, (3 * n) // 4, n})
     ratio = kc[:-1] / kc[1:]
     witness = {
@@ -354,16 +358,60 @@ def banach_algebra_condition(omega: TruncatedSeries) -> ConditionReport:
     return ConditionReport("BanachAlg", Verdict.INDETERMINATE, witness, n)
 
 
+def _window_reduce(x: np.ndarray, b: int, op: np.ufunc) -> np.ndarray:
+    """op over every window x[s : s + b], len(x) a multiple of b: each
+    window is a suffix of one aligned block joined with a prefix of the next."""
+    blocks = x.reshape(-1, b)
+    prefix = op.accumulate(blocks, axis=1).ravel()
+    suffix = np.empty_like(blocks)
+    op.accumulate(blocks[:, ::-1], axis=1, out=suffix[:, ::-1])
+    out = suffix.ravel()[: x.size - b + 1]
+    return op(out, prefix[b - 1 :], out=out)
+
+
+def _lag_ratio_max(w: np.ndarray) -> np.ndarray:
+    """r_j = max_{j <= m <= n-j} fl(w_{m+j} / w_m) for j <= n // 2, by exact
+    branch and bound: the same bits as the full scan of n^2 / 4 quotients.
+
+    Each j divides its run m = j .. j + b - 1, b about sqrt(n).  A later
+    block of b m's is bounded by fl(max w_{m+j} / min w_m), since correctly
+    rounded division is monotone, and only blocks whose bound beats the run
+    or is not finite are divided, as one contiguous span per j.  So every
+    overflowing quotient is divided under the caller's np.errstate; the
+    bounds are not.  Runs and bounds take O(sqrt(n)) vector operations."""
+    n = w.size - 1
+    j_max = n // 2
+    b = min(max(16, math.isqrt(n + 1)), j_max + 1)  # so the run's m stay <= n
+    ext = np.zeros(-(-(n + b) // b) * b)  # numerators past w_n are 0, and so their quotients
+    ext[: n + 1] = w
+    top = _window_reduce(ext, b, np.maximum)  # top[s] = max(w[s : s + b])
+    ext[n + 1 :] = np.inf  # for the minima alone
+    low = _window_reduce(ext, b, np.minimum)
+    ext[n + 1 :] = 0.0
+    best = np.zeros(j_max + 1)
+    for u in range(b):  # m = j + u for every j at once
+        np.maximum(best, ext[u : u + 2 * j_max + 1 : 2] / ext[u : u + j_max + 1], out=best)
+    first = np.zeros(j_max + 1, dtype=np.intp)  # the first and last block t that beats it
+    last = np.zeros(j_max + 1, dtype=np.intp)
+    for t in range(1, n // b + 1):
+        k = (n - t * b) // 2 + 1  # j < k have block t inside m <= n - j
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = top[t * b : t * b + 2 * k : 2] / low[t * b : t * b + k]
+        hits = np.flatnonzero((bound > best[:k]) | ~np.isfinite(bound))
+        first[hits[first[hits] == 0]] = t
+        last[hits] = t
+    for j in np.flatnonzero(first):
+        lo, hi = first[j] * b, min((last[j] + 1) * b, n - 2 * j + 1)
+        best[j] = np.maximum(best[j], np.max(w[2 * j + lo : 2 * j + hi] / w[j + lo : j + hi]))
+    return best
+
+
 def tau_condition_check(omega: TruncatedSeries) -> ConditionReport:
     """Summable-majorant condition: tau_j = max_{n >= 2j} omega_n /
     (omega_j omega_{n-j}) should form a summable sequence."""
     w, _, n = _weights(omega)
     j_max = n // 2
-    tau = np.empty(j_max + 1)
-    buf = np.empty(n + 1)  # one quotient buffer for every j
-    for j in range(j_max + 1):
-        q = np.divide(w[2 * j :], w[j : n - j + 1], out=buf[: n - 2 * j + 1])
-        tau[j] = q.max() / w[j]
+    tau = _lag_ratio_max(w) / w[: j_max + 1]
     partial = np.cumsum(tau)
     sup, _, _, trend = _sup_trend(tau, 0, 0.0)
     witness = {"partial_sum": float(partial[-1]), "trend": trend}

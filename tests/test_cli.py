@@ -217,6 +217,16 @@ class TestExitCodes:
         assert any("products overflow" in v for v in payload["violations"])
         assert code == run_cli_checked("kernel", "check", "--spec", spec, "-N", n)[0]
 
+    def test_banach_rows_past_float_range_skip_kernel_side_conditions(self):
+        # k_n = 1.9^n: at N = 1095 the pair-decay half sums stay finite, but
+        # BanachAlg's row sums k_j k_{n-j} / k_n do not; that is the same
+        # skip, and the four pair reports stand
+        code, out, err = run_cli_checked("report", "bundle", "--spec", "poly[1,-1.9]", "-N", "1095")
+        payload = json.loads(out)
+        assert code == 1 and err == "" and "error" not in payload
+        assert [r["condition_id"] for r in payload["reports"]] == ["CriticalType", "HypA", "HypB", "NPType"]
+        assert payload["violations"] == ["kernel-side conditions skipped: kernel coefficient products overflow"]
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bundle_below_the_pair_decay_grid_names_its_flag(self, n):
         # the pair-decay grid starts at m = 4, which needs N >= 8, whether

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from herop import conditions, operators
+from herop import conditions, operators, series
 from herop.conditions import (
     SignPattern,
     Verdict,
@@ -41,6 +41,7 @@ from herop.series import (
     binomial_series,
     reciprocal,
 )
+from herop.specdsl import elaborate, parse_kernel_spec
 
 POSITIVE = (Verdict.HOLDS, Verdict.TREND_HOLDS)
 
@@ -647,3 +648,155 @@ class TestSupTrend:
         else:
             assert report.verdict is Verdict.INDETERMINATE
         return report
+
+
+# --- the kernel-side scans they replaced: tau by a full scan, pair decay per m ----
+
+
+def _tau_by_scan(w):
+    """tau_j = max_m fl(w_{m+j} / w_m) / w_j as one full-length division per j."""
+    n = w.size - 1
+    j_max = n // 2
+    tau = np.empty(j_max + 1)
+    buf = np.empty(n + 1)  # one quotient buffer for every j
+    for j in range(j_max + 1):
+        q = np.divide(w[2 * j :], w[j : n - j + 1], out=buf[: n - 2 * j + 1])
+        tau[j] = q.max() / w[j]
+    return tau
+
+
+def _tau_by_bound(w):
+    return conditions._lag_ratio_max(w) / w[: (w.size - 1) // 2 + 1]
+
+
+def _pair_decay_by_m(weights, m):
+    """max over 2m <= n <= N of sum_{m <= j <= n/2} w_j w_{n-j} / w_n, one product per m."""
+    n_max = weights.size - 1
+    masked = np.array(weights)
+    masked[:m] = 0.0
+    full = series._convolve(masked, masked, n_max + 1)  # sum over m <= j <= n-m
+    n = np.arange(n_max + 1)
+    half_sq = np.zeros(n_max + 1)
+    even = n[m * 2 :: 2]
+    half_sq[even] = masked[even // 2] ** 2
+    inner = 0.5 * (full + half_sq)  # sum over m <= j <= floor(n/2)
+    valid = n >= 2 * m
+    return float(np.max(inner[valid] / weights[valid]))
+
+
+def _positive_window(shape, n, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "lognormal":
+        return rng.lognormal(0.0, 2.0, n + 1)
+    if shape == "increasing":
+        return np.sort(rng.lognormal(0.0, 2.0, n + 1))
+    if shape == "decreasing":
+        return np.sort(rng.lognormal(0.0, 2.0, n + 1))[::-1].copy()
+    if shape == "constant":
+        return np.full(n + 1, rng.lognormal(0.0, 2.0))
+    if shape == "integer_ties":
+        return rng.integers(1, 4, n + 1).astype(float)
+    if shape == "alternating":  # a critical kernel's reciprocal settles so, ulps apart
+        return np.where(np.arange(n + 1) % 2, 1.75, np.nextafter(1.75, 2.0))
+    if shape == "random_walk":
+        return np.exp(np.cumsum(rng.normal(0.0, 0.3, n + 1)))
+    if shape == "power_noise":  # a power-law kernel with multiplicative noise
+        return (np.arange(n + 1) + 1.0) ** -rng.uniform(0.5, 3.0) * rng.lognormal(0.0, 0.2, n + 1)
+    return 10.0 ** rng.uniform(-300.0, 300.0, n + 1)  # wide_span
+
+
+_TAU_SHAPES = ["lognormal", "increasing", "decreasing", "constant", "integer_ties", "alternating",
+               "random_walk", "wide_span"]
+_CATALOG_SPECS = ["pow1mt(0.2)", "pow1mt(0.8)", "pow1mt(0.5)*poly[1.0,0.3]", "poly[1.0,-0.5,-0.5]",
+                  "poly[1.0,-0.25,-0.75]", "tail(poly[1.0,-0.5],0.05,2.0,2)"]
+
+
+def _catalog_kernel(spec, n):
+    return reciprocal(elaborate(parse_kernel_spec(spec), n), n).k.coeffs
+
+
+def _bits_equal(a, b):
+    """Same bits, where a NaN matches any NaN: max reductions differ in the NaN they return."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestTauByBranchAndBound:
+    """Every tau keeps the bits of the full scan; an overflowing quotient
+    raises under np.errstate(over="raise") in both forms and nothing else does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_TAU_SHAPES), st.integers(0, 700), st.integers(0, 2**32 - 1))
+    @example("alternating", 700, 0)
+    @example("wide_span", 500, 1)
+    def test_matches_the_scan(self, shape, n, seed):
+        self._check_bits(_positive_window(shape, n, seed))
+
+    @pytest.mark.parametrize("n", [4096, 8192])
+    @pytest.mark.parametrize("spec", _CATALOG_SPECS)
+    def test_matches_the_scan_on_catalog_kernels(self, spec, n):
+        self._check_bits(1.0 / _catalog_kernel(spec, n))
+
+    def test_a_bound_past_float_range_alone_raises_nothing(self):
+        # max / min of the block m = 112 .. 127 at j = 0 is w_115 / w_117 =
+        # 1e400, but no quotient w_{m+j} / w_m pairs them, and w_j = 1 for j <= 100
+        w = np.ones(201)
+        w[115], w[117] = 1e200, 1e-200
+        self._check_bits(w)
+
+    @pytest.mark.parametrize("n", [31, 400])
+    def test_infinite_weights_keep_the_scan_bits(self, n):
+        # inf / inf is NaN in the scan; a block whose bound is inf / inf is divided too
+        for start in range(0, n + 1, 7):
+            w = np.ones(n + 1)
+            w[start:] = np.inf
+            with np.errstate(invalid="ignore"):
+                assert _bits_equal(_tau_by_scan(w), _tau_by_bound(w))
+
+    @staticmethod
+    def _check_bits(w):
+        overflowed = []
+        for form in (_tau_by_scan, _tau_by_bound):
+            try:
+                with np.errstate(over="raise"):
+                    form(w)
+                overflowed.append(False)
+            except FloatingPointError:
+                overflowed.append(True)
+        with np.errstate(over="ignore"):
+            tau = _tau_by_scan(w)
+            assert _bits_equal(tau, _tau_by_bound(w))
+        # on finite positive weights a tau_j is inf exactly when a quotient or tau_j overflowed
+        overflows = bool(np.isinf(tau).any())
+        assert overflowed == [overflows, overflows]
+
+
+class TestPairDecayFromOneProduct:
+    """The largest m keeps the per-m product's bits; every other m is within
+    4 (N + 1) 2^-53 of it relative, and the verdict is the same."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["power_noise", "lognormal", "constant", "random_walk", "integer_ties"]),
+           st.integers(8, 3000), st.integers(0, 2**32 - 1))
+    @example("power_noise", 8, 0)
+    def test_matches_one_product_per_m(self, shape, n, seed):
+        self._check(_positive_window(shape, n, seed))
+
+    @pytest.mark.parametrize("spec", ["pow1mt(0.5)", "poly[1.0,-0.5,-0.5]"])
+    def test_matches_one_product_per_m_past_the_blocked_cut(self, spec):
+        self._check(_catalog_kernel(spec, 8192))
+
+    @staticmethod
+    def _check(k):
+        n = k.size - 1
+        grid = [m for m in (4, 8, 16, 32) if 2 * m <= n]
+        ref = np.array([_pair_decay_by_m(k, m) for m in grid])
+        sups = conditions._pair_decay_sups(k, grid)
+        assert _bits(sups[-1]) == _bits(ref[-1])
+        assert np.all(np.abs(sups - ref) <= 4.0 * (n + 1) * 2.0**-53 * ref)
+        report = muller_condition_estimate(weights(k), grid)
+        assert [m for m, _ in report.witness["trend"]] == grid
+        assert [v for _, v in report.witness["trend"]] == [float(v) for v in sups]
+        holds = bool(np.all(np.diff(ref) <= 1e-12)) and ref[-1] < 0.5 * ref[0]
+        assert report.verdict is (Verdict.TREND_HOLDS if holds else Verdict.TREND_FAILS)
