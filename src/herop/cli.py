@@ -27,7 +27,7 @@ import numpy as np
 from . import conditions as cond
 from .conditions import ConditionReport, SignPattern, Verdict
 from .ergodic import MOVING_BASIS, cesaro_probe, default_n_grid
-from .model import build_model, minimality_check, verify_relation_DCW
+from .model import Transform, build_model, minimality_check, verify_relation_DCW
 from .operators import (
     Direction,
     read_matrix_csv,
@@ -256,9 +256,10 @@ def _run_model_build(args, config: RunConfig) -> tuple[int, list, dict]:
         os.makedirs(config.csv_dir, exist_ok=True)
         names = ("defect", "complement", "transform", "isometry")
         for name, mat in zip(names, (bundle.D, bundle.W, bundle.V, bundle.S)):
-            mat = getattr(mat, "entries", mat)  # the dense matrix, built here for a section
-            if mat.size:
-                write_matrix_csv(os.path.join(config.csv_dir, f"{name}.csv"), mat)
+            # V goes out block by block; a section's dense matrices are built here
+            rows = mat.blocks() if isinstance(mat, Transform) else getattr(mat, "entries", mat)
+            if isinstance(mat, Transform) or rows.size:
+                write_matrix_csv(os.path.join(config.csv_dir, f"{name}.csv"), rows)
     probes = seeded_unit_vectors(T.dim, 16, seed=config.seed)
     relation = verify_relation_DCW(pair.alpha, T, bundle.C, bundle.W, probes)
     diag = dict(bundle.diagnostics)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -18,6 +19,7 @@ from .operators import (
     HereditaryResult,
     ShiftSection,
     SparseMatrix,
+    _LazyMatrix,
     _block_diag,
     _clipped_roots,
     _eigen_sqrt,
@@ -32,6 +34,7 @@ from .series import NumericalFailure, TruncatedSeries, alpha_at_one, pair_type_e
 __all__ = [
     "ModelBundle",
     "ModelInvalidError",
+    "Transform",
     "TailUncertifiableError",
     "build_defect",
     "build_transform",
@@ -49,15 +52,6 @@ __all__ = [
 _PSD_TOL = 1e-10
 # numerical rank: D keeps eigenvalues above _RANK_TOL * ||D||, W above _RANK_TOL
 _RANK_TOL = 1e-8
-
-
-def _gram(x: np.ndarray, step: int) -> np.ndarray:
-    """x*x summed over chunks of step rows, so that no conjugate copy of a
-    tall x is made."""
-    gram = np.zeros((x.shape[1], x.shape[1]), dtype=np.complex128)
-    for lo in range(0, x.shape[0], step):
-        gram += x[lo : lo + step].conj().T @ x[lo : lo + step]
-    return gram
 
 
 def _gram_norm(chunks: Iterable[np.ndarray], n: int) -> float:
@@ -102,15 +96,17 @@ class TailUncertifiableError(NumericalFailure):
 class ModelBundle:
     """Everything the explicit model produces, plus residual diagnostics.
 
-    V is stored as an ((M+1)*r, d) matrix whose degree-n block row is
+    V is the ((M+1)*r, d) matrix whose degree-n block row is
     sqrt(k_n) * C * T^n, i.e. the Euclidean coordinates of the transform into
-    the weighted power-series space tensored with the defect space.  A
-    section's model holds its matrices as SparseMatrix triplets."""
+    the weighted power-series space tensored with the defect space.  The
+    dense pipeline holds it as a Transform, which forms the blocks one at a
+    time and the tall matrix only when it is read.  A section's model holds
+    its matrices as SparseMatrix triplets."""
 
     D: Union[DenseOperator, SparseMatrix]
     defect_basis: Union[np.ndarray, SparseMatrix]  # (d, r) orthonormal columns spanning ran D
     C: Union[np.ndarray, SparseMatrix]  # (r, d): D expressed against the defect basis
-    V: Union[np.ndarray, SparseMatrix]  # ((M+1)*r, d)
+    V: Union["Transform", np.ndarray, SparseMatrix]  # ((M+1)*r, d)
     W: Union[DenseOperator, SparseMatrix]
     w_basis: Union[np.ndarray, SparseMatrix]  # (d, w) orthonormal columns spanning ran W
     S: Union[np.ndarray, SparseMatrix]  # (w, w) isometry in w_basis coordinates
@@ -217,15 +213,83 @@ def _degree_cap(
     return M, tail_bound
 
 
+@dataclass(frozen=True, eq=False)
+class Transform(_LazyMatrix):
+    """The transform V held as C (r, d), T's matrix and k_0..k_M: blocks()
+    forms its degree blocks sqrt(k_n) C T^n one at a time by the chain
+    C T^n = (C T^(n-1)) T, and the tall ((M+1)*r, d) matrix is built from
+    them on first read."""
+
+    C: np.ndarray
+    mat: np.ndarray
+    kc: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.kc.size * self.C.shape[0], self.C.shape[1]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        root_k, block = np.sqrt(self.kc), self.C
+        for n in range(self.kc.size):
+            block = block @ self.mat if n else block
+            yield root_k[n] * block
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        m, r = np.empty(self.shape, dtype=np.complex128), self.C.shape[0]
+        for n, block in enumerate(self.blocks()):
+            m[n * r : (n + 1) * r] = block
+        m.setflags(write=False)
+        return m
+
+
+def _degree_blocks(V: Union[Transform, np.ndarray, SparseMatrix], r: int) -> Iterator[np.ndarray]:
+    """V's degree blocks: a Transform's chain, or r-row slices of a matrix."""
+    if isinstance(V, Transform):
+        return V.blocks()
+    return (V[lo : lo + r] for lo in range(0, V.shape[0], max(r, 1)))
+
+
+def _sums(V, r: int, kc: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """V*V and the intertwining residual ||shifted - V T||, from one pass
+    over V's degree blocks V_0..V_M.  The truncated model shift moves
+    V_(n+1), times sqrt(k_n / k_(n+1)), to block n and leaves block M zero,
+    so the residual's chunk n is that minus V_n T; its norm is _gram_norm's.
+    Only a block, the one before it and a chunk are alive at once.  When
+    r = d, these chunks and V*V's terms are the d-row chunks that the tall
+    V's products took, so every sum keeps its bits."""
+    coup = np.sqrt(kc[:-1] / kc[1:])
+    gram = np.zeros((mat.shape[0], mat.shape[0]), dtype=np.complex128)
+
+    def chunks() -> Iterator[np.ndarray]:
+        nonlocal gram
+        prev = None
+        for n, block in enumerate(chain(_degree_blocks(V, r), [None])):
+            if prev is not None:  # chunk n - 1, from V_(n-1) and V_n (None past V_M)
+                chunk = prev @ mat
+                np.negative(chunk, out=chunk)
+                if block is not None:
+                    chunk += coup[n - 1] * block
+                prev = None  # not alive while the chunk is summed
+                yield chunk
+            if block is not None:
+                gram += block.conj().T @ block
+            prev = block
+
+    intertwine = _gram_norm(chunks(), mat.shape[0])
+    return gram, intertwine
+
+
 def build_transform(
     C: np.ndarray,
     k: TruncatedSeries,
     T: Union[DenseOperator, ShiftSection],
     M: Optional[int] = None,
     tol: float = 1e-10,
-) -> tuple[np.ndarray, int, Optional[float]]:
+) -> tuple[Transform, int, Optional[float]]:
     """Degree-truncated transform: block row n is sqrt(k_n) * C * T^n.
-    Returns (V, M, tail_bound), M and the tail by _degree_cap's policy.
+    Returns (V, M, tail_bound), V a Transform that forms no block yet, M
+    and the tail by _degree_cap's policy.
 
     The tail bounds take ||C||^2 as the largest absolute row sum of C C*,
     an upper bound for any C.  For build_model's C = diag(kept roots of D)
@@ -238,15 +302,7 @@ def build_transform(
         raise ValueError("C must map the operator space into the auxiliary space")
     c_norm = math.sqrt(float(np.max(np.sum(np.abs(cmat @ cmat.conj().T), axis=1), initial=0.0)))
     M, tail_bound = _degree_cap(c_norm, k, T, M, tol)
-    r = cmat.shape[0]
-    root_k = np.sqrt(k.coeffs[: M + 1])
-    V = np.empty(((M + 1) * r, d), dtype=np.complex128)
-    block = np.array(cmat)
-    V[0:r] = root_k[0] * block
-    for n in range(1, M + 1):
-        block = block @ mat
-        V[n * r : (n + 1) * r] = root_k[n] * block
-    return V, M, tail_bound
+    return Transform(np.ascontiguousarray(cmat), mat, k.coeffs[: M + 1]), M, tail_bound
 
 
 def _refuse_long_transform(norm_v: float, tol: float) -> None:
@@ -263,17 +319,16 @@ def _refuse_ill_defined(wd_residual: float, tol: float) -> None:
 
 
 def build_W_S(
-    V: np.ndarray,
+    gram: np.ndarray,
     T: Union[DenseOperator, ShiftSection],
     tol: float = 1e-8,
 ) -> tuple[DenseOperator, np.ndarray, np.ndarray, dict, np.ndarray]:
-    """Complement W = (I - V*V)^(1/2), its range basis, the isometry S
-    defined on that range by S(Wx) = WTx, and V*V, which verify_model
-    reuses.
+    """Complement W = (I - V*V)^(1/2) from gram = V*V (as _sums forms it),
+    its range basis, the isometry S defined on that range by S(Wx) = WTx,
+    and V*V made Hermitian, which verify_model reuses.
 
-    V*V is summed over d-row chunks of V.  One eigensolve of I - V*V gives
-    ||V|| (from its smallest eigenvalue), the root W and W's range basis.
-    The defining relation is solved in least squares over the standard basis
+    One eigensolve of I - V*V gives ||V|| (from its smallest eigenvalue),
+    the root W and W's range basis.  The defining relation is solved in least squares over the standard basis
     and then polar-corrected to an exact isometry (any isometric completion
     on the orthogonal complement is admissible; the pre-correction residual
     is reported).  The info dict carries contraction_excess = max(0, ||V|| - 1)
@@ -281,7 +336,6 @@ def build_W_S(
     exceeds tol."""
     mat = T.operator().entries
     d = mat.shape[0]
-    gram = _gram(V, d)
     eig, vec = np.linalg.eigh(np.eye(d) - gram)  # reads the lower triangle
     norm_v = math.sqrt(max(1.0 - float(eig[0]), 0.0))
     _refuse_long_transform(norm_v, tol)
@@ -317,53 +371,27 @@ def build_W_S(
     return w_op, basis, s_hat, info, gram
 
 
-def _intertwine_chunks(
-    V: np.ndarray, mat: np.ndarray, coup: np.ndarray, r: int, step: int
-) -> Iterator[np.ndarray]:
-    """Row chunks of shifted - V T, where the truncated model shift moves
-    row i + r of V, times coup[i], to row i and leaves the last degree block
-    zero.  Every chunk is a view of one buffer, overwritten by the next."""
-    rows = V.shape[0]
-    buf = np.empty((min(step, rows), V.shape[1]), dtype=np.complex128)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        chunk = np.matmul(V[lo:hi], mat, out=buf[: hi - lo])
-        np.negative(chunk, out=chunk)
-        top = min(hi, rows - r)
-        if top > lo:
-            chunk[: top - lo] += coup[lo:top, None] * V[lo + r : top + r]
-        yield chunk
-
-
 def verify_model(
-    T: Union[DenseOperator, ShiftSection], bundle: ModelBundle, gram: Optional[np.ndarray] = None
+    T: Union[DenseOperator, ShiftSection],
+    bundle: ModelBundle,
+    sums: Optional[tuple[np.ndarray, float]] = None,
 ) -> dict:
     """Pure residual measurement of the model identities: intertwining with
     the truncated model shift, joint isometry of (V, W), and S W = W T.
 
-    The model shift is applied to V in row chunks rather than materialized
-    as a kron matrix, and the intertwining residual's norm is the scaled
-    Gram of those chunks, so no temporary as tall as V is made.  gram is
-    V*V when the caller has it (build_W_S returns it); else it is summed
-    here."""
+    V*V and the intertwining residual come from _sums' one pass over V's
+    degree blocks, so no temporary as tall as V is made.  sums is that pair
+    when the caller has it (build_model passes build_W_S's V*V with it);
+    else the pass runs here."""
     mat = T.operator().entries
     d = mat.shape[0]
-    r = bundle.defect_rank
-    # one degree block per chunk on a dense model (r = d); on a section
-    # (r = 1) about d/4 rows, which keeps its temporaries below V's size
-    step = max(r, d // 4, 1)
-    residuals = {}
-    if r == 0 or bundle.V.size == 0:
-        residuals["intertwine_residual"] = 0.0
-    else:
-        kc = bundle.k.coeffs[: bundle.M + 1]
-        coup = np.repeat(np.sqrt(kc[:-1] / kc[1:]), r)
-        residuals["intertwine_residual"] = _gram_norm(
-            _intertwine_chunks(bundle.V, mat, coup, r, step), d
-        )
+    if sums is None:
+        sums = _sums(bundle.V, bundle.defect_rank, bundle.k.coeffs[: bundle.M + 1], mat)
+    gram, intertwine = sums
+    residuals = {"intertwine_residual": intertwine}
     w_mat = bundle.W.entries
     joint = w_mat @ w_mat
-    joint += _gram(bundle.V, step) if gram is None else gram
+    joint += gram
     joint.flat[:: d + 1] -= 1.0
     joint += joint.conj().T
     joint *= 0.5
@@ -530,7 +558,8 @@ def build_model(
         V, m_used, tail = np.zeros((0, T.dim), dtype=np.complex128), 0, 0.0
         if basis.shape[1]:
             V, m_used, tail = build_transform(c_mat, k, T, M=M, tol=model_tol)
-        w_op, w_basis, s_hat, s_info, gram = build_W_S(V, T, tol=model_tol)
+        gram, intertwine = _sums(V, basis.shape[1], k.coeffs[: m_used + 1], T.operator().entries)
+        w_op, w_basis, s_hat, s_info, gram = build_W_S(gram, T, tol=model_tol)
     bundle = ModelBundle(
         D=d_op,
         defect_basis=basis,
@@ -545,7 +574,7 @@ def build_model(
         diagnostics={},
     )
     if not section:
-        diagnostics = verify_model(T, bundle, gram)
+        diagnostics = verify_model(T, bundle, (gram, intertwine))
         diagnostics.update(s_info)
         diagnostics["truncation_tail_bound"] = tail
     diagnostics["policy"] = type(hered.policy_used).__name__
@@ -570,11 +599,10 @@ def bundle_direct_sum(
     m = max(b1.M, b2.M)
     r = r1 + r2
     V = np.zeros(((m + 1) * r, d1 + d2), dtype=np.complex128)
-    for n in range(m + 1):
-        if n <= b1.M and r1:
-            V[n * r : n * r + r1, :d1] = b1.V[n * r1 : (n + 1) * r1]
-        if n <= b2.M and r2:
-            V[n * r + r1 : (n + 1) * r, d1:] = b2.V[n * r2 : (n + 1) * r2]
+    for n, block in enumerate(_degree_blocks(b1.V, r1)):
+        V[n * r : n * r + r1, :d1] = block
+    for n, block in enumerate(_degree_blocks(b2.V, r2)):
+        V[n * r + r1 : (n + 1) * r, d1:] = block
     bundle = ModelBundle(
         D=direct_sum(b1.D, b2.D),
         defect_basis=_block_diag(b1.defect_basis, b2.defect_basis),

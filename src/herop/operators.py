@@ -118,15 +118,31 @@ def _owned(m: np.ndarray) -> DenseOperator:  # a matrix herop built: frozen, not
     return DenseOperator(m)
 
 
-_DENSE_NAMES = ("conj", "T", "size")  # the ndarray attributes herop reads off a SparseMatrix
+_DENSE_NAMES = ("conj", "T", "size", "nbytes")  # the ndarray attributes read off a lazy matrix
+
+
+class _LazyMatrix:
+    """A matrix whose dense complex form, `entries`, a subclass builds on
+    first read and caches; indexing, numpy's array protocol and the ndarray
+    attributes in `_DENSE_NAMES` read it."""
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.asarray(self.entries, dtype=dtype)
+        return out.copy() if copy else out
+
+    def __getitem__(self, key):
+        return self.entries[key]
+
+    def __getattr__(self, name: str):
+        if name not in _DENSE_NAMES:  # fail without building the dense entries
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(self.entries, name)
 
 
 @dataclass(frozen=True, eq=False)
-class SparseMatrix:
+class SparseMatrix(_LazyMatrix):
     """A matrix as (row, col, value) triplets at distinct positions, such as
-    a section model's D, C, V, W, S and bases.  The dense complex matrix,
-    `entries`, is built on first read and cached; indexing, numpy's array
-    protocol and the ndarray attributes in `_DENSE_NAMES` read it."""
+    a section model's D, C, V, W, S and bases, built dense on first read."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -159,18 +175,6 @@ class SparseMatrix:
         m[self.rows, self.cols] = self.vals
         m.setflags(write=False)
         return m
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = np.asarray(self.entries, dtype=dtype)
-        return out.copy() if copy else out
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    def __getattr__(self, name: str):
-        if name not in _DENSE_NAMES:  # fail without building the d x d entries
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return getattr(self.entries, name)
 
     def monomial_abs(self) -> Optional[np.ndarray]:
         """|non-zero values|, the non-zero singular values if no two share a row or column, else None."""
@@ -736,10 +740,12 @@ def read_matrix_csv(path: str) -> DenseOperator:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_matrix_csv(path: str, mat: np.ndarray) -> None:
-    """mat as rows of 're+imj' cells, each part in %.17g: one % format per
-    row, fed the row's interleaved real and imaginary parts."""
-    m = np.ascontiguousarray(mat, dtype=np.complex128)
-    row_format = ",".join(["%.17g%+.17gj"] * m.shape[1]) + "\n"
+def write_matrix_csv(path: str, mat: Union[np.ndarray, Iterator[np.ndarray]]) -> None:
+    """mat, or each row block that an iterator of them yields in turn, as
+    rows of 're+imj' cells, each part in %.17g: one % format per row, fed
+    the row's interleaved real and imaginary parts."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(row_format % tuple(row.tolist()) for row in m.view(np.float64))
+        for block in mat if isinstance(mat, Iterator) else [mat]:
+            m = np.ascontiguousarray(block, dtype=np.complex128)
+            row_format = ",".join(["%.17g%+.17gj"] * m.shape[1]) + "\n"
+            fh.writelines(row_format % tuple(row.tolist()) for row in m.view(np.float64))

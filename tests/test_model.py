@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import unittest.mock
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -173,8 +174,7 @@ class TestBuildWS:
     def test_unitary_trivial_model(self):
         # C = 0 leaves W = I and S = T
         U = random_unitary(5, seed=7)
-        V = np.zeros((0, 5), dtype=complex)
-        w_op, basis, s_hat, info, _ = build_W_S(V, U)
+        w_op, basis, s_hat, info, _ = build_W_S(np.zeros((5, 5), dtype=complex), U)
         np.testing.assert_allclose(w_op.entries, np.eye(5), atol=1e-12)
         s_full = basis @ s_hat @ basis.conj().T
         np.testing.assert_allclose(s_full, U.entries, atol=1e-10)
@@ -189,9 +189,8 @@ class TestBuildWS:
     def test_well_definedness_guard(self):
         # an expansive operator breaks ||Wx|| = ||WTx|| at once
         T = DenseOperator(np.diag([2.0 + 0.0j, 0.5]))
-        V = np.zeros((0, 2), dtype=complex)
         with pytest.raises(ModelInvalidError):
-            build_W_S(V, T)
+            build_W_S(np.zeros((2, 2), dtype=complex), T)
 
 
 class TestVerifyModel:
@@ -359,7 +358,7 @@ class TestTwoModelsSubcritical:
         U = DenseOperator(np.diag(np.exp(2j * np.pi * rng.random(4))))
 
         # model 1: C = 0, W = I, S = U
-        w_op, basis, s_hat, info, _ = build_W_S(np.zeros((0, 4), dtype=complex), U)
+        w_op, basis, s_hat, info, _ = build_W_S(np.zeros((4, 4), dtype=complex), U)
         assert info["S_welldef_residual"] <= 1e-10
         np.testing.assert_allclose(w_op.entries, np.eye(4), atol=1e-12)
 
@@ -532,11 +531,10 @@ class TestChunkedResiduals:
             T, r = shift_section(kappa, direction, d), 1
         bundle = residual_bundle(rng, T, r, M, 10.0**exponent)
         intertwine, isometry = tall_residuals(T, bundle)
-        for gram in (None, bundle.V.conj().T @ bundle.V):
-            got = verify_model(T, bundle, gram)
-            # abs=0: pytest's default absolute 1e-12 would pass any tiny residual
-            assert got["intertwine_residual"] == pytest.approx(intertwine, rel=1e-14, abs=0.0)
-            assert got["isometry_residual"] == pytest.approx(isometry, rel=1e-14, abs=0.0)
+        got = verify_model(T, bundle)
+        # abs=0: pytest's default absolute 1e-12 would pass any tiny residual
+        assert got["intertwine_residual"] == pytest.approx(intertwine, rel=1e-14, abs=0.0)
+        assert got["isometry_residual"] == pytest.approx(isometry, rel=1e-14, abs=0.0)
 
     def test_traced_peak_stays_below_eight_squares(self, monkeypatch):
         # V is (M+1) d x d; every temporary of build_W_S and verify_model is
@@ -572,6 +570,172 @@ class TestChunkedResiduals:
         assert bundle.V.nbytes == (bundle.M + 1) * square
         assert set(peaks) == {"build_W_S", "verify_model"}
         assert all(peak < 8 * square for peak in peaks.values()), peaks
+
+
+# --- the streamed transform against the tall V it replaced --------------------
+#
+# build_transform stored V = [sqrt(k_n) C T^n] whole, build_W_S summed V*V
+# over d-row chunks of it, and verify_model formed shifted - V T over row
+# chunks of max(r, d // 4) rows.  Kept here as the reference.
+
+
+def _tall_transform(C, kc, mat):
+    r = C.shape[0]
+    root_k = np.sqrt(kc)
+    V = np.empty((kc.size * r, C.shape[1]), dtype=np.complex128)
+    block = np.array(C)
+    V[0:r] = root_k[0] * block
+    for n in range(1, kc.size):
+        block = block @ mat
+        V[n * r : (n + 1) * r] = root_k[n] * block
+    return V
+
+
+def _gram(x, step):
+    gram = np.zeros((x.shape[1], x.shape[1]), dtype=np.complex128)
+    for lo in range(0, x.shape[0], step):
+        gram += x[lo : lo + step].conj().T @ x[lo : lo + step]
+    return gram
+
+
+def _intertwine_chunks(V, mat, coup, r, step):
+    rows = V.shape[0]
+    buf = np.empty((min(step, rows), V.shape[1]), dtype=np.complex128)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        chunk = np.matmul(V[lo:hi], mat, out=buf[: hi - lo])
+        np.negative(chunk, out=chunk)
+        top = min(hi, rows - r)
+        if top > lo:
+            chunk[: top - lo] += coup[lo:top, None] * V[lo + r : top + r]
+        yield chunk
+
+
+def tall_pipeline(T, bundle, tol):
+    """(V, V*V, W, diagnostics) of the tall-V pipeline for bundle's C, k and
+    M; the isometry and S residuals are verify_model's, which is unchanged."""
+    mat = T.operator().entries
+    d, r = mat.shape[0], bundle.defect_rank
+    kc = bundle.k.coeffs[: bundle.M + 1]
+    V = _tall_transform(bundle.C, kc, mat)
+    gram = _gram(V, d)
+    w_op, w_basis, s_hat, info, hermitian = build_W_S(gram, T, tol=tol)
+    coup = np.repeat(np.sqrt(kc[:-1] / kc[1:]), r)
+    intertwine = model._gram_norm(_intertwine_chunks(V, mat, coup, r, max(r, d // 4, 1)), d)
+    tall = replace(bundle, V=V, W=w_op, w_basis=w_basis, S=s_hat)
+    return V, gram, w_op, {**verify_model(T, tall, (hermitian, intertwine)), **info}
+
+
+def contraction(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return DenseOperator(0.7 * g / np.linalg.norm(g, 2))
+
+
+def conjugated_sections(d1, d2, seed):
+    """Q (B_k + B_kappa) Q*: the backward sections of k = (1-t)^(-1/2) (rank
+    one defect) and of a steeper binomial kappa (rank d2), conjugated dense."""
+    k = binomial_series(0.5, PowSign.MINUS, 64)
+    blocks = [shift_section(k, Direction.BACKWARD, d1).operator()]
+    if d2:
+        kappa = binomial_series(0.5 + np.random.default_rng(seed).uniform(0.1, 1.0), PowSign.MINUS, 64)
+        blocks.append(shift_section(kappa, Direction.BACKWARD, d2).operator())
+    Q = random_unitary(d1 + d2, seed=seed).entries
+    return DenseOperator(Q @ direct_sum(*blocks).entries @ Q.conj().T)
+
+
+# the diagnostics read from V; truncation_tail_bound is the degree cap's
+FIELDS = (
+    "intertwine_residual", "isometry_residual", "sw_residual", "S_welldef_residual",
+    "polar_correction", "contraction_excess",
+)
+
+
+class TestStreamedTransformMatchesTheTallV:
+    """build_model streams V's degree blocks into V*V and the intertwining
+    residual, and builds the tall V only when it is read."""
+
+    @pytest.mark.parametrize(
+        "d, seed, kernel, M, tol",
+        [
+            (8, 0, "binomial", None, 1e-8),
+            (33, 1, "binomial", None, 1e-8),
+            (64, 2, "binomial", None, 1e-8),
+            (40, 3, "mueller", None, 1e-8),
+            (24, 4, "hardy", 1, 2.0),  # V*V = I - T*^2 T^2: W != 0 and S is solved
+        ],
+    )
+    def test_full_rank_keeps_every_bit(self, d, seed, kernel, M, tol):
+        # r = d: every row chunk of the tall products was one degree block
+        if kernel == "binomial":
+            k = binomial_series(0.5, PowSign.MINUS, 255)
+            alpha = invert_kernel(k).alpha
+        elif kernel == "hardy":
+            alpha, k = poly(1.0, -1.0), binomial_series(1.0, PowSign.MINUS, 255)
+        else:
+            (pair, k) = mueller_kernel(255)
+            alpha = pair.alpha
+        T = contraction(d, seed)
+        bundle = build_model(alpha, k, T, M=M, model_tol=tol)
+        assert isinstance(bundle.V, model.Transform) and "entries" not in bundle.V.__dict__
+        V, gram, w_op, want = tall_pipeline(T, bundle, tol)
+        assert bundle.defect_rank == d and (bundle.w_rank > 0) == (M is not None)
+        streamed = model._sums(bundle.V, d, k.coeffs[: bundle.M + 1], T.entries)[0]
+        assert np.array_equal(streamed, gram)
+        assert np.array_equal(np.asarray(bundle.V), V)
+        assert np.array_equal(bundle.W.entries, w_op.entries)
+        assert {key: bundle.diagnostics[key] for key in FIELDS} == {key: want[key] for key in FIELDS}
+
+    @pytest.mark.parametrize("d1, d2, seed", [(40, 0, 0), (40, 0, 1), (24, 16, 2), (24, 16, 3)])
+    def test_rank_deficient_agrees_to_rounding(self, d1, d2, seed):
+        # r < d: V*V sums r-row blocks, not d-row chunks, and the residual
+        # chunks are one block, not max(r, d // 4) rows.  The digits move in
+        # the fields read from those sums: intertwine_residual,
+        # isometry_residual, and contraction_excess (from I - V*V's smallest
+        # eigenvalue).  Both residuals are rounding, so they are compared at
+        # the unit scale of the model's contractions, not to their own size.
+        # W = 0 here (T is nilpotent, so V*V = I), and the S fields keep
+        # their bits.
+        moved = ("intertwine_residual", "isometry_residual", "contraction_excess")
+        k = binomial_series(0.5, PowSign.MINUS, 64)
+        T = conjugated_sections(d1, d2, seed)
+        d = T.dim
+        bundle = build_model(binomial_series(0.5, PowSign.PLUS, 64), k, T)
+        V, gram, w_op, want = tall_pipeline(T, bundle, 1e-8)
+        r, M = bundle.defect_rank, bundle.M
+        assert r == 1 + d2 < d and M == max(d1, d2) - 1
+        tol = 4 * (M + 1) * d * 2.0**-53
+        streamed = model._sums(bundle.V, r, k.coeffs[: M + 1], T.entries)[0]
+        assert np.max(np.abs(streamed - gram)) <= tol * np.max(np.abs(np.diag(gram)))
+        assert np.array_equal(np.asarray(bundle.V), V)  # the chain itself is unchanged
+        assert np.array_equal(bundle.W.entries, w_op.entries)
+        for key in FIELDS:
+            got = bundle.diagnostics[key]
+            if key in moved:
+                assert abs(got - want[key]) <= tol, key
+            else:
+                assert got == want[key], key
+
+    def test_the_tall_V_is_built_only_when_read(self):
+        d = 200
+        T = contraction(d, 4)
+        k = binomial_series(0.5, PowSign.MINUS, 1023)
+        alpha = invert_kernel(k).alpha
+        tracemalloc.start()
+        try:
+            bundle = build_model(alpha, k, T)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            first = np.asarray(bundle.V)
+            read = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tall = (bundle.M + 1) * bundle.defect_rank * d * 16
+        assert bundle.defect_rank == d and bundle.M >= 12
+        assert built < tall, (built, tall)  # no array of (M+1) r d entries was alive
+        assert read >= tall
+        assert bundle.V.entries is first and np.asarray(bundle.V) is first
+        assert not first.flags.writeable and first.shape == bundle.V.shape
 
 
 class TestRandomInstancePipeline:
@@ -892,7 +1056,7 @@ class TestSectionModelMatchesDense:
             got, want = getattr(fast, name).entries, getattr(slow, name).entries
             assert np.max(np.abs(got - want)) <= 1e-12, name
         assert fast.V.shape == slow.V.shape
-        assert np.max(np.abs(fast.V - slow.V), initial=0.0) <= 1e-12
+        assert np.max(np.abs(np.asarray(fast.V) - np.asarray(slow.V)), initial=0.0) <= 1e-12
         for key in RESIDUALS:
             want = pytest.approx(slow.diagnostics[key], rel=0.0, abs=1e-12)
             assert fast.diagnostics[key] == want, key
