@@ -22,7 +22,6 @@ from .series import (
     TruncatedSeries,
     binomial_series,
     cauchy_product,
-    cesaro_number,
     cesaro_numbers,
     reciprocal,
 )

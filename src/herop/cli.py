@@ -19,7 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,8 +73,14 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, their values as they are."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits, a
+    dataclass as the object of its fields and an Enum as its value."""
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -84,8 +91,6 @@ def dumps_canonical(obj) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, (np.integer, int)):
         return str(int(obj))
-    if isinstance(obj, Verdict):
-        return json.dumps(obj.value)
     if isinstance(obj, dict):
         inner = ",".join(
             f"{json.dumps(str(k))}:{dumps_canonical(v)}" for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
@@ -94,6 +99,10 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         return "[" + ",".join(dumps_canonical(v) for v in seq) + "]"
+    if is_dataclass(obj):
+        return dumps_canonical(_fields(obj))
+    if isinstance(obj, Enum):
+        return dumps_canonical(obj.value)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -104,7 +113,7 @@ def _emit(command: str, config: RunConfig, reports: Sequence[ConditionReport], e
         "command": command,
         "seed": config.seed,
         "N": config.truncation,
-        "reports": [r.to_json_dict() for r in reports],
+        "reports": reports,
         **extra,
     }
     text = dumps_canonical(payload) + "\n"
@@ -197,16 +206,10 @@ def _run_kernel_check(args, config: RunConfig, bundle: bool = False) -> tuple[in
 def _run_kernel_invert(args, config: RunConfig) -> tuple[int, list, dict]:
     alpha = _series_from_flags(args)
     pair = reciprocal(alpha, config.truncation)
-    head = min(16, pair.k.trunc_len)
     extra = {
         "inversion_residual": pair.inversion_residual,
-        "flags": {
-            "is_np": pair.flags.is_np,
-            "is_wiener_alpha": pair.flags.is_wiener_alpha,
-            "is_wiener_k": pair.flags.is_wiener_k,
-            "type": pair.flags.type,
-        },
-        "k_head": [float(v) for v in pair.k.coeffs[:head]],
+        "flags": pair.flags,
+        "k_head": pair.k.coeffs[:16],
         "violations": list(pair.violations),
     }
     _write_csv(config, "kernel.csv", enumerate(pair.k.coeffs))
@@ -227,17 +230,7 @@ def _run_shift_membership(args, config: RunConfig) -> tuple[int, list, dict]:
         shift_membership_backward if direction is Direction.BACKWARD else shift_membership_forward
     )
     report = runner(alpha, kappa)
-    extra = {
-        "direction": report.direction.value,
-        "in_Cw": report.in_Cw,
-        "in_Cw_plus": report.in_Cw_plus,
-        "sup_ratio": report.sup_ratio,
-        "min_coefficient": report.min_coefficient,
-        "argmin": report.argmin,
-        "witness": report.witness,
-        "N_used": report.N_used,
-    }
-    return _exit_code([report.in_Cw, report.in_Cw_plus]), [], extra
+    return _exit_code([report.in_Cw, report.in_Cw_plus]), [], _fields(report)
 
 
 def _run_model_build(args, config: RunConfig) -> tuple[int, list, dict]:
@@ -305,7 +298,7 @@ def _run_ergodic_probe(args, config: RunConfig) -> tuple[int, list, dict]:
                     "trend": trend.kind,
                     "statistic": trend.statistic,
                     "r2": trend.r2,
-                    "values": [float(v) for v in values],
+                    "values": values,
                 }
             )
             _write_csv(config, f"probe_{label}.csv", zip(probe.n_grid, values), key="n")
@@ -322,9 +315,8 @@ def _run_example_signs(args, config: RunConfig) -> tuple[int, list, dict]:
     )
     pair, report = cond.generate_sign_pattern_kernel(pattern, config.truncation)
     _write_trend_csvs([report], config)
-    head = min(16, pair.alpha.trunc_len)
     extra = {
-        "alpha_head": [float(v) for v in pair.alpha.coeffs[:head]],
+        "alpha_head": pair.alpha.coeffs[:16],
         "inversion_residual": pair.inversion_residual,
         "violations": list(pair.violations),
     }

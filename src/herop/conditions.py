@@ -67,14 +67,6 @@ class ConditionReport:
     witness: dict
     N_used: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "condition_id": self.condition_id,
-            "verdict": self.verdict.value,
-            "witness": self.witness,
-            "N_used": self.N_used,
-        }
-
     def trend_table(self) -> Optional[list]:
         """(index, value) rows when the witness carries a trend table."""
         return self.witness.get("trend")

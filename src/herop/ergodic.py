@@ -16,7 +16,7 @@ from .model import ModelBundle
 from .operators import (
     DenseOperator, ShiftSection, _basis_orbit_norms, _orbit_norms, _vector_norm, operator_norm
 )
-from .series import _dot, cesaro_number, cesaro_numbers
+from .series import _dot, cesaro_numbers
 
 __all__ = [
     "MOVING_BASIS",
@@ -182,47 +182,32 @@ def cesaro_probe(
 class OracleKind(Enum):
     QUADRATIC_MEANS = "QuadraticMeans"
     GENERAL_MEANS = "GeneralMeans"
-    SHIFT_MEMBERSHIP = "ShiftMembership"
-    POWER_NORM = "PowerNorm"
 
 
 @dataclass(frozen=True)
 class OracleVerdict:
     kind: OracleKind
-    bounded: Optional[bool]
-    value: Optional[float]
+    bounded: bool
     detail: str
 
 
 def shift_threshold_oracle(
     s: float, a_or_b: float, q: Optional[float], kind: OracleKind
 ) -> OracleVerdict:
-    """Closed-form boundedness/membership/norm laws for the weighted shifts
-    with weights from the order-s binomial kernel.  Outside the stated
-    parameter ranges the oracle refuses rather than guessing."""
+    """Closed-form boundedness laws of the order-a quadratic (q = 2) and
+    order-b general q-th power Cesaro means for the weighted shifts with
+    weights from the order-s binomial kernel.  Outside the stated parameter
+    ranges the oracle refuses rather than guessing."""
     if kind is OracleKind.QUADRATIC_MEANS:
         if not (0.0 < s < 1.0) or a_or_b <= 0:
             raise UnsupportedRegimeError("quadratic means law needs 0 < s < 1, a > 0")
         bounded = 1.0 - s < a_or_b  # boundary excluded: log divergence
-        return OracleVerdict(kind, bounded, None, f"bounded iff 1 - s < a, a={a_or_b:g}")
+        return OracleVerdict(kind, bounded, f"bounded iff 1 - s < a, a={a_or_b:g}")
     if kind is OracleKind.GENERAL_MEANS:
         if q is None or not (1.0 <= q <= 2.0) or not (0.0 < s < 1.0) or a_or_b <= 0:
             raise UnsupportedRegimeError("general means law needs 0 < s < 1, 1 <= q <= 2")
         bounded = a_or_b > q * (1.0 - s) / 2.0
-        return OracleVerdict(kind, bounded, None, f"bounded iff b > q(1-s)/2 = {q*(1-s)/2:g}")
-    if kind is OracleKind.SHIFT_MEMBERSHIP:
-        if s <= 0 or a_or_b <= 0:
-            raise UnsupportedRegimeError("membership law needs a > 0 and s > 0")
-        return OracleVerdict(kind, a_or_b <= s, None, "positive class iff a <= s")
-    if kind is OracleKind.POWER_NORM:
-        m = int(a_or_b)
-        if m < 0:
-            raise UnsupportedRegimeError("power index must be non-negative")
-        if 0.0 < s < 1.0:
-            return OracleVerdict(kind, None, 1.0 / cesaro_number(s, m), "backward: 1/kappa_m")
-        if s >= 1.0:
-            return OracleVerdict(kind, None, cesaro_number(s, m), "forward: kappa_m")
-        raise UnsupportedRegimeError("power-norm law needs s > 0")
+        return OracleVerdict(kind, bounded, f"bounded iff b > q(1-s)/2 = {q*(1-s)/2:g}")
     raise UnsupportedRegimeError(f"unknown oracle kind {kind!r}")
 
 

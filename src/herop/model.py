@@ -77,13 +77,6 @@ def _gram_norm(chunks: Iterable[np.ndarray], n: int) -> float:
     return s * math.sqrt(max(float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1]), 0.0))
 
 
-def _norm2(x: np.ndarray) -> float:
-    """Spectral norm of x, by _gram_norm over copies of chunks as many rows
-    as x has columns."""
-    n = x.shape[1]
-    return _gram_norm((x[lo : lo + n].copy() for lo in range(0, x.shape[0], max(n, 1))), n)
-
-
 class ModelInvalidError(NumericalFailure):
     """A model identity fails at the requested tolerance."""
 
@@ -381,8 +374,8 @@ def verify_model(
 
     V*V and the intertwining residual come from _sums' one pass over V's
     degree blocks, so no temporary as tall as V is made.  sums is that pair
-    when the caller has it (build_model passes build_W_S's V*V with it);
-    else the pass runs here."""
+    when the caller has it (build_model's with build_W_S's V*V, and
+    bundle_direct_sum's from its summands' passes); else the pass runs here."""
     mat = T.operator().entries
     d = mat.shape[0]
     if sums is None:
@@ -411,8 +404,9 @@ def verify_relation_DCW(
 ) -> dict:
     """Residual of the defect relation ||Dx||^2 = ||Cx||^2 + alpha(1)||Wx||^2
     over the probe set, normalized by ||x||^2.  D, C and W each take all
-    probes in one product, so each matrix is read once; a SparseMatrix with
-    real values gives the dense product's bits from its triplets."""
+    probes in one product, so each matrix is read once; a SparseMatrix sums
+    its triplets' products by row, which gives the dense product's bits when
+    its values are real and no two triplets share a row."""
     d_op, _, _ = build_defect(alpha, T)
     probes = np.array(probe_vectors, dtype=np.complex128).reshape(len(probe_vectors), T.dim).T
 
@@ -423,7 +417,8 @@ def verify_relation_DCW(
         if not isinstance(m, SparseMatrix):
             return np.atleast_2d(np.asarray(getattr(m, "entries", m), dtype=np.complex128)) @ probes
         y = np.zeros((m.shape[0], probes.shape[1]), dtype=np.complex128)
-        y[m.rows] = m.vals[:, None] * probes[m.cols]
+        at = m.rows[:, None] * probes.shape[1] + np.arange(probes.shape[1])  # flat: add.at's fast 1-d form
+        np.add.at(y.reshape(-1), at.ravel(), (m.vals[:, None] * probes[m.cols]).ravel())
         return y
 
     dx, cx, wx = (norms2(times(m)) for m in (d_op, C, W))
@@ -585,12 +580,13 @@ def build_model(
 def bundle_direct_sum(
     b1: ModelBundle, b2: ModelBundle, T1, T2
 ) -> tuple[ModelBundle, DenseOperator]:
-    """Combine the models of two summands into the model of the direct sum.
-
-    Block rows of the transforms are padded with zeros up to the common
-    degree cap (exactly right for nilpotent summands, whose higher blocks
-    vanish identically).  Returns the combined bundle and the direct-sum
-    operator; diagnostics are re-measured on the composite."""
+    """Combine the models of two summands into the model of the direct sum,
+    returned with the direct-sum operator.  Block rows of the transforms are
+    padded with zeros up to the common degree cap (exact for a nilpotent
+    summand), so V*V is block diagonal and the intertwining chunks are the
+    summands' own: V*V, the residual and ||V|| are read from each summand's
+    own pass, and only the isometry and S residuals are measured on the
+    composite."""
     if b1.k is not b2.k and not np.array_equal(b1.k.coeffs, b2.k.coeffs):
         raise ValueError("summands must share the same kernel")
     t_sum = direct_sum(T1, T2)
@@ -603,6 +599,10 @@ def bundle_direct_sum(
         V[n * r : n * r + r1, :d1] = block
     for n, block in enumerate(_degree_blocks(b2.V, r2)):
         V[n * r + r1 : (n + 1) * r, d1:] = block
+    (g1, rho1), (g2, rho2) = (
+        _sums(b.V, b.defect_rank, b.k.coeffs[: b.M + 1], T.operator().entries) for b, T in ((b1, T1), (b2, T2))
+    )
+    gram = _block_diag(g1, g2)
     bundle = ModelBundle(
         D=direct_sum(b1.D, b2.D),
         defect_basis=_block_diag(b1.defect_basis, b2.defect_basis),
@@ -616,12 +616,11 @@ def bundle_direct_sum(
         kind=b1.kind,
         diagnostics={},
     )
-    diagnostics = verify_model(t_sum, bundle)
+    diagnostics = verify_model(t_sum, bundle, (gram, max(rho1, rho2)))
     tails = (b1.diagnostics.get("truncation_tail_bound"), b2.diagnostics.get("truncation_tail_bound"))
-    diagnostics["truncation_tail_bound"] = (
-        None if any(t is None for t in tails) else max(tails)
-    )
-    diagnostics["contraction_excess"] = max(0.0, _norm2(V) - 1.0)
+    diagnostics["truncation_tail_bound"] = None if None in tails else max(tails)
+    norm_v = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    diagnostics["contraction_excess"] = max(0.0, norm_v - 1.0)
     diagnostics["type"] = b1.kind
     return replace(bundle, diagnostics=diagnostics), t_sum
 

@@ -5,7 +5,8 @@ coefficient-level membership tests for weighted shifts.
 All matrices live in the Euclidean realization (conjugation by the square
 roots of the weights), so adjoints are plain conjugate transposes.  Backward
 sections are exact parts of the infinite shift; forward sections are
-compressions and carry a not-a-part flag into every report.
+compressions (`ShiftSection.is_part` is False), and forward membership
+reports carry a `not_a_part` witness flag.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ __all__ = [
     "reciprocal",
     "invert_kernel",
     "make_kernel_pair",
-    "cesaro_number",
     "cesaro_numbers",
     "cesaro_number_gamma",
     "abs_tail_bound",
@@ -584,13 +583,6 @@ def cesaro_numbers(a: float, n_max: int) -> np.ndarray:
     """Cesaro numbers k^a(0..n_max): Taylor coefficients of (1-t)**(-a),
     computed by the forward-stable product recurrence."""
     return _finite(_binomial_coeffs(-float(a), n_max), f"Cesaro numbers of order {a} overflowed")
-
-
-def cesaro_number(a: float, n: int) -> float:
-    """Single Cesaro number k^a(n) = a(a+1)...(a+n-1)/n! by recurrence."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return float(cesaro_numbers(a, n)[n])
 
 
 def cesaro_number_gamma(a: float, n: int) -> float:

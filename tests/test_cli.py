@@ -16,9 +16,16 @@ from hypothesis import strategies as st
 
 from herop import cli
 from herop.cli import RunConfig, dumps_canonical, main
+from herop.conditions import check_hypotheses_A, check_hypotheses_B
 from herop.model import build_model
-from herop.operators import Direction, shift_section, write_matrix_csv
-from herop.series import invert_kernel
+from herop.operators import (
+    Direction,
+    shift_membership_backward,
+    shift_membership_forward,
+    shift_section,
+    write_matrix_csv,
+)
+from herop.series import invert_kernel, reciprocal
 from herop.specdsl import elaborate, parse_kernel_spec
 
 
@@ -68,6 +75,52 @@ class TestCanonicalJson:
     def test_numpy_scalars(self):
         text = dumps_canonical({"v": np.float64(0.25), "n": np.int64(3), "f": np.bool_(False)})
         assert text == '{"f":false,"n":3,"v":0.25}'
+
+    # the reports print their dataclasses; each dict below is the one the
+    # CLI wrote out field by field before
+
+    def test_condition_report_prints_its_fields(self):
+        pair = reciprocal(elaborate(parse_kernel_spec("pow1mt(0.5)"), 64), 64)
+        for report in (check_hypotheses_A(pair), check_hypotheses_B(pair)):
+            hand = {
+                "condition_id": report.condition_id,
+                "verdict": report.verdict.value,
+                "witness": report.witness,
+                "N_used": report.N_used,
+            }
+            assert dumps_canonical([report]) == dumps_canonical([hand])
+
+    def test_kernel_flags_print_their_fields(self):
+        flags = reciprocal(elaborate(parse_kernel_spec("poly[1,-1,-1]"), 16), 16).flags
+        hand = {
+            "is_np": flags.is_np,
+            "is_wiener_alpha": flags.is_wiener_alpha,
+            "is_wiener_k": flags.is_wiener_k,
+            "type": flags.type,
+        }
+        assert dumps_canonical({"flags": flags}) == dumps_canonical({"flags": hand})
+
+    @pytest.mark.parametrize("runner", [shift_membership_backward, shift_membership_forward])
+    def test_membership_report_prints_its_fields(self, runner):
+        alpha = elaborate(parse_kernel_spec("pow1mt(0.5)"), 256)
+        kappa = elaborate(parse_kernel_spec("pow1mt(-0.75)"), 256)
+        report = runner(alpha, kappa)
+        hand = {
+            "direction": report.direction.value,
+            "in_Cw": report.in_Cw,
+            "in_Cw_plus": report.in_Cw_plus,
+            "sup_ratio": report.sup_ratio,
+            "min_coefficient": report.min_coefficient,
+            "argmin": report.argmin,
+            "witness": report.witness,
+            "N_used": report.N_used,
+        }
+        assert dumps_canonical(report) == dumps_canonical(hand)
+        assert dumps_canonical({**cli._fields(report), "N": 256}) == dumps_canonical({**hand, "N": 256})
+
+    def test_enum_prints_its_value(self):
+        assert dumps_canonical(Direction.FORWARD) == '"Forward"'
+        assert dumps_canonical({"d": [Direction.BACKWARD]}) == '{"d":["Backward"]}'
 
 
 class TestRunConfig:

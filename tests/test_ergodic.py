@@ -124,16 +124,6 @@ class TestThresholdOracles:
         assert not shift_threshold_oracle(0.5, 0.25, 1.0, OracleKind.GENERAL_MEANS).bounded
         assert shift_threshold_oracle(0.5, 0.26, 1.0, OracleKind.GENERAL_MEANS).bounded
 
-    def test_membership_law(self):
-        assert shift_threshold_oracle(0.75, 0.5, None, OracleKind.SHIFT_MEMBERSHIP).bounded
-        assert not shift_threshold_oracle(0.5, 0.75, None, OracleKind.SHIFT_MEMBERSHIP).bounded
-
-    def test_power_norm_value(self):
-        verdict = shift_threshold_oracle(0.5, 3, None, OracleKind.POWER_NORM)
-        assert verdict.value == pytest.approx(16.0 / 5.0, rel=1e-14)
-        forward = shift_threshold_oracle(2.0, 3, None, OracleKind.POWER_NORM)
-        assert forward.value == pytest.approx(4.0, rel=1e-14)  # kappa_3 = k^2(3) = 4
-
     def test_refuses_out_of_range(self):
         with pytest.raises(UnsupportedRegimeError):
             shift_threshold_oracle(1.5, 0.5, None, OracleKind.QUADRATIC_MEANS)
@@ -148,15 +138,6 @@ class TestOracleAgreementSample:
         oracle = shift_threshold_oracle(s, a, None, OracleKind.QUADRATIC_MEANS)
         probe = cesaro_probe(T, MOVING_BASIS, a, 2.0, default_n_grid(2000))
         assert probe.trends[0].bounded == oracle.bounded
-
-    def test_power_norm_against_svd(self):
-        T = backward(0.5, 512)
-        mat = T.operator().entries
-        power = np.eye(512, dtype=complex)
-        for m in range(1, 21):
-            power = power @ mat
-            oracle = shift_threshold_oracle(0.5, m, None, OracleKind.POWER_NORM)
-            assert np.linalg.norm(power, 2) ** 2 == pytest.approx(oracle.value, rel=1e-8)
 
     def test_adjoint_escapes_growth(self):
         # the adjoint section sends the constant slot up the basis with

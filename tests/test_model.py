@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from herop import model, operators
 from herop.model import (
-    _norm2,
     ModelBundle,
     ModelInvalidError,
     TailUncertifiableError,
@@ -386,8 +385,15 @@ class TestNoEigensolve:
         assert shapes == []
 
 
+def gram_norm_by_chunks(x, rows):
+    """_gram_norm of x fed as copies of its chunks `rows` rows high (it
+    scales its chunks in place)."""
+    return model._gram_norm((x[lo : lo + rows].copy() for lo in range(0, x.shape[0], rows)), x.shape[1])
+
+
 class TestNorm2:
-    """The Gram route for tall matrices against the SVD it replaces."""
+    """_gram_norm's running scale: the Gram route for tall matrices against
+    the SVD it replaces."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -402,16 +408,17 @@ class TestNorm2:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(n, ratio * n + 1))
         x = 10.0**exponent * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-        assert _norm2(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14, abs=0.0)
+        rows = int(rng.integers(1, n + 1))
+        assert gram_norm_by_chunks(x, rows) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14, abs=0.0)
 
     def test_zero_matrix(self):
-        assert _norm2(np.zeros((40, 4), dtype=complex)) == 0.0
+        assert gram_norm_by_chunks(np.zeros((40, 4), dtype=complex), 4) == 0.0
 
     def test_tiny_residual_does_not_underflow(self):
         # an unscaled Gram squares the entries to ~1e-400, i.e. to 0
         x = 1e-200 * np.random.default_rng(3).standard_normal((120, 6)).astype(complex)
         assert np.linalg.eigvalsh(x.conj().T @ x)[-1] == 0.0
-        assert _norm2(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14, abs=0.0)
+        assert gram_norm_by_chunks(x, 6) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14, abs=0.0)
 
 
 class TestNoTallSVD:
@@ -736,6 +743,97 @@ class TestStreamedTransformMatchesTheTallV:
         assert read >= tall
         assert bundle.V.entries is first and np.asarray(bundle.V) is first
         assert not first.flags.writeable and first.shape == bundle.V.shape
+
+
+# --- the direct sum against the composite pass it replaced ----------------------
+#
+# bundle_direct_sum sent the assembled (M+1)*r x d V through _sums in r-row
+# slices (verify_model without sums still runs that pass) and took ||V||
+# from _norm2, a second pass over d-row chunks of it.  Kept here as the
+# reference.
+
+
+def composite_pass(bundle, t_sum):
+    want = verify_model(t_sum, bundle)
+    want["contraction_excess"] = max(0.0, gram_norm_by_chunks(np.asarray(bundle.V), t_sum.dim) - 1.0)
+    return want
+
+
+def section_and_unitary(n_weights, phases):
+    """Criterion 09's summands: the order-1/2 backward section (d = 256)
+    and a diagonal unitary built at the degree cap n_weights."""
+    alpha = binomial_series(0.5, PowSign.PLUS, n_weights)
+    k = binomial_series(0.5, PowSign.MINUS, n_weights)
+    section = shift_section(k, Direction.BACKWARD, 256)
+    unitary = DenseOperator(np.diag(np.exp(1j * np.asarray(phases))))
+    return build_model(alpha, k, section), build_model(alpha, k, unitary, M=n_weights), section, unitary
+
+
+def section_twice():
+    (pair, k) = mueller_kernel()
+    section = shift_section(k, Direction.BACKWARD, 24)
+    bundle = build_model(pair.alpha, k, section)
+    return bundle, bundle, section, section
+
+
+def section_and_contraction(seed):
+    k = binomial_series(0.5, PowSign.MINUS, 255)
+    alpha = invert_kernel(k).alpha
+    section, T = shift_section(k, Direction.BACKWARD, 24), contraction(40, seed)
+    return build_model(alpha, k, section), build_model(alpha, k, T), section, T
+
+
+def padded_blocks(b1, b2):
+    """The summands' tall V's as (degree, row, column) blocks, side by side
+    and zero past each summand's degree cap."""
+    (m1, r1, d1), (m2, r2, d2) = ((b.M + 1, b.defect_rank, b.V.shape[1]) for b in (b1, b2))
+    blocks = np.zeros((max(m1, m2), r1 + r2, d1 + d2), dtype=complex)
+    blocks[:m1, :r1, :d1] = np.asarray(b1.V).reshape(m1, r1, d1)
+    blocks[:m2, r1:, d1:] = np.asarray(b2.V).reshape(m2, r2, d2)
+    return blocks.reshape(-1, d1 + d2)
+
+
+class TestDirectSumReadsTheSummandsPasses:
+    """bundle_direct_sum takes V*V and the intertwining residual from each
+    summand's own pass, as block_diag(G1, G2) and the larger residual."""
+
+    @pytest.mark.parametrize(
+        "make, caps",
+        [
+            (lambda: section_and_unitary(4096, 2.0 * np.pi * np.random.default_rng(23).random(2)), (255, 4096)),
+            (lambda: section_and_unitary(2048, [0.8, 2.4]), (255, 2048)),
+            (section_twice, (23, 23)),
+            (lambda: section_and_contraction(5), (23, 30)),
+        ],
+        ids=["criterion-09", "trichotomy-2048", "section-twice", "section-and-contraction"],
+    )
+    def test_same_residual_bits_as_the_composite_pass(self, make, caps):
+        b1, b2, T1, T2 = make()
+        assert (b1.M, b2.M) == caps
+        bundle, t_sum = bundle_direct_sum(b1, b2, T1, T2)
+        assert np.array_equal(bundle.V, padded_blocks(b1, b2))
+        got, want = bundle.diagnostics, composite_pass(bundle, t_sum)
+        for key in ("intertwine_residual", "isometry_residual", "sw_residual"):
+            assert got[key] == want[key], key
+        # ||V|| from V*V's eigensolve, not from chunks of V: rounding at ||V|| ~ 1
+        assert abs(got["contraction_excess"] - want["contraction_excess"]) <= t_sum.dim * 2.0**-52
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("first", ["section", "contraction"])
+    def test_other_contractions_agree_to_rounding(self, seed, first):
+        # the summand's pass scales its chunks by its own largest entry and
+        # eigensolves a 40-square Gram, the composite pass by both summands'
+        # entries and a 64-square one, so the residual's last bit can move.
+        # The isometry and S residuals are compared at the unit scale
+        b1, b2, T1, T2 = section_and_contraction(seed)
+        if first == "contraction":  # the larger residual is the first summand's
+            b1, b2, T1, T2 = b2, b1, T2, T1
+        bundle, t_sum = bundle_direct_sum(b1, b2, T1, T2)
+        got, want = bundle.diagnostics, composite_pass(bundle, t_sum)
+        unit = t_sum.dim * 2.0**-52
+        assert got["intertwine_residual"] == pytest.approx(want["intertwine_residual"], rel=4 * 2.0**-52, abs=0.0)
+        for key in ("isometry_residual", "sw_residual", "contraction_excess"):
+            assert abs(got[key] - want[key]) <= unit, key
 
 
 class TestRandomInstancePipeline:
@@ -1211,6 +1309,17 @@ class TestStructuredRelationMatchesDense:
         with unittest.mock.patch.object(model, "build_defect", dense_defect):
             dense = verify_relation_DCW(alpha, T, C.entries, W.entries, probes)
         assert structured == dense
+
+    def test_triplets_sharing_a_row_are_summed(self):
+        # C = [1 1]: Cx = x_0 + x_1, not the last triplet's product alone.
+        # With T = 0 and alpha = 1, D = I, so the residual is
+        # | ||x||^2 - |x_0 + x_1|^2 | = |1 - 2| on x = (1, 1) / sqrt(2)
+        C = SparseMatrix(np.array([0, 0]), np.array([0, 1]), np.array([1.0, 1.0]), (1, 2))
+        T, W = DenseOperator(np.zeros((2, 2))), np.zeros((2, 2))
+        probes = [np.array([1.0, 1.0]) / math.sqrt(2.0)]
+        sparse = verify_relation_DCW(poly(1.0, 0.0), T, C, W, probes)
+        dense = verify_relation_DCW(poly(1.0, 0.0), T, C.entries, W, probes)
+        assert sparse["residual"] == dense["residual"] == pytest.approx(1.0, rel=1e-15)
 
     def test_a_field_is_built_once(self):
         alpha, k, T = half_order_setup(64)

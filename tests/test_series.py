@@ -24,7 +24,6 @@ from herop.series import (
     alpha_at_one,
     binomial_series,
     cauchy_product,
-    cesaro_number,
     cesaro_number_gamma,
     cesaro_numbers,
     evaluate_on_circle,
@@ -166,13 +165,13 @@ class TestReciprocal:
 
 class TestCesaroNumbers:
     def test_first_order_is_flat(self):
-        assert cesaro_number(1.0, 7) == pytest.approx(1.0, rel=1e-15)
+        assert cesaro_numbers(1.0, 7)[7] == pytest.approx(1.0, rel=1e-15)
 
     def test_second_order_is_linear(self):
-        assert cesaro_number(2.0, 5) == pytest.approx(6.0, rel=1e-15)
+        assert cesaro_numbers(2.0, 5)[5] == pytest.approx(6.0, rel=1e-15)
 
     def test_half_order(self):
-        assert cesaro_number(0.5, 2) == pytest.approx(0.375, rel=1e-14)
+        assert cesaro_numbers(0.5, 2)[2] == pytest.approx(0.375, rel=1e-14)
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 1.5, 2.0])
     def test_recurrence_matches_gamma_formula(self, a):
