@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -54,24 +54,33 @@ _PSD_TOL = 1e-10
 _RANK_TOL = 1e-8
 
 
-def _gram_norm(chunks: Iterable[np.ndarray], n: int) -> float:
+def _gram_norm(chunks: Iterable, n: int) -> float:
     """Spectral norm of the matrix stacked from row chunks n wide, from the
-    largest eigenvalue of its Gram, which is cheaper than an SVD.  The Gram
-    is summed under a running scale s = max|x_ij|, each chunk entering as
-    chunk / s and the sum rescaled by (s_old / s_new)^2 when s grows (the
-    sum-of-squares scaling of LAPACK's xLASSQ), so that tiny residuals do
-    not underflow and large ones do not overflow.  Chunks are scaled in
-    place."""
+    largest eigenvalue of its Gram, which is cheaper than an SVD.  A chunk
+    is a matrix, or a pair (b, G): b times rows whose Gram G is formed.  The
+    Gram is summed under a running scale s that bounds every entry (a
+    matrix's max|x_ij|, a pair's b times its largest column norm), a chunk
+    entering as chunk / s, a pair as (b / s)^2 G, and the sum rescaled by
+    (s_old / s_new)^2 when s grows (the sum-of-squares scaling of LAPACK's
+    xLASSQ), so that tiny residuals do not underflow and large ones do not
+    overflow.  Chunks and Grams are scaled in place."""
     s, g = 0.0, np.zeros((n, n), dtype=np.complex128)
     for chunk in chunks:
-        top = float(np.max(np.abs(chunk), initial=0.0))
+        pair = isinstance(chunk, tuple)
+        b, x = chunk if pair else (1.0, chunk)
+        top = b * math.sqrt(float(np.max(x.diagonal().real))) if pair else float(np.max(np.abs(x), initial=0.0))
         if top == 0.0:
             continue
         if top > s:
             g *= (s / top) ** 2
             s = top
-        chunk /= s
-        g += chunk.conj().T @ chunk
+        if pair:  # b / s twice: its square overflows for column norms below 1e-154
+            x *= b / s
+            x *= b / s
+        else:
+            x /= s
+            x = x.conj().T @ x
+        g += x
     if s == 0.0:
         return 0.0
     return s * math.sqrt(max(float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1]), 0.0))
@@ -143,10 +152,8 @@ def build_defect(
     basis = np.array(vec[:, keep])
     # canonical phases: the largest entry of each basis column is made real
     # and positive, so repeated runs and identity checks are deterministic
-    for j in range(basis.shape[1]):
-        lead = basis[np.argmax(np.abs(basis[:, j])), j]
-        if abs(lead) > 0:
-            basis[:, j] *= np.conj(lead) / abs(lead)
+    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    basis *= [np.conj(x) / abs(x) if abs(x) > 0 else 1.0 for x in lead]  # an array division rounds otherwise
     return d_op, basis, hered
 
 
@@ -246,31 +253,35 @@ def _degree_blocks(V: Union[Transform, np.ndarray, SparseMatrix], r: int) -> Ite
 def _sums(V, r: int, kc: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, float]:
     """V*V and the intertwining residual ||shifted - V T||, from one pass
     over V's degree blocks V_0..V_M.  The truncated model shift moves
-    V_(n+1), times sqrt(k_n / k_(n+1)), to block n and leaves block M zero,
-    so the residual's chunk n is that minus V_n T; its norm is _gram_norm's.
-    Only a block, the one before it and a chunk are alive at once.  When
-    r = d, these chunks and V*V's terms are the d-row chunks that the tall
-    V's products took, so every sum keeps its bits."""
-    coup = np.sqrt(kc[:-1] / kc[1:])
+    V_(n+1), times coup_n = sqrt(k_n / k_(n+1)), to block n and leaves block
+    M zero, so the residual's chunk n is coup_n V_(n+1) - V_n T; its norm is
+    _gram_norm's.  A Transform's V_n is sqrt(k_n) raw_n, raw_(n+1) = raw_n T,
+    so its chunk n < M is c_n raw_(n+1), whose Gram is c_n^2 / k_(n+1) times
+    V*V's term n + 1 (c_n = coup_n sqrt(k_(n+1)) - sqrt(k_n), a rounding of
+    zero unless the couplings or k are off); only chunk M = -V_M T takes a
+    product and a Gram of its own, two per degree in all.  Any other V is
+    cut into r-row blocks, each chunk formed.  At r = d, V*V's terms are
+    the d-row chunks of the tall V's products, so V*V keeps its bits."""
     gram = np.zeros((mat.shape[0], mat.shape[0]), dtype=np.complex128)
+    return gram, _gram_norm(_residual_chunks(V, r, kc, mat, gram), mat.shape[0])  # fills gram
 
-    def chunks() -> Iterator[np.ndarray]:
-        nonlocal gram
-        prev = None
-        for n, block in enumerate(chain(_degree_blocks(V, r), [None])):
-            if prev is not None:  # chunk n - 1, from V_(n-1) and V_n (None past V_M)
-                chunk = prev @ mat
-                np.negative(chunk, out=chunk)
-                if block is not None:
-                    chunk += coup[n - 1] * block
-                prev = None  # not alive while the chunk is summed
-                yield chunk
-            if block is not None:
-                gram += block.conj().T @ block
-            prev = block
 
-    intertwine = _gram_norm(chunks(), mat.shape[0])
-    return gram, intertwine
+def _residual_chunks(V, r: int, kc: np.ndarray, mat: np.ndarray, gram: np.ndarray) -> Iterator:
+    """_sums' chunks for _gram_norm; V*V's terms are added into gram."""
+    coup = np.sqrt(kc[:-1] / kc[1:])
+    if isinstance(V, Transform):
+        root_k = np.sqrt(V.kc)
+        small = np.abs(np.r_[0.0, coup * root_k[1:] - root_k[:-1]]) / root_k  # |c_(n-1)| / sqrt(k_n), none at 0
+        for n, block in enumerate(V.blocks()):
+            term = block.conj().T @ block
+            gram += term
+            yield small[n], term
+        yield block @ mat  # chunk M but for its sign, which its Gram does not see
+        return
+    blocks = list(_degree_blocks(V, r))
+    for n, block in enumerate(blocks):
+        gram += block.conj().T @ block
+        yield (coup[n] * blocks[n + 1] if n + 1 < len(blocks) else 0.0) - block @ mat
 
 
 def build_transform(

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -102,13 +102,14 @@ class DenseOperator:
     def operator(self) -> "DenseOperator":
         return self
 
-    def powers(self, grams: bool = False) -> Iterator[tuple[float, Optional[np.ndarray]]]:
+    def powers(self, grams: Union[bool, Sequence[bool]] = False) -> Iterator[tuple[float, Optional[np.ndarray]]]:
         """(||T^n||_F, T*^n T^n) for n = 1, 2, ..., ending after the first
-        power that vanishes; the Gram is left out (None) unless grams."""
+        power that vanishes.  The Gram is formed where grams is true (True,
+        False, or one flag per power, whose end ends the walk), else None."""
         power = mat = self.entries
-        while True:
+        for want in repeat(grams) if isinstance(grams, bool) else grams:
             fro = float(np.linalg.norm(power, "fro"))
-            yield fro, (power.conj().T @ power if grams else None)
+            yield fro, (power.conj().T @ power if want else None)
             if fro <= _NILPOTENT_TOL:
                 return
             power = power @ mat
@@ -449,12 +450,14 @@ def hereditary_apply(
     cert, anchor = None, 0  # tail_certificate's (M, bound, q) at the last anchor, and that anchor
     kept = 0  # the terms n = 1..kept enter the sum
 
-    for n, (fro, gram) in enumerate(islice(T.powers() if section else T.powers(grams=True), limit), 1):
+    # a dense Gram only where alpha_n != 0: adding 0 * Gram changes no bit
+    walk = T.powers() if section else T.powers(grams=(coeffs[1:] != 0).tolist())
+    for n, (fro, gram) in enumerate(islice(walk, limit), 1):
         fro_norms.append(fro)
         if fro <= _NILPOTENT_TOL:
             policy = ExactNilpotent(order=n)
             break
-        if not section:
+        if gram is not None:
             value += coeffs[n] * gram
         kept = n
         terms += abs(coeffs[n]) * fro * fro
@@ -716,13 +719,13 @@ def read_matrix_csv(path: str) -> DenseOperator:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            cells = line.split(",")
             try:
-                rows.append([complex(tok.strip().replace(" ", "")) for tok in cells])
-            except ValueError:
-                for col, tok in enumerate(cells, 1):
+                rows.append(list(map(complex, line.replace(" ", "").split(","))))
+            except ValueError:  # per cell, stripping what complex() keeps, or naming the bad cell
+                rows.append([])
+                for col, tok in enumerate(line.split(","), 1):
                     try:
-                        complex(tok.strip().replace(" ", ""))
+                        rows[-1].append(complex(tok.strip().replace(" ", "")))
                     except ValueError:
                         raise ValueError(
                             f"{path}:{lineno}:{col}: not a complex number: {tok.strip()!r}"

@@ -156,6 +156,52 @@ class TestHereditaryApply:
             hereditary_apply(alpha, T, tol=1e-14)
         assert info.value.partial.value.entries.shape == (1, 1)
 
+    @pytest.mark.parametrize("coeffs", [(1.0, -1.0), (1.0, 1.0)])
+    def test_a_polynomial_on_overflowing_powers_is_refused(self, coeffs):
+        # T of norm 10 and a window of 400: past n ~ 150 the powers overflow.
+        # Their Grams are not formed (alpha_n = 0), so the sum stays
+        # I -/+ T*T and its asymmetry finite, but the summed terms' bound
+        # reads 0 * inf = NaN, and the sum is refused
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        T = DenseOperator(g * (10.0 / np.linalg.norm(g, 2)))
+        alpha = TruncatedSeries(np.r_[coeffs, np.zeros(398)], Polynomial(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="lost Hermitian symmetry") as info:
+                hereditary_apply(alpha, T)
+        assert math.isnan(info.value.witness["bound"]) and math.isfinite(info.value.witness["asymmetry"])
+
+    @pytest.mark.parametrize("coeffs", [(1.0, -1.0), (1.0, 0.0, -0.5, 0.0, 0.0, 0.25), (0.5, -0.25, 0.125)])
+    def test_grams_where_alpha_is_zero_change_no_bit(self, coeffs):
+        # the walk that forms every Gram, as hereditary_apply took it before,
+        # gives the same bits, policy and terms
+        class EveryGram:
+            def __init__(self, T):
+                self.T, self.dim = T, T.dim
+
+            def powers(self, grams=False):
+                return self.T.powers(grams=True)
+
+        rng = np.random.default_rng(len(coeffs))
+        g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        T = DenseOperator(g * (0.7 / np.linalg.norm(g, 2)))
+        alpha = TruncatedSeries(np.r_[coeffs, np.zeros(40)], Polynomial(len(coeffs) - 1))
+        new, old = hereditary_apply(alpha, T), hereditary_apply(alpha, EveryGram(T))
+        assert new.value.entries.tobytes() == old.value.entries.tobytes()
+        assert (new.policy_used, new.terms) == (old.policy_used, old.terms)
+
+    def test_dense_powers_form_the_grams_asked_for(self):
+        rng = np.random.default_rng(5)
+        T = DenseOperator(0.5 * rng.standard_normal((6, 6)))
+        every = list(itertools.islice(T.powers(grams=True), 5))
+        flags = [True, False, False, True]
+        asked = list(T.powers(grams=flags))  # the flags' end ends the walk
+        assert len(asked) == 4
+        for (fro, gram), (fro_asked, gram_asked), want in zip(every, asked, flags):
+            assert fro == fro_asked and (gram_asked is not None) == want
+            assert not want or gram.tobytes() == gram_asked.tobytes()
+        assert all(gram is None for _, gram in itertools.islice(T.powers(), 5))
+
     def test_direct_sum_additivity(self):
         alpha = binomial_series(0.5, PowSign.PLUS, 32)
         t1 = backward(0.5, 32, 6)
@@ -609,6 +655,24 @@ class TestBlockDiagAndIO:
         np.testing.assert_array_equal(
             read_matrix_csv(str(path)).entries, np.array([[1j, 1 + 2j], [1 + 2j, 1 + 2j]])
         )
+
+    def test_matrix_csv_reads_each_cell_as_the_per_cell_form(self, tmp_path):
+        # one conversion per line takes the tokens, and gives the bits, of
+        # complex(cell.strip().replace(" ", "")) per cell; a cell only
+        # str.strip() clears (the separators \x1c-\x1f) takes the per-cell form
+        cells = ["1.5+0.25j", " 2 ", "\t(3-1j)\t", "-0.0-0.0j", "1e-320+5e300j", "\u20031 + 2j\u2003", " -j",
+                 "\x1c4\x1f", "0x"]
+        for a, b in itertools.product(cells, repeat=2):
+            path = tmp_path / "op.csv"
+            path.write_text(f"{a},{b}\n{b},{a}\n", encoding="utf-8")
+            try:
+                want = np.array([[complex(c.strip().replace(" ", "")) for c in row] for row in ((a, b), (b, a))])
+            except ValueError:
+                bad = 1 if a == "0x" else 2
+                with pytest.raises(ValueError, match=f":1:{bad}: not a complex number: '0x'"):
+                    read_matrix_csv(str(path))
+                continue
+            assert read_matrix_csv(str(path)).entries.tobytes() == want.tobytes()
 
     def test_matrix_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
