@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,14 +125,20 @@ def _emit(command: str, config: RunConfig, reports: Sequence[ConditionReport], e
         sys.stdout.write(text)
 
 
+_CSV_BLOCK = 1024  # rows per % format
+
+
 def _write_csv(config: RunConfig, name: str, rows, key: str = "index") -> None:
-    """(index, value) rows as a CSV sidecar under --csv-dir, when one is given."""
+    """(index, value) rows as a CSV sidecar under --csv-dir, when one is given:
+    one % format per block of rows, each row '%d,%.17g'."""
     if not config.csv_dir:
         return
     os.makedirs(config.csv_dir, exist_ok=True)
     with open(os.path.join(config.csv_dir, name), "w", encoding="utf-8") as fh:
         fh.write(f"{key},value\n")
-        fh.writelines("%d,%.17g\n" % (index, value) for index, value in rows)
+        rows = iter(rows)
+        while block := tuple(islice(rows, _CSV_BLOCK)):
+            fh.write("%d,%.17g\n" * len(block) % tuple(chain.from_iterable(block)))
 
 
 def _write_trend_csvs(reports: Sequence[ConditionReport], config: RunConfig) -> None:

@@ -374,9 +374,11 @@ class HereditaryResult:
 
 def _symmetrize(m: np.ndarray, scale: float, rel: float) -> np.ndarray:
     """The Hermitian part of an accumulated sum, refused when the Frobenius
-    norm of its asymmetry exceeds rel * scale.  Callers measure rounding
-    against the size of the summed terms, not of the sum, which may cancel
-    to zero."""
+    norm of its asymmetry exceeds rel * scale, or when scale is not finite.
+    Callers measure rounding against the size of the summed terms, not of
+    the sum, which may cancel to zero."""
+    if not math.isfinite(scale):  # 0 * inf among the terms reads NaN
+        raise NumericalFailure(f"bound on the summed terms is not finite: {scale:.3e}", {"terms": scale})
     asym = float(np.linalg.norm(m - m.conj().T, "fro"))
     bound = rel * max(scale, 1e-300)
     if not asym <= bound:  # NaN included
@@ -528,6 +530,23 @@ def _aligned_symbol_window(alpha: TruncatedSeries, kappa: TruncatedSeries) -> tu
     return np.array(alpha.coeffs), kappa.coeffs[: n + 1], n
 
 
+def _gamma_and_product(
+    alpha: TruncatedSeries, kappa: TruncatedSeries, ac: np.ndarray, kc: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(|alpha| * kappa, alpha * kappa) to degree n on the aligned windows.
+    alpha * kappa is the generators' closed form when they have one (a
+    binomial pair), else a direct product.  An NP-signed window (alpha_0 > 0,
+    alpha_n <= 0 after it) has |alpha| = 2 alpha_0 - alpha, so gamma is
+    2 alpha_0 kappa - alpha * kappa, a difference with no cancellation; any
+    other symbol takes gamma as a second direct product."""
+    prod = alpha.certifier.product(kappa.certifier, n)
+    if prod is None:
+        prod = _convolve(ac, kc, n + 1)
+    if ac[0] > 0.0 and not np.any(ac[1:] > 0.0):
+        return 2.0 * ac[0] * kc - prod, prod
+    return _convolve(np.abs(ac), kc, n + 1), prod
+
+
 def shift_membership_backward(
     alpha: TruncatedSeries, kappa: TruncatedSeries
 ) -> ShiftMembershipReport:
@@ -541,14 +560,13 @@ def shift_membership_backward(
         raise ValueError("weights must be positive")
     sup_shift = _check_backward_bounded(kc)
 
-    gamma = _convolve(np.abs(ac), kc, n + 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma, prod = _gamma_and_product(alpha, kappa, ac, kc, n)
         ratio = _finite(gamma / kc, "gamma / kappa overflowed")
     # settled: the last quarter's max is within 1% of the max before it
     sup, i_sup, settled, _ = _sup_trend(ratio, max((3 * n) // 4, 1) - 1, 0.01)
     in_cw = Verdict.TREND_HOLDS if i_sup <= n // 2 or settled else Verdict.INDETERMINATE
 
-    prod = _convolve(ac, kc, n + 1)
     slack = _SIGN_TOL * np.maximum(gamma, 1.0)
     deficit = prod + slack
     i_min = int(np.argmin(prod))

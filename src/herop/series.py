@@ -142,6 +142,11 @@ class Generator:
         """1/f to degree n_max in closed form, tagged with its generator."""
         return None
 
+    def product(self, other: "Generator", n_max: int) -> Optional[np.ndarray]:
+        """The coefficients 0..n_max of f * g in closed form, other being g's
+        generator; the caller vouches that both windows are exact to n_max."""
+        return None
+
 
 @dataclass(frozen=True)
 class Binomial(Generator):
@@ -199,6 +204,13 @@ class Binomial(Generator):
             return None
         k = _finite(_binomial_coeffs(-self.exponent, n_max), "inversion overflowed")
         return TruncatedSeries(k, Binomial(-self.exponent))
+
+    def product(self, other: Generator, n_max: int) -> Optional[np.ndarray]:
+        # (1-t)**e1 (1-t)**e2 = (1-t)**(e1 + e2): one O(n_max) recurrence in
+        # place of an O(n_max^2) direct sum
+        if not isinstance(other, Binomial):
+            return None
+        return _finite(_binomial_coeffs(self.exponent + other.exponent, n_max), "binomial product overflowed")
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,20 @@ class TestSubcommands:
         assert code_bad == 1
         assert json.loads(out_bad)["in_Cw_plus"] == "Fails"
 
+    @pytest.mark.parametrize("a", ["0.5", "1"])
+    def test_shift_membership_shortcut_forms_no_direct_product(self, capsys, monkeypatch, a):
+        # pow1mt(a) is NP-signed for 0 < a <= 1, and pow1mt(a) * pow1mt(-s) has a closed form
+        def refuse(*args, **kwargs):
+            raise AssertionError("a direct product was formed")
+
+        from herop import operators, series
+
+        for owner in (series, operators):
+            monkeypatch.setattr(owner, "_convolve", refuse)
+        monkeypatch.setattr(np, "convolve", refuse)
+        code, out = run_cli(capsys, "shift", "membership", "--a", a, "--s", "0.75", "-N", "2000")
+        assert (code, json.loads(out)["in_Cw_plus"]) == ((0, "Holds") if a == "0.5" else (1, "Fails"))
+
     def test_model_build_on_section(self, capsys):
         code, out = run_cli(
             capsys,
@@ -650,6 +664,17 @@ class TestCsvSidecarBytes:
             cli._write_csv(config, f"{name}.csv", rows, key="n")
             assert (tmp_path / f"{name}.csv").read_bytes() == _per_cell_rows_csv(rows, "n").encode()
 
+    def test_row_blocks_match_the_per_row_format(self, tmp_path):
+        # two whole blocks and a partial third, signed zeros and subnormals
+        # among the values, against the one-%-per-row writer it replaced
+        n = 2 * cli._CSV_BLOCK + 17
+        values = _awkward_values(n, seed=6)
+        values[[1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, n - 1]] = [-0.0, 5e-324, -2.2250738585072e-309, -0.0]
+        for name, rows in {"numpy": enumerate(values), "python": enumerate(values.tolist())}.items():
+            cli._write_csv(RunConfig(csv_dir=str(tmp_path)), f"{name}.csv", rows)
+            per_row = "index,value\n" + "".join("%d,%.17g\n" % (i, v) for i, v in enumerate(values))
+            assert (tmp_path / f"{name}.csv").read_bytes() == per_row.encode()
+
 
 def _read_tree(path):
     return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
@@ -768,7 +793,16 @@ def _stdout_under_one_and_two_blas_threads(env, argv):
 
 def test_long_products_do_not_depend_on_blas_threads(src_env):
     """Long products are GEMMs, which split their output, never a sum, over
-    threads, so one and two BLAS threads print the same bytes."""
+    threads, so one and two BLAS threads print the same bytes.  This symbol
+    and weight are dense windows with no closed-form product."""
+    argv = ["shift", "membership", "--spec", "pow1mt(0.5)*poly[1,0.3]", "--kappa", "pow1mt(-0.6)", "-N", "65536"]
+    one, two = _stdout_under_one_and_two_blas_threads(src_env, argv)
+    assert one == two
+
+
+def test_closed_form_membership_does_not_depend_on_blas_threads(src_env):
+    """A binomial pair's product is a closed form and its gamma the NP
+    identity, with no BLAS call in between."""
     argv = ["shift", "membership", "--a", "0.5", "--s", "0.6", "-N", "65536"]
     one, two = _stdout_under_one_and_two_blas_threads(src_env, argv)
     assert one == two

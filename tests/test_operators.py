@@ -1,11 +1,16 @@
+import __future__
+import inspect
 import itertools
 import math
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from herop import operators
 from herop.conditions import SignPattern, Verdict, generate_sign_pattern_kernel
 from herop.operators import (
     BlockDiagOperator,
@@ -20,6 +25,7 @@ from herop.operators import (
     SparseMatrix,
     Truncated,
     UnboundedShiftError,
+    _aligned_symbol_window,
     _basis_orbit_norms,
     _eigen_sqrt,
     _orbit_norms,
@@ -36,14 +42,17 @@ from herop.operators import (
     write_matrix_csv,
 )
 from herop.series import (
+    Binomial,
     NumericalFailure,
     Polynomial,
     PowSign,
     TruncatedSeries,
+    _convolve,
     _dot,
     binomial_series,
     cesaro_numbers,
 )
+from herop.specdsl import elaborate, parse_kernel_spec
 
 
 def poly(*coeffs):
@@ -161,15 +170,15 @@ class TestHereditaryApply:
         # T of norm 10 and a window of 400: past n ~ 150 the powers overflow.
         # Their Grams are not formed (alpha_n = 0), so the sum stays
         # I -/+ T*T and its asymmetry finite, but the summed terms' bound
-        # reads 0 * inf = NaN, and the sum is refused
+        # reads 0 * inf = NaN, and the sum is refused for that bound
         rng = np.random.default_rng(3)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         T = DenseOperator(g * (10.0 / np.linalg.norm(g, 2)))
         alpha = TruncatedSeries(np.r_[coeffs, np.zeros(398)], Polynomial(1))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalFailure, match="lost Hermitian symmetry") as info:
+            with pytest.raises(NumericalFailure, match="bound on the summed terms is not finite") as info:
                 hereditary_apply(alpha, T)
-        assert math.isnan(info.value.witness["bound"]) and math.isfinite(info.value.witness["asymmetry"])
+        assert list(info.value.witness) == ["terms"] and math.isnan(info.value.witness["terms"])
 
     @pytest.mark.parametrize("coeffs", [(1.0, -1.0), (1.0, 0.0, -0.5, 0.0, 0.0, 0.25), (0.5, -0.25, 0.125)])
     def test_grams_where_alpha_is_zero_change_no_bit(self, coeffs):
@@ -555,6 +564,128 @@ class TestShiftMembershipBackward:
         kappa = TruncatedSeries(1.0 / np.cumprod(np.concatenate([[1.0], np.arange(1.0, 64.0)])), None)
         with pytest.raises(UnboundedShiftError):
             shift_membership_backward(poly(1.0, -1.0), kappa)
+
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _gamma_n(m):
+    """Higham's gamma_m = m u / (1 - m u), elementwise."""
+    m = np.asarray(m, dtype=float)
+    return m * _U / (1.0 - m * _U)
+
+
+def _mutate(monkeypatch, owner, name, old, new):
+    """Replace owner.name, for this test, by a copy compiled from its source
+    with the one occurrence of `old` replaced by `new`."""
+    func = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{name} no longer holds {old!r}"
+    code = compile(source.replace(old, new), inspect.getsourcefile(func), "exec",
+                   flags=__future__.annotations.compiler_flag)
+    namespace = {}
+    exec(code, vars(sys.modules[func.__module__]), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+def _membership_sums(alpha, kappa):
+    ac, kc, n = _aligned_symbol_window(alpha, kappa)
+    return ac, kc, n, *operators._gamma_and_product(alpha, kappa, ac, kc, n)
+
+
+def _check_np_gamma(ac, kc):
+    """gamma from 2 alpha_0 kappa - alpha * kappa against the direct |alpha| * kappa:
+    each is within gamma_(j+3) (|alpha| * kappa)_j of the exact sum."""
+    ac, kc, n, gamma, prod = _membership_sums(TruncatedSeries(ac), TruncatedSeries(kc))
+    direct = _convolve(np.abs(ac), kc, n + 1)
+    assert np.all(np.abs(gamma - direct) <= 2.0 * _gamma_n(np.arange(n + 1) + 3) * direct)
+    np.testing.assert_array_equal(prod, _convolve(ac, kc, n + 1))
+
+
+def _check_binomial_pair(a, s, n):
+    """The closed-form (1-t)**(a-s) against the direct product of the two
+    windows.  The recurrence rounds three times a step, in the product and
+    in each factor window, and the direct sum adds gamma_(j+1): within
+    8 (j+1) u (|alpha| * kappa)_j."""
+    ac, kc, n, gamma, prod = _membership_sums(binomial_series(a, PowSign.PLUS, n), binomial_series(s, PowSign.MINUS, n))
+    scale = _convolve(np.abs(ac), kc, n + 1)
+    assert np.all(np.abs(prod - _convolve(ac, kc, n + 1)) <= 8.0 * (np.arange(n + 1) + 1) * _U * scale)
+    return ac, kc, gamma, prod
+
+
+@st.composite
+def _np_signed_pairs(draw):
+    """An NP-signed symbol window (exact zeros of both signs among its tail)
+    and positive weights of the same length."""
+    n = draw(st.integers(0, 47))
+    a0 = draw(st.floats(0.1, 8.0))
+    tail = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, -1e-6)), min_size=n, max_size=n))
+    k = draw(st.lists(st.floats(1e-3, 1e3), min_size=n + 1, max_size=n + 1))
+    return np.array([a0, *tail]), np.array(k)
+
+
+class TestBackwardMembershipProducts:
+    """Backward membership reads gamma = |alpha| * kappa from alpha * kappa on
+    NP-signed symbols, and alpha * kappa from the closed form on binomial
+    pairs; every other symbol keeps two direct products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_np_signed_pairs())
+    @example((np.array([0.5, -0.25, 0.0, -0.125]), np.array([1.0, 0.5, 0.25, 0.2])))
+    def test_np_signed_gamma_matches_the_direct_product(self, pair):
+        _check_np_gamma(*pair)
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+    def test_binomial_pairs_on_the_criterion_03_grid(self, a, s):
+        # a = s gives the unit series, a - s >= 1 a polynomial; a > 1 is not
+        # NP-signed and keeps the direct |alpha| * kappa
+        ac, kc, gamma, prod = _check_binomial_pair(a, s, 2000)
+        if a == s:
+            np.testing.assert_array_equal(prod, np.eye(1, 2001)[0])
+        if a > 1.0:
+            np.testing.assert_array_equal(gamma, _convolve(np.abs(ac), kc, 2001))
+        else:
+            np.testing.assert_array_equal(gamma, 2.0 * kc - prod)
+
+    @pytest.mark.parametrize("alpha, kappa", [
+        (poly(1.0, 0.5, -0.3), binomial_series(0.5, PowSign.MINUS, 300)),
+        (TruncatedSeries(np.array([-1.0, 0.5, -0.25])), TruncatedSeries(np.linspace(2.0, 1.0, 3))),
+        (elaborate(parse_kernel_spec("tail(poly[1,0.4,0.16],0.05,2.0,3)"), 400), binomial_series(0.7, PowSign.MINUS, 400)),
+        (binomial_series(1.5, PowSign.PLUS, 9000), TruncatedSeries(binomial_series(0.5, PowSign.MINUS, 9000).coeffs)),
+    ], ids=["positive-coefficient", "negative-alpha_0", "power-tail", "binomial-on-a-bare-window"])
+    def test_other_symbols_keep_two_direct_products(self, alpha, kappa):
+        ac, kc, n, gamma, prod = _membership_sums(alpha, kappa)
+        np.testing.assert_array_equal(gamma, _convolve(np.abs(ac), kc, n + 1))
+        np.testing.assert_array_equal(prod, _convolve(ac, kc, n + 1))
+
+    def test_an_np_symbol_on_other_weights_takes_one_product(self):
+        # pow1mt(0.5) against a bare window: no closed form, gamma from the product
+        alpha = binomial_series(0.5, PowSign.PLUS, 600)
+        kappa = TruncatedSeries(binomial_series(0.75, PowSign.MINUS, 600).coeffs)
+        ac, kc, n, gamma, prod = _membership_sums(alpha, kappa)
+        np.testing.assert_array_equal(prod, _convolve(ac, kc, n + 1))
+        np.testing.assert_array_equal(gamma, 2.0 * kc - prod)
+        _check_np_gamma(ac, kc)
+
+    def test_an_overflowing_closed_form_is_refused_with_its_degree(self):
+        # (1-t)**-150 twice: each window is finite to 1200, their product
+        # C(n + 299, n) leaves float range inside it
+        alpha = binomial_series(150.0, PowSign.MINUS, 1200)
+        with pytest.raises(NumericalFailure, match="binomial product overflowed at degree") as info:
+            shift_membership_backward(alpha, alpha)
+        d = info.value.witness["degree"]
+        assert math.comb(d + 299, d) > sys.float_info.max >= math.comb(d + 298, d - 1)
+
+    def test_gamma_without_alpha_0_is_caught(self, monkeypatch):
+        _mutate(monkeypatch, operators, "_gamma_and_product", "2.0 * ac[0] * kc", "2.0 * kc")
+        with pytest.raises(AssertionError):
+            _check_np_gamma(np.array([0.5, -0.25, 0.0, -0.125]), np.array([1.0, 0.5, 0.25, 0.2]))
+
+    def test_an_exponent_off_by_one_is_caught(self, monkeypatch):
+        _mutate(monkeypatch, Binomial, "product", "self.exponent + other.exponent", "self.exponent + other.exponent + 1.0")
+        with pytest.raises(AssertionError):
+            _check_binomial_pair(0.5, 0.75, 64)
 
 
 class TestShiftMembershipForward:
