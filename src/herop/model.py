@@ -103,12 +103,14 @@ class ModelBundle:
     the weighted power-series space tensored with the defect space.  The
     dense pipeline holds it as a Transform, which forms the blocks one at a
     time and the tall matrix only when it is read.  A section's model holds
-    its matrices as SparseMatrix triplets."""
+    its matrices as SparseMatrix triplets.  gram = V*V is formed once, where
+    V is built; verify_model and bundle_direct_sum only read it."""
 
     D: Union[DenseOperator, SparseMatrix]
     defect_basis: Union[np.ndarray, SparseMatrix]  # (d, r) orthonormal columns spanning ran D
     C: Union[np.ndarray, SparseMatrix]  # (r, d): D expressed against the defect basis
     V: Union["Transform", np.ndarray, SparseMatrix]  # ((M+1)*r, d)
+    gram: Union[np.ndarray, SparseMatrix]  # (d, d): V*V
     W: Union[DenseOperator, SparseMatrix]
     w_basis: Union[np.ndarray, SparseMatrix]  # (d, w) orthonormal columns spanning ran W
     S: Union[np.ndarray, SparseMatrix]  # (w, w) isometry in w_basis coordinates
@@ -243,45 +245,30 @@ class Transform(_LazyMatrix):
         return m
 
 
-def _degree_blocks(V: Union[Transform, np.ndarray, SparseMatrix], r: int) -> Iterator[np.ndarray]:
-    """V's degree blocks: a Transform's chain, or r-row slices of a matrix."""
-    if isinstance(V, Transform):
-        return V.blocks()
-    return (V[lo : lo + r] for lo in range(0, V.shape[0], max(r, 1)))
-
-
-def _sums(V, r: int, kc: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """V*V and the intertwining residual ||shifted - V T||, from one pass
+def _sums(V: Transform, kc: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """V*V and the intertwining residual ||shifted - V T||, from the one pass
     over V's degree blocks V_0..V_M.  The truncated model shift moves
     V_(n+1), times coup_n = sqrt(k_n / k_(n+1)), to block n and leaves block
     M zero, so the residual's chunk n is coup_n V_(n+1) - V_n T; its norm is
-    _gram_norm's.  A Transform's V_n is sqrt(k_n) raw_n, raw_(n+1) = raw_n T,
-    so its chunk n < M is c_n raw_(n+1), whose Gram is c_n^2 / k_(n+1) times
-    V*V's term n + 1 (c_n = coup_n sqrt(k_(n+1)) - sqrt(k_n), a rounding of
-    zero unless the couplings or k are off); only chunk M = -V_M T takes a
-    product and a Gram of its own, two per degree in all.  Any other V is
-    cut into r-row blocks, each chunk formed.  At r = d, V*V's terms are
-    the d-row chunks of the tall V's products, so V*V keeps its bits."""
+    _gram_norm's.  V_n is sqrt(k_n) raw_n, raw_(n+1) = raw_n T, so chunk
+    n < M is c_n raw_(n+1), whose Gram is c_n^2 / k_(n+1) times V*V's term
+    n + 1 (c_n = coup_n sqrt(k_(n+1)) - sqrt(k_n), a rounding of zero
+    unless the couplings or k are off); only chunk M = -V_M T takes a
+    product and a Gram of its own, two per degree in all.  At r = d, V*V's
+    terms are the d-row chunks of the tall V's products, with their bits."""
     gram = np.zeros((mat.shape[0], mat.shape[0]), dtype=np.complex128)
-    return gram, _gram_norm(_residual_chunks(V, r, kc, mat, gram), mat.shape[0])  # fills gram
+    return gram, _gram_norm(_residual_chunks(V, kc, mat, gram), mat.shape[0])  # fills gram
 
 
-def _residual_chunks(V, r: int, kc: np.ndarray, mat: np.ndarray, gram: np.ndarray) -> Iterator:
+def _residual_chunks(V: Transform, kc: np.ndarray, mat: np.ndarray, gram: np.ndarray) -> Iterator:
     """_sums' chunks for _gram_norm; V*V's terms are added into gram."""
-    coup = np.sqrt(kc[:-1] / kc[1:])
-    if isinstance(V, Transform):
-        root_k = np.sqrt(V.kc)
-        small = np.abs(np.r_[0.0, coup * root_k[1:] - root_k[:-1]]) / root_k  # |c_(n-1)| / sqrt(k_n), none at 0
-        for n, block in enumerate(V.blocks()):
-            term = block.conj().T @ block
-            gram += term
-            yield small[n], term
-        yield block @ mat  # chunk M but for its sign, which its Gram does not see
-        return
-    blocks = list(_degree_blocks(V, r))
-    for n, block in enumerate(blocks):
-        gram += block.conj().T @ block
-        yield (coup[n] * blocks[n + 1] if n + 1 < len(blocks) else 0.0) - block @ mat
+    coup, root_k = np.sqrt(kc[:-1] / kc[1:]), np.sqrt(V.kc)
+    small = np.abs(np.r_[0.0, coup * root_k[1:] - root_k[:-1]]) / root_k  # |c_(n-1)| / sqrt(k_n), none at 0
+    for n, block in enumerate(V.blocks()):
+        term = block.conj().T @ block
+        gram += term
+        yield small[n], term
+    yield block @ mat  # chunk M but for its sign, which its Gram does not see
 
 
 def build_transform(
@@ -329,7 +316,7 @@ def build_W_S(
 ) -> tuple[DenseOperator, np.ndarray, np.ndarray, dict, np.ndarray]:
     """Complement W = (I - V*V)^(1/2) from gram = V*V (as _sums forms it),
     its range basis, the isometry S defined on that range by S(Wx) = WTx,
-    and V*V made Hermitian, which verify_model reuses.
+    and V*V made Hermitian, which the model bundle carries.
 
     One eigensolve of I - V*V gives ||V|| (from its smallest eigenvalue),
     the root W and W's range basis.  The defining relation is solved in least squares over the standard basis
@@ -375,35 +362,25 @@ def build_W_S(
     return w_op, basis, s_hat, info, gram
 
 
-def verify_model(
-    T: Union[DenseOperator, ShiftSection],
-    bundle: ModelBundle,
-    sums: Optional[tuple[np.ndarray, float]] = None,
-) -> dict:
-    """Pure residual measurement of the model identities: intertwining with
-    the truncated model shift, joint isometry of (V, W), and S W = W T.
-
-    V*V and the intertwining residual come from _sums' one pass over V's
-    degree blocks, so no temporary as tall as V is made.  sums is that pair
-    when the caller has it (build_model's with build_W_S's V*V, and
-    bundle_direct_sum's from its summands' passes); else the pass runs here."""
+def verify_model(T: Union[DenseOperator, ShiftSection], bundle: ModelBundle) -> dict:
+    """Pure residual measurement of two model identities: joint isometry of
+    (V, W), read from the bundle's V*V, and S W = W T.  Nothing as tall as
+    V is read; the intertwining residual is measured where V is built, by
+    the pass that forms V*V."""
     mat = T.operator().entries
     d = mat.shape[0]
-    if sums is None:
-        sums = _sums(bundle.V, bundle.defect_rank, bundle.k.coeffs[: bundle.M + 1], mat)
-    gram, intertwine = sums
-    residuals = {"intertwine_residual": intertwine}
     w_mat = bundle.W.entries
     joint = w_mat @ w_mat
-    joint += gram
+    joint += bundle.gram
     joint.flat[:: d + 1] -= 1.0
     joint += joint.conj().T
     joint *= 0.5
-    residuals["isometry_residual"] = float(np.max(np.abs(np.linalg.eigvalsh(joint))))
     sw = bundle.w_basis @ bundle.S @ bundle.w_basis.conj().T @ w_mat  # S on the ambient space
     sw -= w_mat @ mat
-    residuals["sw_residual"] = float(np.linalg.norm(sw, 2))
-    return residuals
+    return {
+        "isometry_residual": float(np.max(np.abs(np.linalg.eigvalsh(joint)))),
+        "sw_residual": float(np.linalg.norm(sw, 2)),
+    }
 
 
 def verify_relation_DCW(
@@ -445,7 +422,7 @@ def _section_model(
     d_op: SparseMatrix, basis: SparseMatrix, k: TruncatedSeries, T: ShiftSection, M: Optional[int], tol: float
 ) -> tuple:
     """build_model's transform, complement, isometry and residuals on a
-    section, as (C, V, W, w_basis, S, M, residuals) from vectors in O(d M)
+    section, as (C, V, V*V, W, w_basis, S, M, residuals) from vectors in O(d M)
     work and memory.  Row i of T has its one entry t_i at column i + s, and
     D and the basis are diagonal and unit vectors (build_defect), so:
 
@@ -533,6 +510,7 @@ def _section_model(
     return (
         SparseMatrix(np.arange(r), b, roots[b], (r, d)),
         SparseMatrix(np.arange(vals.size), cols.ravel(), vals.ravel(), (vals.size, d)),
+        SparseMatrix.diagonal(gram),
         SparseMatrix.diagonal(w),
         SparseMatrix(p, np.arange(nw), np.ones(nw), (d, nw)),
         SparseMatrix(row_of, np.arange(nw), np.ones(nw), (nw, nw)),
@@ -558,19 +536,21 @@ def build_model(
     kind = pair_type_estimate(alpha, k).type
     section = isinstance(T, ShiftSection)
     if section:
-        c_mat, V, w_op, w_basis, s_hat, m_used, diagnostics = _section_model(d_op, basis, k, T, M, model_tol)
+        c_mat, V, gram, w_op, w_basis, s_hat, m_used, diagnostics = _section_model(d_op, basis, k, T, M, model_tol)
     else:
         c_mat = basis.conj().T @ d_op.entries  # (r, d)
         V, m_used, tail = np.zeros((0, T.dim), dtype=np.complex128), 0, 0.0
+        gram, intertwine = np.zeros((T.dim, T.dim), dtype=np.complex128), 0.0  # D = 0: V has no rows
         if basis.shape[1]:
             V, m_used, tail = build_transform(c_mat, k, T, M=M, tol=model_tol)
-        gram, intertwine = _sums(V, basis.shape[1], k.coeffs[: m_used + 1], T.operator().entries)
+            gram, intertwine = _sums(V, k.coeffs[: m_used + 1], T.operator().entries)
         w_op, w_basis, s_hat, s_info, gram = build_W_S(gram, T, tol=model_tol)
     bundle = ModelBundle(
         D=d_op,
         defect_basis=basis,
         C=c_mat,
         V=V,
+        gram=gram,
         W=w_op,
         w_basis=w_basis,
         S=s_hat,
@@ -580,8 +560,7 @@ def build_model(
         diagnostics={},
     )
     if not section:
-        diagnostics = verify_model(T, bundle, (gram, intertwine))
-        diagnostics.update(s_info)
+        diagnostics = {"intertwine_residual": intertwine, **verify_model(T, bundle), **s_info}
         diagnostics["truncation_tail_bound"] = tail
     diagnostics["policy"] = type(hered.policy_used).__name__
     diagnostics["type"] = kind
@@ -595,8 +574,9 @@ def bundle_direct_sum(
     returned with the direct-sum operator.  Block rows of the transforms are
     padded with zeros up to the common degree cap (exact for a nilpotent
     summand), so V*V is block diagonal and the intertwining chunks are the
-    summands' own: V*V, the residual and ||V|| are read from each summand's
-    own pass, and only the isometry and S residuals are measured on the
+    summands' own: V*V and the residual are the summands' (block_diag(G1,
+    G2) and the larger residual) and ||V|| comes from that V*V.  No pass
+    over V runs; only the isometry and S residuals are measured on the
     composite."""
     if b1.k is not b2.k and not np.array_equal(b1.k.coeffs, b2.k.coeffs):
         raise ValueError("summands must share the same kernel")
@@ -604,21 +584,15 @@ def bundle_direct_sum(
     d1, d2 = T1.dim, T2.dim
     r1, r2 = b1.defect_rank, b2.defect_rank
     m = max(b1.M, b2.M)
-    r = r1 + r2
-    V = np.zeros(((m + 1) * r, d1 + d2), dtype=np.complex128)
-    for n, block in enumerate(_degree_blocks(b1.V, r1)):
-        V[n * r : n * r + r1, :d1] = block
-    for n, block in enumerate(_degree_blocks(b2.V, r2)):
-        V[n * r + r1 : (n + 1) * r, d1:] = block
-    (g1, rho1), (g2, rho2) = (
-        _sums(b.V, b.defect_rank, b.k.coeffs[: b.M + 1], T.operator().entries) for b, T in ((b1, T1), (b2, T2))
-    )
-    gram = _block_diag(g1, g2)
+    V = np.zeros((m + 1, r1 + r2, d1 + d2), dtype=np.complex128)
+    V[: b1.M + 1, :r1, :d1] = np.asarray(b1.V).reshape(b1.M + 1, r1, d1)
+    V[: b2.M + 1, r1:, d1:] = np.asarray(b2.V).reshape(b2.M + 1, r2, d2)
     bundle = ModelBundle(
         D=direct_sum(b1.D, b2.D),
         defect_basis=_block_diag(b1.defect_basis, b2.defect_basis),
         C=_block_diag(b1.C, b2.C),
-        V=V,
+        V=V.reshape(-1, d1 + d2),
+        gram=_block_diag(b1.gram, b2.gram),
         W=direct_sum(b1.W, b2.W),
         w_basis=_block_diag(b1.w_basis, b2.w_basis),
         S=_block_diag(b1.S, b2.S),
@@ -627,10 +601,11 @@ def bundle_direct_sum(
         kind=b1.kind,
         diagnostics={},
     )
-    diagnostics = verify_model(t_sum, bundle, (gram, max(rho1, rho2)))
+    rho = max(b1.diagnostics["intertwine_residual"], b2.diagnostics["intertwine_residual"])
+    diagnostics = {"intertwine_residual": rho, **verify_model(t_sum, bundle)}
     tails = (b1.diagnostics.get("truncation_tail_bound"), b2.diagnostics.get("truncation_tail_bound"))
     diagnostics["truncation_tail_bound"] = None if None in tails else max(tails)
-    norm_v = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    norm_v = math.sqrt(max(float(np.linalg.eigvalsh(bundle.gram)[-1]), 0.0))
     diagnostics["contraction_excess"] = max(0.0, norm_v - 1.0)
     diagnostics["type"] = b1.kind
     return replace(bundle, diagnostics=diagnostics), t_sum

@@ -223,6 +223,21 @@ class TestExitCodes:
         assert payload["error"] == f"{error} at degree {degree}"
         assert payload["witness"] == {"degree": degree} and payload["reports"] == []
 
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            ('poly[1]/file("{zero}")', "offset 7: division by a series with zero constant term"),
+            ('inv(file("{zero}"))', "offset 0: division by a series with zero constant term"),
+            ('inv(file("{missing}"))', "[Errno 2] No such file or directory: '{missing}'"),
+        ],
+        ids=["divide", "inverse", "missing"],
+    )
+    def test_division_by_a_coefficient_file_reads_its_constant_term(self, capsys, tmp_path, spec, error):
+        paths = {"zero": tmp_path / "zero.txt", "missing": tmp_path / "missing.txt"}
+        paths["zero"].write_text("0.0\n0.5\n", encoding="utf-8")
+        code, err = run_cli_quiet(capsys, "kernel", "check", "--spec", spec.format(**paths), "-N", "8")
+        assert (code, err) == (3, f"herop: error: {error.format(**paths)}\n")
+
     def test_non_finite_coefficient_file_line_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "k.txt"
         path.write_text("1.0\ninf\n", encoding="utf-8")
@@ -356,6 +371,17 @@ class TestSubcommands:
         code_bad, out_bad = run_cli(capsys, "shift", "membership", "--a", "1.0", "--s", "0.5", "-N", "512")
         assert code_bad == 1
         assert json.loads(out_bad)["in_Cw_plus"] == "Fails"
+
+    def test_forward_membership_on_an_uncertified_symbol_is_a_trend(self, capsys):
+        # the binomial times poly[1,-0.2] has no certified absolute tail, so
+        # the coefficients' sign is a trend verdict
+        code, out = run_cli(
+            capsys, "shift", "membership", "--direction", "forward", "--spec", "pow1mt(0.5)*poly[1,-0.2]",
+            "--kappa", "pow1mt(-0.5)", "-N", "256",
+        )
+        payload = json.loads(out)
+        assert payload["witness"]["certified_tails"] is False
+        assert (code, payload["in_Cw_plus"]) == (2, "TrendHolds")
 
     @pytest.mark.parametrize("a", ["0.5", "1"])
     def test_shift_membership_shortcut_forms_no_direct_product(self, capsys, monkeypatch, a):

@@ -74,6 +74,20 @@ class TestHypothesesA:
         pair = reciprocal(poly(1.0, 2.0), 64)
         assert check_hypotheses_A(pair).verdict is Verdict.FAILS
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_dominated_coefficients(self, n):
+        # a power tail has neither exact roots nor binomial structure: HypA
+        # holds from 1 - sum |alpha_n| > 0, the tail's absolute mass bounded.
+        # At n = 256 the kernel turns non-positive first
+        alpha = elaborate(parse_kernel_spec("tail(poly[1,-0.9],0.001,2,2)"), n)
+        report = check_hypotheses_A(reciprocal(alpha, n))
+        if n == 64:
+            assert report.verdict is Verdict.HOLDS
+            assert report.witness["offorigin_abs_mass"] == 0.900645055501409
+        else:
+            assert report.verdict is Verdict.FAILS
+            assert report.witness == {"nonpositive_kernel_index": 105}
+
 
 class TestHypothesesB:
     def test_linear_symbol_decidable(self):

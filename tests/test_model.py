@@ -306,6 +306,7 @@ class TestMinimality:
             defect_basis=padded_basis,
             C=padded_c,
             V=bundle.V,
+            gram=bundle.gram,
             W=bundle.W,
             w_basis=bundle.w_basis,
             S=bundle.S,
@@ -519,6 +520,7 @@ def residual_bundle(rng, T, r, M, scale):
         defect_basis=np.zeros((d, r), dtype=complex),
         C=np.zeros((r, d), dtype=complex),
         V=V,
+        gram=_gram(V, r),
         W=DenseOperator(0.25 * (h + h.conj().T)),
         w_basis=np.zeros((d, 0), dtype=complex),
         S=np.zeros((0, 0), dtype=complex),
@@ -530,7 +532,8 @@ def residual_bundle(rng, T, r, M, scale):
 
 
 class TestChunkedResiduals:
-    """verify_model's row-chunked products against the tall formulas."""
+    """The chunked intertwining residual, and verify_model's isometry
+    residual from the bundle's V*V, against the tall formulas."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -556,7 +559,8 @@ class TestChunkedResiduals:
             T, r = shift_section(kappa, direction, d), 1
         bundle = residual_bundle(rng, T, r, M, 10.0**exponent)
         intertwine, isometry = tall_residuals(T, bundle)
-        got = verify_model(T, bundle)
+        got = {"intertwine_residual": chunk_residual(bundle.V, T, bundle.k.coeffs[: M + 1], r)}
+        got.update(verify_model(T, bundle))
         # abs=0: pytest's default absolute 1e-12 would pass any tiny residual
         assert got["intertwine_residual"] == pytest.approx(intertwine, rel=1e-14, abs=0.0)
         assert got["isometry_residual"] == pytest.approx(isometry, rel=1e-14, abs=0.0)
@@ -636,6 +640,14 @@ def _intertwine_chunks(V, mat, coup, r, step):
         yield chunk
 
 
+def chunk_residual(V, T, kc, r):
+    """The intertwining residual of a plain tall V, its r-row degree blocks
+    taken as the chunks coup_n V_(n+1) - V_n T."""
+    mat = T.operator().entries
+    coup = np.repeat(np.sqrt(kc[:-1] / kc[1:]), r)
+    return model._gram_norm(_intertwine_chunks(np.asarray(V), mat, coup, r, max(r, 1)), mat.shape[0])
+
+
 def tall_pipeline(T, bundle, tol):
     """(V, V*V, W, diagnostics) of the tall-V pipeline for bundle's C, k and
     M; the isometry and S residuals are verify_model's, which is unchanged."""
@@ -647,8 +659,8 @@ def tall_pipeline(T, bundle, tol):
     w_op, w_basis, s_hat, info, hermitian = build_W_S(gram, T, tol=tol)
     coup = np.repeat(np.sqrt(kc[:-1] / kc[1:]), r)
     intertwine = model._gram_norm(_intertwine_chunks(V, mat, coup, r, max(r, d // 4, 1)), d)
-    tall = replace(bundle, V=V, W=w_op, w_basis=w_basis, S=s_hat)
-    return V, gram, w_op, {**verify_model(T, tall, (hermitian, intertwine)), **info}
+    tall = replace(bundle, V=V, gram=hermitian, W=w_op, w_basis=w_basis, S=s_hat)
+    return V, gram, w_op, {"intertwine_residual": intertwine, **verify_model(T, tall), **info}
 
 
 def contraction(d, seed):
@@ -692,7 +704,7 @@ def moved_residual_bound(bundle, T):
     x = [coup[n] * blocks[n + 1] - blocks[n] @ mat for n in range(bundle.M)]
     y = [(coup[n] * root_k[n + 1] - root_k[n]) / root_k[n + 1] * blocks[n + 1] for n in range(bundle.M)]
     small = sum(np.linalg.norm(np.vstack(z), 2) ** 2 for z in (x, y) if z)
-    rho, ref = bundle.diagnostics["intertwine_residual"], model._sums(np.asarray(bundle.V), r, kc, mat)[1]
+    rho, ref = bundle.diagnostics["intertwine_residual"], chunk_residual(bundle.V, T, kc, r)
     return small / max(rho + ref, 1e-300) + 4 * T.dim * 2.0**-53 * ref
 
 
@@ -725,7 +737,7 @@ class TestStreamedTransformMatchesTheTallV:
         assert isinstance(bundle.V, model.Transform) and "entries" not in bundle.V.__dict__
         V, gram, w_op, want = tall_pipeline(T, bundle, tol)
         assert bundle.defect_rank == d and (bundle.w_rank > 0) == (M is not None)
-        streamed = model._sums(bundle.V, d, k.coeffs[: bundle.M + 1], T.entries)[0]
+        streamed = model._sums(bundle.V, k.coeffs[: bundle.M + 1], T.entries)[0]
         assert np.array_equal(streamed, gram)
         assert np.array_equal(np.asarray(bundle.V), V)
         assert np.array_equal(bundle.W.entries, w_op.entries)
@@ -753,7 +765,7 @@ class TestStreamedTransformMatchesTheTallV:
         r, M = bundle.defect_rank, bundle.M
         assert r == 1 + d2 < d and M == max(d1, d2) - 1
         tol = 4 * (M + 1) * d * 2.0**-53
-        streamed = model._sums(bundle.V, r, k.coeffs[: M + 1], T.entries)[0]
+        streamed = model._sums(bundle.V, k.coeffs[: M + 1], T.entries)[0]
         assert np.max(np.abs(streamed - gram)) <= tol * np.max(np.abs(np.diag(gram)))
         assert np.array_equal(np.asarray(bundle.V), V)  # the chain itself is unchanged
         assert np.array_equal(bundle.W.entries, w_op.entries)
@@ -788,15 +800,17 @@ class TestStreamedTransformMatchesTheTallV:
 
 # --- the direct sum against the composite pass it replaced ----------------------
 #
-# bundle_direct_sum sent the assembled (M+1)*r x d V through _sums in r-row
-# slices (verify_model without sums still runs that pass) and took ||V||
-# from _norm2, a second pass over d-row chunks of it.  Kept here as the
-# reference.
+# bundle_direct_sum sent the assembled (M+1)*r x d V through a pass in r-row
+# slices, which summed V*V and the intertwining chunks, and took ||V|| from
+# _norm2, a second pass over d-row chunks of it.  Kept here as the reference.
 
 
 def composite_pass(bundle, t_sum):
-    want = verify_model(t_sum, bundle)
-    want["contraction_excess"] = max(0.0, gram_norm_by_chunks(np.asarray(bundle.V), t_sum.dim) - 1.0)
+    V, r = np.asarray(bundle.V), bundle.defect_rank
+    tall = replace(bundle, gram=_gram(V, max(r, 1)))
+    want = {"intertwine_residual": chunk_residual(V, t_sum, bundle.k.coeffs[: bundle.M + 1], r)}
+    want.update(verify_model(t_sum, tall))
+    want["contraction_excess"] = max(0.0, gram_norm_by_chunks(V, t_sum.dim) - 1.0)
     return want
 
 
@@ -882,6 +896,64 @@ class TestDirectSumReadsTheSummandsPasses:
         for key in ("isometry_residual", "sw_residual", "contraction_excess"):
             assert abs(got[key] - want[key]) <= unit, key
 
+    @pytest.mark.parametrize("first", ["unitary", "section"])
+    def test_a_rank_zero_summand(self, first):
+        # alpha = 1 - t vanishes on a unitary: its model has D = 0, a V of no
+        # rows and M = 0, and the section's blocks fill the composite V
+        k = elaborate(parse_kernel_spec("pow1mt(-1)"), 63)
+        alpha = invert_kernel(k).alpha
+        unitary = DenseOperator(np.diag(np.exp(2j * np.pi * np.array([0.3, 0.7]))))
+        section = shift_section(k, Direction.BACKWARD, 16)
+        parts = [(build_model(alpha, k, unitary), unitary), (build_model(alpha, k, section), section)]
+        assert (parts[0][0].defect_rank, parts[0][0].M, parts[0][0].V.shape) == (0, 0, (0, 2))
+        if first == "section":
+            parts.reverse()
+        (b1, T1), (b2, T2) = parts
+        bundle, t_sum = bundle_direct_sum(b1, b2, T1, T2)
+        assert bundle.V.shape == (16, 18) and np.array_equal(bundle.V, padded_blocks(b1, b2))
+        got, want = bundle.diagnostics, composite_pass(bundle, t_sum)
+        assert got == {
+            "intertwine_residual": 0.0, "isometry_residual": 0.0, "sw_residual": 1.5700924586837752e-16,
+            "contraction_excess": 0.0, "truncation_tail_bound": 0.0, "type": "Critical",
+        }
+        for key in want:
+            assert got[key] == want[key], key
+
+    def test_runs_no_pass_over_V(self, monkeypatch):
+        b1, b2, T1, T2 = section_and_contraction(0)
+
+        def refuse(*args):
+            raise AssertionError("a pass over V ran")
+
+        monkeypatch.setattr(model, "_sums", refuse)
+        bundle, _ = bundle_direct_sum(b1, b2, T1, T2)
+        rho = max(b.diagnostics["intertwine_residual"] for b in (b1, b2))
+        assert bundle.diagnostics["intertwine_residual"] == rho
+        assert np.array_equal(bundle.gram, model._block_diag(b1.gram, b2.gram))
+
+
+class TestSectionGram:
+    @pytest.mark.parametrize(
+        "s, kappa, direction, r",
+        [
+            (0.5, 0.5, Direction.BACKWARD, 1),
+            (0.5, 1.5, Direction.BACKWARD, 24),
+            (1.0, 1.0, Direction.FORWARD, 1),
+            (1.0, 0.5, Direction.FORWARD, 24),
+        ],
+    )
+    def test_diagonal_is_the_gram_of_the_dense_V(self, s, kappa, direction, r):
+        # V*V from the section's vectors against the dense V's Gram summed
+        # by degree blocks, as a pass over the r-row blocks sums it
+        k = binomial_series(s, PowSign.MINUS, 255)
+        T = shift_section(binomial_series(kappa, PowSign.MINUS, 255), direction, 24)
+        bundle = build_model(invert_kernel(k).alpha, k, T)
+        assert isinstance(bundle.gram, SparseMatrix) and bundle.defect_rank == r
+        V = np.asarray(bundle.V)
+        assert np.asarray(bundle.gram).tobytes() == _gram(V, r).tobytes()
+        if r == 1:  # one entry per column: one product gives the same bits
+            assert np.asarray(bundle.gram).tobytes() == (V.conj().T @ V).tobytes()
+
 
 class TestTransformPassReadsTheCouplings:
     """The Transform pass reads chunk n < M as c_n raw_(n+1), c_n a rounding
@@ -901,9 +973,9 @@ class TestTransformPassReadsTheCouplings:
             kc = k.coeffs[1 : M + 2]
         else:
             V = replace(V, kc=binomial_series(0.75, PowSign.MINUS, 255).coeffs[: M + 1])
-        rho = model._sums(V, d, kc, T.entries)[1]
+        rho = model._sums(V, kc, T.entries)[1]
         assert rho > 1e-8
-        assert rho == pytest.approx(model._sums(np.asarray(V), d, kc, T.entries)[1], rel=1e-6, abs=0.0)
+        assert rho == pytest.approx(chunk_residual(V, T, kc, d), rel=1e-6, abs=0.0)
 
 
 class TestDenseBuildProducts:
@@ -953,8 +1025,8 @@ class TestDenseBuildProducts:
                 return result.view(Logged) if isinstance(result, np.ndarray) else result
 
         logged = model.Transform(V.C.view(Logged), V.mat, V.kc)
-        gram, rho = model._sums(logged, d, V.kc, V.mat)
-        want_gram, want_rho = model._sums(V, d, V.kc, V.mat)
+        gram, rho = model._sums(logged, V.kc, V.mat)
+        want_gram, want_rho = model._sums(V, V.kc, V.mat)
         assert gram.tobytes() == want_gram.tobytes() and rho == want_rho
         assert M >= 20 and log.count(True) == M + 1 and log.count(False) == M + 2
 

@@ -72,6 +72,20 @@ class TestParseErrors:
         with pytest.raises(SpecSemanticError):
             parse_kernel_spec("poly[1]/poly[0,1]")
 
+    def test_zero_constant_division_by_a_file(self, tmp_path):
+        path = tmp_path / "k.txt"
+        path.write_text("0.0\n0.5\n", encoding="utf-8")
+        for text, offset in ((f'poly[1]/file("{path}")', 7), (f'inv(file("{path}"))', 0)):
+            with pytest.raises(SpecSemanticError, match="zero constant term") as info:
+                parse_kernel_spec(text)
+            assert info.value.offset == offset
+
+    def test_missing_file_is_refused_at_elaboration(self, tmp_path):
+        # constant_term leaves a file it cannot read to elaboration
+        node = parse_kernel_spec(f'inv(file("{tmp_path / "missing.txt"}"))')
+        with pytest.raises(FileNotFoundError):
+            elaborate(node, 8)
+
     def test_depth_limit(self):
         deep = "inv(" * 40 + "poly[1]" + ")" * 40
         with pytest.raises(SpecSyntaxError):
