@@ -240,11 +240,15 @@ def _run_shift_membership(args, config: RunConfig) -> tuple[int, list, dict]:
     return _exit_code([report.in_Cw, report.in_Cw_plus]), [], _fields(report)
 
 
-def _run_model_build(args, config: RunConfig) -> tuple[int, list, dict]:
+def _kernel_text(args) -> str:  # model build's and ergodic probe's kernel
     spec_text = args.kernel or args.spec
     if spec_text is None:
         raise SpecSemanticError(0, "missing --kernel/--spec")
-    k = elaborate(parse_kernel_spec(spec_text), config.truncation)
+    return spec_text
+
+
+def _run_model_build(args, config: RunConfig) -> tuple[int, list, dict]:
+    k = elaborate(parse_kernel_spec(_kernel_text(args)), config.truncation)
     pair = invert_kernel(k)
     if args.operator:
         T = read_matrix_csv(args.operator)
@@ -279,9 +283,7 @@ def _run_model_build(args, config: RunConfig) -> tuple[int, list, dict]:
 
 
 def _run_ergodic_probe(args, config: RunConfig) -> tuple[int, list, dict]:
-    spec_text = args.kernel or args.spec
-    if spec_text is None:
-        raise SpecSemanticError(0, "missing --kernel/--spec")
+    spec_text = _kernel_text(args)
     if args.q is not None:
         args.p = args.q
     n_max = args.nmax

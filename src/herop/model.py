@@ -423,13 +423,13 @@ def _section_model(
 ) -> tuple:
     """build_model's transform, complement, isometry and residuals on a
     section, as (C, V, V*V, W, w_basis, S, M, residuals) from vectors in O(d M)
-    work and memory.  Row i of T has its one entry t_i at column i + s, and
+    work and memory.  Row i of T has its one entry t_i at column i + 1, and
     D and the basis are diagonal and unit vectors (build_defect), so:
 
-    - row (n, i) of V is sqrt(k_n) D_b t_b t_{b+s} ... t_{b+(n-1)s}, at
-      column b + n s, for the i-th kept unit vector e_b;
+    - row (n, i) of V is sqrt(k_n) D_b t_b t_{b+1} ... t_{b+n-1}, at
+      column b + n, for the i-th kept unit vector e_b;
     - V*V is diagonal, and W = diag(sqrt(1 - diag V*V));
-    - S maps W e_j to W T e_j = w_{j-s} t_{j-s} e_{j-s}: a partial
+    - S maps W e_j to W T e_j = w_{j-1} t_{j-1} e_{j-1}: a partial
       weighted shift on W's range, whose polar factor is a partial
       permutation.
 
@@ -439,7 +439,7 @@ def _section_model(
     needs a completion, any isometric one is admissible, and sw_residual
     depends on the one taken (the dense pipeline's SVD may take another)."""
     d = T.dim
-    s, t = T.row_entries
+    t = np.append(T.couplings, 0.0)
     roots, b = d_op.vals, basis.rows  # D's diagonal and the kept unit vectors
     r = b.size
     m_used, tail, kc = 0, 0.0, np.ones(1)  # with D = 0, k is not read, as in the dense pipeline
@@ -447,15 +447,15 @@ def _section_model(
         # C C* = diag(roots[b]^2), so build_transform's bound is ||D||^2
         m_used, tail = _degree_cap(math.sqrt(float(np.max(roots[b] ** 2))), k, T, M, tol)
         kc = k.coeffs[: m_used + 1]
-    # row (n, i) of V sits at column b_i + n s; past the edge the running
+    # row (n, i) of V sits at column b_i + n; past the edge the running
     # product has met t's 0 and stays 0.  cumprod multiplies in the order
     # that C T^n does, so the entries carry the dense pipeline's bits
-    cols = b + s * np.arange(m_used + 1)[:, None]
+    cols = b + np.arange(m_used + 1)[:, None]
     factors = np.empty(cols.shape)
     factors[0] = roots[b]
-    factors[1:] = t[np.clip(cols[:-1], 0, d - 1)]
+    factors[1:] = t[np.minimum(cols[:-1], d - 1)]
     vals = np.sqrt(kc)[:, None] * np.cumprod(factors, axis=0)
-    cols = np.clip(cols, 0, d - 1)
+    cols = np.minimum(cols, d - 1)
     gram = np.bincount(cols.ravel(), weights=(vals * vals).ravel(), minlength=d)  # diag V*V
 
     # complement: V*V is real and diagonal, so build_W_S's symmetry check
@@ -466,36 +466,36 @@ def _section_model(
     w = _clipped_roots(one_minus, max(tol * 1e-2, 1e-12), "most negative eigenvalue")
     order = np.argsort(one_minus, kind="stable")
     p = order[w[order] > _RANK_TOL]  # W's range, in eigh's order
-    wt = np.roll(w * t, s)  # ||W T e_j||; the wrapped entry is t's 0 at the edge
+    wt = np.roll(w * t, 1)  # ||W T e_j||; the wrapped entry is t's 0 at the edge
     wd_residual = float(np.max(np.abs(w - wt)))
     _refuse_ill_defined(wd_residual, tol)
 
-    # S in p's coordinates: column a maps to the position of p_a - s when
-    # W T e_{p_a} is non-zero and p_a - s is kept, and the columns and rows
+    # S in p's coordinates: column a maps to the position of p_a - 1 when
+    # W T e_{p_a} is non-zero and p_a - 1 is kept, and the columns and rows
     # left over pair up in order (an isometric completion).  Least squares
     # puts ratio_a = ||W T e_{p_a}|| / ||W e_{p_a}|| (or 0) where S puts 1
     nw = p.size
     at = np.full(d, -1)
     at[p] = np.arange(nw)
-    dst = at[(p - s) % d]
+    dst = at[(p - 1) % d]
     shifts = (wt[p] > 0.0) & (dst >= 0)
     ratio = np.where(shifts, wt[p] / w[p], 0.0)
     row_of = np.where(shifts, dst, 0)
     row_of[~shifts] = np.flatnonzero(np.bincount(dst[shifts], minlength=nw) == 0)
 
     # residuals.  Row (n, i) of shifted - V T has its one entry at column
-    # b + (n+1) s, so its Gram is diagonal too: the norm is the root of the
+    # b + n + 1, so its Gram is diagonal too: the norm is the root of the
     # largest column sum of squares, summed under the scale max|entry|
     resid = -vals * t[cols]
     resid[:-1] += np.sqrt(kc[:-1] / kc[1:])[:, None] * vals[1:]
     top = float(np.max(np.abs(resid), initial=0.0))
     intertwine = 0.0
     if top > 0.0:
-        sums = np.bincount(((cols + s) % d).ravel(), weights=((resid / top) ** 2).ravel())
+        sums = np.bincount(((cols + 1) % d).ravel(), weights=((resid / top) ** 2).ravel())
         intertwine = top * math.sqrt(float(np.max(sums)))
     # S W - W T from triplets, those at one position summed in turn
     every = np.arange(d)
-    pos = np.concatenate([p[row_of] * d + p, (every - s) % d * d + every])
+    pos = np.concatenate([p[row_of] * d + p, (every - 1) % d * d + every])
     pos, where = np.unique(pos, return_inverse=True)
     sw = np.bincount(where.ravel(), weights=np.concatenate([w[p], -wt]), minlength=pos.size)
     diagnostics = {

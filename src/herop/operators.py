@@ -3,9 +3,10 @@ calculus sum alpha(T*, T) with explicit convergence policies, and the
 coefficient-level membership tests for weighted shifts.
 
 All matrices live in the Euclidean realization (conjugation by the square
-roots of the weights), so adjoints are plain conjugate transposes.  Backward
-sections are exact parts of the infinite shift; forward sections are
-compressions (`ShiftSection.is_part` is False), and forward membership
+roots of the weights), so adjoints are plain conjugate transposes.  Sections
+are backward, exact parts of the infinite shift.  The forward compression F,
+entry (i+1, i) = sqrt(kappa_{i+1} / kappa_i), is a flip of one: J F J is the
+backward section of kappa[d-1::-1], J the basis reversal.  Forward membership
 reports carry a `not_a_part` witness flag.
 """
 
@@ -193,15 +194,11 @@ class Direction(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ShiftSection:
-    """Finite section of a weighted shift in the Euclidean realization.
-
-    Backward: entry (i, i+1) = sqrt(kappa_i / kappa_{i+1}); the section is an
-    exact part (restriction to the invariant span of the first d monomials).
-    Forward: entry (i+1, i) = sqrt(kappa_{i+1} / kappa_i); the section is a
-    compression, not a part, and `is_part` records that."""
+    """Finite section of the backward weighted shift in the Euclidean
+    realization: entry (i, i+1) = sqrt(kappa_i / kappa_{i+1}), an exact part
+    (the restriction to the invariant span of the first d monomials)."""
 
     kappa: TruncatedSeries
-    direction: Direction
     dim: int
 
     def __post_init__(self) -> None:
@@ -210,46 +207,27 @@ class ShiftSection:
         if np.any(self.kappa.coeffs[: self.dim] <= 0.0):
             raise ValueError("weights must be positive")
 
-    @property
-    def is_part(self) -> bool:
-        return self.direction is Direction.BACKWARD
-
     @cached_property
     def couplings(self) -> np.ndarray:
         """sqrt(kappa_i / kappa_{i+1}) for i = 0..d-2."""
         k = self.kappa.coeffs[: self.dim]
         return np.sqrt(k[:-1] / k[1:])
 
-    @cached_property
-    def row_entries(self) -> tuple[int, np.ndarray]:
-        """(s, t): row i of the matrix holds its one entry, t_i, at column
-        i + s; t_i = 0 where that column is past the edge.  s is 1 backward
-        and -1 forward."""
-        t = np.zeros(self.dim)
-        if self.direction is Direction.BACKWARD:
-            t[:-1] = self.couplings
-            return 1, t
-        t[1:] = 1.0 / self.couplings
-        return -1, t
-
     def operator(self) -> DenseOperator:
-        s, t = self.row_entries
-        rows = np.arange(self.dim - 1) + (s < 0)
+        rows = np.arange(self.dim - 1)
         m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        m[rows, rows + s] = t[rows]
+        m[rows, rows + 1] = self.couplings
         return _owned(m)
 
     @cached_property
     def _fro_norms(self) -> list[float]:
-        """||T^n||_F for n = 1..d (T^d = 0): ||T^n||_F^2 = sum_i x_i y_{i+n}
-        with (x, y) = (k, 1/k) backward and (1/k, k) forward, one product of
-        positive terms.  A reciprocal or a norm past float range raises
-        NumericalFailure naming its index."""
+        """||T^n||_F for n = 1..d (T^d = 0): ||T^n||_F^2 = sum_i k_i / k_{i+n},
+        one product of positive terms.  A reciprocal or a norm past float
+        range raises NumericalFailure naming its index."""
         k, d = self.kappa.coeffs[: self.dim], self.dim
         with np.errstate(over="ignore"):
             inv = _finite(1.0 / k, "section weight reciprocal overflowed")
-            x, y = (k, inv) if self.direction is Direction.BACKWARD else (inv, k)
-            squares = _finite(_convolve(x, y[::-1], d)[::-1], "section power norm overflowed")
+            squares = _finite(_convolve(k, inv[::-1], d)[::-1], "section power norm overflowed")
         return np.sqrt(squares[1:]).tolist() + [0.0]
 
     def powers(self) -> Iterator[tuple[float, None]]:
@@ -260,30 +238,26 @@ class ShiftSection:
 
     def gram_sum(self, a: np.ndarray) -> np.ndarray:
         """The diagonal of sum_{n < len(a)} a_n T*^n T^n, where T*^n T^n is
-        diag(k_{j-n}/k_j) at j >= n backward and diag(k_{j+n}/k_j) at
-        j < d-n forward: (a * k)_j / k_j, or its mirror, as one product
-        whose entries keep the error bound gamma_d (|a| * k)_j / k_j."""
+        diag(k_{j-n}/k_j) at j >= n: (a * k)_j / k_j, one product whose
+        entries keep the error bound gamma_d (|a| * k)_j / k_j."""
         k, d = self.kappa.coeffs[: self.dim], self.dim
-        if self.direction is Direction.BACKWARD:
-            return _convolve(a, k, d) / k
-        return _convolve(a, k[::-1], d)[::-1] / k
+        return _convolve(a, k, d) / k
 
     def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """T v in the dtype of v and the (real) couplings: real stays real."""
         c = self.couplings
         if out is None:
             out = np.empty(v.shape, np.result_type(v.dtype, c.dtype))
-        if self.direction is Direction.BACKWARD:
-            np.multiply(c, v[1:], out=out[:-1])
-            out[-1] = 0
-        else:
-            np.divide(v[:-1], c, out=out[1:])
-            out[0] = 0
+        np.multiply(c, v[1:], out=out[:-1])
+        out[-1] = 0
         return out
 
 
 def shift_section(kappa: TruncatedSeries, direction: Direction, d: int) -> ShiftSection:
-    return ShiftSection(kappa, direction, d)
+    if direction is not Direction.BACKWARD:
+        raise ValueError("sections are backward: the forward compression of kappa is J B J, "
+                         "J the basis reversal and B = shift_section(kappa[d-1::-1], Direction.BACKWARD, d)")
+    return ShiftSection(kappa, d)
 
 
 def _vector_norm(v: np.ndarray) -> float:
@@ -319,20 +293,13 @@ def _orbit_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
 
 def _basis_orbit_norms(T, n: int) -> np.ndarray:
     """||T^j e_n|| for j = 0..n, e_n the n-th basis vector.  A section reads
-    them off its weights, sqrt(k_{n-j}/k_n) (backward) or sqrt(k_{n+j}/k_n)
-    while n+j < d and 0 after (forward); any other operator walks e_n."""
+    them off its weights, sqrt(k_{n-j}/k_n); any other operator walks e_n."""
     if not isinstance(T, ShiftSection):
         e_n = np.zeros(T.dim, dtype=np.complex128)
         e_n[n] = 1.0
         return _orbit_norms(T, e_n, n)
     k = T.kappa.coeffs
-    out = np.zeros(n + 1)
-    if T.direction is Direction.BACKWARD:
-        out[:] = np.sqrt(k[n::-1] / k[n])
-    else:
-        stop = min(n + 1, T.dim - n)  # F^j e_n = 0 once n + j >= d
-        out[:stop] = np.sqrt(k[n : n + stop] / k[n])
-    return out
+    return np.sqrt(k[n::-1] / k[n])
 
 
 # --- hereditary functional calculus ----------------------------------------

@@ -297,9 +297,7 @@ def elaborate(node: KernelSpecAst, n_max: int) -> TruncatedSeries:
     if isinstance(node, Pow1mt):
         return binomial_series(node.exponent, PowSign.PLUS, n_max)
     if isinstance(node, Poly):
-        out = np.zeros(n_max + 1)
-        take = min(len(node.coeffs), n_max + 1)
-        out[:take] = node.coeffs[:take]
+        out = TruncatedSeries(node.coeffs).padded(n_max + 1)
         return TruncatedSeries(out, Polynomial(min(len(node.coeffs) - 1, n_max)))
     if isinstance(node, Inv):
         child = elaborate(node.child, n_max)
@@ -307,10 +305,7 @@ def elaborate(node: KernelSpecAst, n_max: int) -> TruncatedSeries:
     if isinstance(node, Mul):
         return cauchy_product(elaborate(node.left, n_max), elaborate(node.right, n_max))
     if isinstance(node, FileRef):
-        series = read_coefficient_file(node.path)
-        out = np.zeros(n_max + 1)
-        take = min(series.trunc_len, n_max + 1)
-        out[:take] = series.coeffs[:take]
+        out = read_coefficient_file(node.path).padded(n_max + 1)
         return TruncatedSeries(out, FileList(node.path))
     if isinstance(node, TailExtend):
         child = elaborate(node.child, n_max)

@@ -537,7 +537,7 @@ class TestChunkedResiduals:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        kind=st.sampled_from(["dense", "backward", "forward"]),
+        kind=st.sampled_from(["dense", "section"]),
         d=st.integers(1, 128),
         M=st.integers(0, 30),
         exponent=st.integers(-200, 0),
@@ -545,8 +545,8 @@ class TestChunkedResiduals:
     )
     @example(kind="dense", d=48, M=0, exponent=-200, seed=0)
     @example(kind="dense", d=48, M=30, exponent=0, seed=1)
-    @example(kind="backward", d=128, M=0, exponent=0, seed=2)
-    @example(kind="forward", d=128, M=30, exponent=-200, seed=3)
+    @example(kind="section", d=128, M=0, exponent=0, seed=2)
+    @example(kind="section", d=128, M=30, exponent=-200, seed=3)
     def test_match_the_tall_formulas(self, kind, d, M, exponent, seed):
         rng = np.random.default_rng(seed)
         if kind == "dense":  # r = d
@@ -555,8 +555,7 @@ class TestChunkedResiduals:
             T, r = DenseOperator(0.7 * g / np.linalg.norm(g, 2)), d
         else:  # r = 1
             kappa = TruncatedSeries(random_weights(rng, d + 4, 0.0), None)
-            direction = Direction.BACKWARD if kind == "backward" else Direction.FORWARD
-            T, r = shift_section(kappa, direction, d), 1
+            T, r = shift_section(kappa, Direction.BACKWARD, d), 1
         bundle = residual_bundle(rng, T, r, M, 10.0**exponent)
         intertwine, isometry = tall_residuals(T, bundle)
         got = {"intertwine_residual": chunk_residual(bundle.V, T, bundle.k.coeffs[: M + 1], r)}
@@ -934,19 +933,18 @@ class TestDirectSumReadsTheSummandsPasses:
 
 class TestSectionGram:
     @pytest.mark.parametrize(
-        "s, kappa, direction, r",
-        [
-            (0.5, 0.5, Direction.BACKWARD, 1),
-            (0.5, 1.5, Direction.BACKWARD, 24),
-            (1.0, 1.0, Direction.FORWARD, 1),
-            (1.0, 0.5, Direction.FORWARD, 24),
-        ],
+        "s, kappa, flip, r",
+        [(0.5, 0.5, False, 1), (0.5, 1.5, False, 24), (1.0, 1.0, True, 1), (1.0, 0.5, True, 24)],
     )
-    def test_diagonal_is_the_gram_of_the_dense_V(self, s, kappa, direction, r):
+    def test_diagonal_is_the_gram_of_the_dense_V(self, s, kappa, flip, r):
         # V*V from the section's vectors against the dense V's Gram summed
-        # by degree blocks, as a pass over the r-row blocks sums it
+        # by degree blocks, as a pass over the r-row blocks sums it; flip
+        # takes the reversed window, the forward compression's J F J
         k = binomial_series(s, PowSign.MINUS, 255)
-        T = shift_section(binomial_series(kappa, PowSign.MINUS, 255), direction, 24)
+        weights = binomial_series(kappa, PowSign.MINUS, 255)
+        if flip:
+            weights = TruncatedSeries(weights.coeffs[23::-1], None)
+        T = shift_section(weights, Direction.BACKWARD, 24)
         bundle = build_model(invert_kernel(k).alpha, k, T)
         assert isinstance(bundle.gram, SparseMatrix) and bundle.defect_rank == r
         V = np.asarray(bundle.V)
@@ -1081,23 +1079,20 @@ class TestStructuredPowersMatchDense:
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(1, 128),
-        forward=st.booleans(),
         drift=st.sampled_from([-0.6, -0.3, 0.0, 0.3, 0.6]),
         symbol=st.sampled_from(["binomial", "polynomial", "bare"]),
         symbol_len=st.integers(2, 160),
         degree=st.one_of(st.none(), st.integers(0, 140)),
     )
     # contracting powers: a geometric tail, and a dust-rule index below d
-    @example(seed=1, d=128, forward=False, drift=0.6, symbol="binomial", symbol_len=160, degree=None)
-    @example(seed=2, d=128, forward=True, drift=-0.6, symbol="bare", symbol_len=160, degree=None)
+    @example(seed=1, d=128, drift=0.6, symbol="binomial", symbol_len=160, degree=None)
+    @example(seed=2, d=128, drift=-0.6, symbol="bare", symbol_len=160, degree=None)
     # a certified symbol tail that the window ends before meeting
-    @example(seed=3, d=64, forward=False, drift=0.0, symbol="binomial", symbol_len=20, degree=None)
-    def test_sections_against_their_matrices(
-        self, seed, d, forward, drift, symbol, symbol_len, degree
-    ):
+    @example(seed=3, d=64, drift=0.0, symbol="binomial", symbol_len=20, degree=None)
+    def test_sections_against_their_matrices(self, seed, d, drift, symbol, symbol_len, degree):
         rng = np.random.default_rng(seed)
         k = TruncatedSeries(random_weights(rng, d + 8, drift), None)
-        section = shift_section(k, Direction.FORWARD if forward else Direction.BACKWARD, d)
+        section = shift_section(k, Direction.BACKWARD, d)
         dense = section.operator()
         if symbol == "binomial":
             alpha = binomial_series(rng.uniform(0.1, 2.0), PowSign.PLUS, symbol_len)
@@ -1134,13 +1129,13 @@ class TestStructuredPowersMatchDense:
         np.testing.assert_allclose(V_fast, V_slow, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 48), forward=st.booleans())
-    def test_unitary_conjugate_keeps_the_nilpotency_index(self, seed, d, forward):
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 48))
+    def test_unitary_conjugate_keeps_the_nilpotency_index(self, seed, d):
         # Q B Q* leaves float dust far above 1e-300 in its d-th power; the
         # relative dust rule still reads the index d from the dense powers
         rng = np.random.default_rng(seed)
         k = TruncatedSeries(random_weights(rng, d + 4, 0.0), None)
-        section = shift_section(k, Direction.FORWARD if forward else Direction.BACKWARD, d)
+        section = shift_section(k, Direction.BACKWARD, d)
         Q = random_unitary(d, seed=seed % 1000).entries
         conjugate = DenseOperator(Q @ section.operator().entries @ Q.conj().T)
         C = np.ones((1, d), dtype=complex)
@@ -1154,8 +1149,7 @@ class TestStructuredPowersMatchDense:
 
 class WalkedSection:
     """A section read one power at a time: the Gram diagonal of T^n is
-    k_{j-n}/k_j at j >= n (backward) or k_{j+n}/k_j at j < d-n (forward),
-    and ||T^n||_F the square root of its sum.  The Grams go out as diagonal
+    k_{j-n}/k_j at j >= n, and ||T^n||_F the square root of its sum.  The Grams go out as diagonal
     matrices, so hereditary_apply adds them by its general loop."""
 
     def __init__(self, section):
@@ -1166,10 +1160,7 @@ class WalkedSection:
         k, d = self.section.kappa.coeffs[: self.dim], self.dim
         for n in range(1, d + 1):
             gram = np.zeros(d)
-            if self.section.direction is Direction.BACKWARD:
-                gram[n:] = k[: d - n] / k[n:]
-            else:
-                gram[: d - n] = k[n:] / k[: d - n]
+            gram[n:] = k[: d - n] / k[n:]
             yield math.sqrt(float(np.sum(gram))), gram
 
     def powers(self, grams=False):
@@ -1200,11 +1191,12 @@ def assert_sum_within_gamma(section, coeffs, h, walk_h):
     assert np.all(np.abs(h - walk_h) <= bound)
 
 
-def sums_against_walk(seed, d, forward, drift, symbol, limit, degree):
+def sums_against_walk(seed, d, drift, symbol, limit, degree, flip=False):
     """Compare a section's two products with the walk that forms and adds
     one Gram diagonal per power: the norms, the hereditary sum's raised
-    flag, policy, terms and diagonal, and _degree_cap's M and tail.
-    Returns the walk's policy."""
+    flag, policy, terms and diagonal, and _degree_cap's M and tail.  flip
+    takes the section of the reversed window k_{d-1}..k_0, which is J F J
+    for F the forward compression of k.  Returns the walk's policy."""
     rng = np.random.default_rng(seed)
     k = TruncatedSeries(random_weights(rng, d + 8, drift), None)
     if symbol == "binomial":
@@ -1212,7 +1204,7 @@ def sums_against_walk(seed, d, forward, drift, symbol, limit, degree):
     else:
         coeffs = rng.standard_normal(limit + 1) * 0.8 ** np.arange(limit + 1)
         alpha = TruncatedSeries(coeffs, Polynomial(limit) if symbol == "polynomial" else None)
-    section = shift_section(k, Direction.FORWARD if forward else Direction.BACKWARD, d)
+    section = shift_section(TruncatedSeries(k.coeffs[d - 1 :: -1], None) if flip else k, Direction.BACKWARD, d)
     walked = WalkedSection(section)
     assert_norms_match_the_walk(section)
 
@@ -1248,27 +1240,27 @@ class TestSectionSumsMatchTheWalk:
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(2, 64),
-        forward=st.booleans(),
         drift=st.sampled_from([-2.0, -0.6, -0.3, 0.0, 0.3, 0.6]),
         symbol=st.sampled_from(["binomial", "polynomial", "bare"]),
         limit=st.integers(1, 63),
         degree=st.one_of(st.none(), st.integers(0, 70)),
     )
-    # steeply decreasing forward weights: a certified geometric tail at M = 14
-    @example(seed=2, d=64, forward=True, drift=-2.0, symbol="binomial", limit=63, degree=None)
-    def test_hereditary_sum_and_degree_cap(self, seed, d, forward, drift, symbol, limit, degree):
-        sums_against_walk(seed, d, forward, drift, symbol, min(limit, d - 1), degree)
+    def test_hereditary_sum_and_degree_cap(self, seed, d, drift, symbol, limit, degree):
+        sums_against_walk(seed, d, drift, symbol, min(limit, d - 1), degree)
 
     def test_steep_forward_weights_reach_the_geometric_tail(self):
-        policy = sums_against_walk(2, 64, True, -2.0, "binomial", 63, None)
+        # steeply decreasing weights, flipped: the forward compression, whose
+        # powers contract, reaches a certified geometric tail at M = 14
+        policy = sums_against_walk(2, 64, -2.0, "binomial", 63, None, flip=True)
         assert isinstance(policy, GeometricTail) and policy.M == 14 and policy.tail_bound > 0.0
 
-    @pytest.mark.parametrize("direction", list(Direction))
-    def test_blocked_products_match_the_walk(self, direction):
+    @pytest.mark.parametrize("flip", [False, True], ids=["backward", "flipped"])
+    def test_blocked_products_match_the_walk(self, flip):
         # d = 9000 puts both products on series._blocked_product's GEMMs
         d = 9000
-        k = TruncatedSeries(random_weights(np.random.default_rng(9), d, 0.0), None)
-        section = shift_section(k, direction, d)
+        weights = random_weights(np.random.default_rng(9), d, 0.0)
+        k = TruncatedSeries(weights[::-1] if flip else weights, None)
+        section = shift_section(k, Direction.BACKWARD, d)
         assert_norms_match_the_walk(section)
         coeffs = binomial_series(0.5, PowSign.PLUS, d - 1).coeffs
         walk_h = coeffs[0] * np.ones(d)
@@ -1277,16 +1269,17 @@ class TestSectionSumsMatchTheWalk:
         assert_sum_within_gamma(section, coeffs, section.gram_sum(coeffs), walk_h)
 
     @pytest.mark.parametrize(
-        "weights, direction, what, degree",
+        "weights, what, degree",
         [
-            ([1e-300, 1e-305, 1e-309], Direction.BACKWARD, "reciprocal", 2),
-            ([1e-300, 1e-305, 1e-309], Direction.FORWARD, "reciprocal", 2),
-            ([1.0, 1e300, 1e-300], Direction.BACKWARD, "power norm", 1),
+            ([1e-300, 1e-305, 1e-309], "reciprocal", 2),
+            ([1e-309, 1e-305, 1e-300], "reciprocal", 0),
+            ([1.0, 1e300, 1e-300], "power norm", 1),
         ],
     )
-    def test_norms_past_float_range_are_refused(self, weights, direction, what, degree):
-        # 1 / 1e-309 overflows; so does k_1 * (1 / k_2) = 1e600
-        section = shift_section(TruncatedSeries(np.array(weights), None), direction, 3)
+    def test_norms_past_float_range_are_refused(self, weights, what, degree):
+        # 1 / 1e-309 overflows, at either end of the window (the reversed
+        # window is the forward compression's flip); so does k_1 * (1 / k_2) = 1e600
+        section = shift_section(TruncatedSeries(np.array(weights), None), Direction.BACKWARD, 3)
         with pytest.raises(NumericalFailure, match=f"{what} overflowed at degree {degree}") as exc:
             hereditary_apply(poly(1.0, -0.5, 0.1), section)
         assert exc.value.witness == {"degree": degree}
@@ -1314,17 +1307,16 @@ class TestSectionModelMatchesDense:
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(1, 128),
-        forward=st.booleans(),
         weights=st.sampled_from(["k", "binomial", "random"]),
         s=st.sampled_from([0.25, 0.5, 1.0]),
         degree=st.one_of(st.none(), st.integers(0, 140)),
     )
-    # rank 1 (kappa = k), rank d backward and forward, and a cap below d
-    @example(seed=0, d=128, forward=False, weights="k", s=0.5, degree=None)
-    @example(seed=1, d=128, forward=False, weights="binomial", s=0.5, degree=None)
-    @example(seed=2, d=96, forward=True, weights="binomial", s=0.25, degree=None)
-    @example(seed=3, d=64, forward=False, weights="k", s=0.5, degree=10)
-    def test_against_the_dense_pipeline(self, seed, d, forward, weights, s, degree):
+    # rank 1 (kappa = k), rank d, and a cap below d
+    @example(seed=0, d=128, weights="k", s=0.5, degree=None)
+    @example(seed=1, d=128, weights="binomial", s=0.5, degree=None)
+    @example(seed=2, d=96, weights="binomial", s=0.25, degree=None)
+    @example(seed=3, d=64, weights="k", s=0.5, degree=10)
+    def test_against_the_dense_pipeline(self, seed, d, weights, s, degree):
         rng = np.random.default_rng(seed)
         n = d + 8
         alpha, k = binomial_series(s, PowSign.PLUS, n), binomial_series(s, PowSign.MINUS, n)
@@ -1334,7 +1326,7 @@ class TestSectionModelMatchesDense:
             kappa = binomial_series(s + rng.uniform(0.1, 1.0), PowSign.MINUS, n)
         else:
             kappa = TruncatedSeries(random_weights(rng, n + 1, 0.0), None)
-        section = shift_section(kappa, Direction.FORWARD if forward else Direction.BACKWARD, d)
+        section = shift_section(kappa, Direction.BACKWARD, d)
         fast = build_or_refusal(alpha, k, section, degree)
         slow = build_or_refusal(alpha, k, section.operator(), degree)
         assert type(fast) is type(slow)
@@ -1394,13 +1386,14 @@ class TestSectionTakesNoFactorisation:
     @pytest.mark.parametrize("case", ["rank one", "rank d", "forward", "with S"])
     def test_no_dense_solver_runs(self, monkeypatch, case):
         alpha, k = binomial_series(0.5, PowSign.PLUS, 255), binomial_series(0.5, PowSign.MINUS, 255)
-        kappa, direction, M, tol = k, Direction.BACKWARD, None, 1e-8
-        if case in ("rank d", "forward"):
+        kappa, M, tol = k, None, 1e-8
+        if case == "rank d":
             kappa = binomial_series(1.0, PowSign.MINUS, 255)
-            direction = Direction.FORWARD if case == "forward" else Direction.BACKWARD
+        if case == "forward":  # the forward compression of k, flipped: k's window reversed
+            kappa = TruncatedSeries(k.coeffs[63::-1], None)
         if case == "with S":
             M, tol = 10, 2.0
-        T = shift_section(kappa, direction, 64)
+        T = shift_section(kappa, Direction.BACKWARD, 64)
         linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
         calls = []
 
@@ -1416,6 +1409,45 @@ class TestSectionTakesNoFactorisation:
         assert bundle.defect_rank == (1 if case in ("rank one", "with S") else 64)
         assert bundle.w_rank == (53 if case == "with S" else 0)
         assert calls == []
+
+
+class TestForwardCompressionIsAFlip:
+    """The forward compression F of kappa, entry (i+1, i) =
+    sqrt(kappa_(i+1) / kappa_i), is J B J: J the basis reversal and B the
+    backward section of the reversed window.  shift_section refuses F and
+    names the flip, and build_model makes the same choices on F and on B."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 96),
+        weights=st.sampled_from(["k", "binomial", "random"]),
+        s=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    @example(seed=2, d=96, weights="binomial", s=0.25)  # rank d
+    def test_build_model_makes_the_same_choices(self, seed, d, weights, s):
+        rng = np.random.default_rng(seed)
+        n = d + 8
+        alpha, k = binomial_series(s, PowSign.PLUS, n), binomial_series(s, PowSign.MINUS, n)
+        if weights == "k":
+            kappa = k
+        elif weights == "binomial":
+            kappa = binomial_series(s + rng.uniform(0.1, 1.0), PowSign.MINUS, n)
+        else:
+            kappa = TruncatedSeries(random_weights(rng, n + 1, 0.0), None)
+        w = kappa.coeffs[:d]
+        F = np.zeros((d, d))
+        F[np.arange(1, d), np.arange(d - 1)] = np.sqrt(w[1:] / w[:-1])
+        B = shift_section(TruncatedSeries(w[::-1], None), Direction.BACKWARD, d)
+        flipped = F[::-1, ::-1]
+        assert np.all(np.abs(flipped - B.operator().entries) <= np.spacing(flipped))  # one ulp
+        with pytest.raises(ValueError, match=r"J B J.*shift_section\(kappa\[d-1::-1\], Direction.BACKWARD"):
+            shift_section(kappa, Direction.FORWARD, d)
+        dense, section = (build_or_refusal(alpha, k, T) for T in (DenseOperator(F), B))
+        assert type(dense) is type(section)
+        if not isinstance(dense, Exception):
+            assert dense.diagnostics["policy"] == section.diagnostics["policy"]
+            assert (dense.M, dense.defect_rank, dense.w_rank) == (section.M, section.defect_rank, section.w_rank)
 
 
 class TestSectionModelMemory:
@@ -1474,19 +1506,16 @@ class TestStructuredRelationMatchesDense:
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(1, 128),
-        forward=st.booleans(),
         symbol=st.sampled_from(["binomial", "polynomial"]),
         s=st.sampled_from([0.25, 0.5, 1.0]),
         r=st.integers(0, 4),
     )
-    # binomial: rank 1 backward, rank d forward (s < 1) and rank 1 forward
-    # (s = 1); polynomial: rank d both ways, with alpha(1) > 0 reading W
-    @example(seed=0, d=128, forward=False, symbol="binomial", s=0.5, r=1)
-    @example(seed=1, d=128, forward=True, symbol="binomial", s=0.5, r=4)
-    @example(seed=2, d=96, forward=True, symbol="binomial", s=1.0, r=2)
-    @example(seed=3, d=128, forward=False, symbol="polynomial", s=0.25, r=3)
-    @example(seed=4, d=128, forward=True, symbol="polynomial", s=1.0, r=0)
-    def test_same_residual_bits(self, seed, d, forward, symbol, s, r):
+    # binomial: rank 1; polynomial: rank d, with alpha(1) > 0 reading W
+    @example(seed=0, d=128, symbol="binomial", s=0.5, r=1)
+    @example(seed=2, d=96, symbol="binomial", s=1.0, r=2)
+    @example(seed=3, d=128, symbol="polynomial", s=0.25, r=3)
+    @example(seed=4, d=128, symbol="polynomial", s=1.0, r=0)
+    def test_same_residual_bits(self, seed, d, symbol, s, r):
         rng = np.random.default_rng(seed)
         n = d + 8
         if symbol == "binomial":
@@ -1494,9 +1523,9 @@ class TestStructuredRelationMatchesDense:
         else:  # 1 - c t against kappa_(j+1)/kappa_j < 1 + s: h > 1 - 2c > 0
             alpha = poly(1.0, -rng.uniform(0.05, 0.45))
             kappa = binomial_series(1.0 + s / 2, PowSign.MINUS, n)
-        T = shift_section(kappa, Direction.FORWARD if forward else Direction.BACKWARD, d)
+        T = shift_section(kappa, Direction.BACKWARD, d)
         rank = build_defect(alpha, T)[1].shape[1]
-        assert rank == (d if symbol == "polynomial" or (forward and s < 1.0) else 1)
+        assert rank == (d if symbol == "polynomial" else 1)
         C = SparseMatrix(np.arange(r), rng.integers(0, d, r), rng.standard_normal(r), (r, d))
         W = SparseMatrix.diagonal(rng.uniform(0.0, 1.0, d))
         probes = seeded_unit_vectors(d, 16, seed=seed % 1000)
@@ -1753,14 +1782,13 @@ def _assert_hereditary_no_later(new, ref, ref_gated):
 @st.composite
 def _policy_operators(draw):
     """Dense contractions, nilpotents, Jordan blocks, unitaries and
-    near-unitaries, or sections in both directions, with a kernel for the
-    cap."""
+    near-unitaries, or sections, with a kernel for the cap."""
     kind = draw(st.sampled_from(["contraction", "upper", "jordan", "unitary", "near-unitary", "section"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 16))
     if kind == "section":
         k = TruncatedSeries(random_weights(rng, d + 8, draw(st.sampled_from([-2.0, -0.3, 0.0, 0.3]))), None)
-        return shift_section(k, draw(st.sampled_from(list(Direction))), d), k
+        return shift_section(k, Direction.BACKWARD, d), k
     if kind == "contraction":
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         mat = g * (draw(st.floats(0.05, 1.2)) / np.linalg.norm(g, 2))

@@ -63,31 +63,36 @@ def backward(s, n_weights, d):
     return shift_section(binomial_series(s, PowSign.MINUS, n_weights), Direction.BACKWARD, d)
 
 
+def flipped(s, d):
+    """J F J, for F the forward compression of binomial_series(s, MINUS)
+    at d and J the basis reversal: the backward section of the reversed
+    window k_(d-1)..k_0."""
+    window = binomial_series(s, PowSign.MINUS, d).coeffs[d - 1 :: -1]
+    return shift_section(TruncatedSeries(window, None), Direction.BACKWARD, d)
+
+
 class TestShiftSection:
     def test_hardy_section(self):
         sec = shift_section(binomial_series(1.0, PowSign.MINUS, 8), Direction.BACKWARD, 3)
         mat = sec.operator().entries
         assert mat[0, 1] == 1.0 and mat[1, 2] == 1.0
         assert operator_norm(sec) == pytest.approx(1.0)
-        assert sec.is_part
+
+    def test_flipped_forward_section_norm_dominated(self):
+        # F^m has entries sqrt(k_(i+m)/k_i) <= sqrt(k_m) for k_n = n + 1, and
+        # J F^m J = B^m keeps every singular value
+        kappa = binomial_series(2.0, PowSign.MINUS, 16)
+        mat = flipped(2.0, 4).operator().entries
+        power = np.eye(4, dtype=complex)
+        for m in range(1, 5):
+            power = power @ mat
+            assert np.linalg.norm(power, 2) <= math.sqrt(kappa.coeffs[m]) + 1e-12
+        # the fourth power of a 4-section vanishes outright
+        assert np.linalg.norm(power) == 0.0
 
     def test_half_order_couplings(self):
         sec = backward(0.5, 8, 3)
         np.testing.assert_allclose(sec.couplings, [math.sqrt(2.0), math.sqrt(4.0 / 3.0)])
-
-    def test_forward_section_norm_dominated(self):
-        kappa = binomial_series(2.0, PowSign.MINUS, 16)
-        sec = shift_section(kappa, Direction.FORWARD, 4)
-        assert not sec.is_part
-        mat = sec.operator().entries
-        power = np.eye(4, dtype=complex)
-        for m in range(1, 5):
-            power = power @ mat
-            bound = math.sqrt(kappa.coeffs[m]) if m < 4 else 0.0
-            sec_norm = np.linalg.norm(power, 2)
-            assert sec_norm <= math.sqrt(kappa.coeffs[m]) + 1e-12
-        # the fourth power of a 4-section vanishes outright
-        assert np.linalg.norm(power) == 0.0
 
     def test_apply_matches_matrix(self):
         sec = backward(0.5, 32, 16)
@@ -293,13 +298,13 @@ class TestOrbitNorms:
         "make",
         [
             lambda: backward(0.5, 64, 24),
-            lambda: shift_section(binomial_series(0.5, PowSign.MINUS, 64), Direction.FORWARD, 24),
+            lambda: flipped(0.5, 24),
             lambda: _normal_contraction(12, seed=5),
             lambda: BlockDiagOperator(
                 (backward(0.5, 64, 16), DenseOperator(np.diag(np.exp(1j * np.array([0.3, 1.1])))))
             ),
         ],
-        ids=["backward", "forward", "dense-contraction", "block-diagonal"],
+        ids=["backward", "flipped", "dense-contraction", "block-diagonal"],
     )
     def test_walk_matches_matrix_powers(self, make):
         T = make()
@@ -309,9 +314,10 @@ class TestOrbitNorms:
         dense = [np.linalg.norm(np.linalg.matrix_power(mat, j) @ x) for j in range(41)]
         np.testing.assert_allclose(walk, dense, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("direction", list(Direction))
-    def test_walk_stops_at_the_exact_zero(self, direction):
-        section = shift_section(binomial_series(0.5, PowSign.MINUS, 64), direction, 24)
+    @pytest.mark.parametrize("make", [lambda: backward(0.5, 64, 24), lambda: flipped(0.5, 24)],
+                             ids=["backward", "flipped"])
+    def test_walk_stops_at_the_exact_zero(self, make):
+        section = make()
         calls = []
 
         class Counted:
@@ -334,10 +340,7 @@ def _allocating_apply(T, v):
     a new array every step."""
     if isinstance(T, ShiftSection):
         out = np.zeros_like(v, dtype=np.result_type(v, T.couplings))
-        if T.direction is Direction.BACKWARD:
-            out[:-1] = T.couplings * v[1:]
-        else:
-            out[1:] = v[:-1] / T.couplings
+        out[:-1] = T.couplings * v[1:]
         return out
     if isinstance(T, BlockDiagOperator):
         out = np.empty_like(v, dtype=np.complex128)
@@ -361,10 +364,6 @@ def _reference_walk(T, x, n_max):
     return out
 
 
-def forward(s, n_weights, d):
-    return shift_section(binomial_series(s, PowSign.MINUS, n_weights), Direction.FORWARD, d)
-
-
 def _scattered(d, seed):
     """A SparseMatrix with two entries in some rows and none in others."""
     rng = np.random.default_rng(seed)
@@ -375,10 +374,10 @@ def _scattered(d, seed):
 
 _WALKED = {
     "backward": lambda: backward(0.5, 64, 24),
-    "forward": lambda: forward(0.5, 64, 24),
+    "flipped": lambda: flipped(0.5, 24),
     "dense": lambda: _normal_contraction(12, seed=5),
     "block-diagonal": lambda: BlockDiagOperator(
-        (backward(0.5, 64, 9), forward(0.25, 64, 7), _normal_contraction(3, seed=2))
+        (backward(0.5, 64, 9), flipped(0.25, 7), _normal_contraction(3, seed=2))
     ),
 }
 
@@ -448,12 +447,11 @@ class TestWalkAgainstTheAllocatingWalk:
     @settings(max_examples=30, deadline=None)
     @given(
         log_k=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=128),
-        direction=st.sampled_from(list(Direction)),
         complex_entries=st.booleans(),
         in_block=st.booleans(),
     )
-    def test_same_bits_on_any_weights(self, log_k, direction, complex_entries, in_block):
-        T = shift_section(TruncatedSeries(10.0 ** np.array(log_k), None), direction, len(log_k))
+    def test_same_bits_on_any_weights(self, log_k, complex_entries, in_block):
+        T = shift_section(TruncatedSeries(10.0 ** np.array(log_k), None), Direction.BACKWARD, len(log_k))
         if in_block:
             T = BlockDiagOperator((T, _normal_contraction(2, seed=1)))
         x = seeded_unit_vectors(T.dim, 1, seed=len(log_k), complex_entries=complex_entries)[0]
@@ -485,12 +483,11 @@ _LOG_WEIGHTS = st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=256)
 
 class TestBasisOrbitNorms:
     @settings(max_examples=30, deadline=None)
-    @given(log_k=_LOG_WEIGHTS, direction=st.sampled_from(list(Direction)))
-    @example(log_k=[150.0, -150.0] * 128, direction=Direction.BACKWARD)
-    @example(log_k=[150.0, -150.0] * 128, direction=Direction.FORWARD)
-    def test_closed_form_matches_the_walk(self, log_k, direction):
+    @given(log_k=_LOG_WEIGHTS)
+    @example(log_k=[150.0, -150.0] * 128)
+    def test_closed_form_matches_the_walk(self, log_k):
         kappa = TruncatedSeries(10.0 ** np.array(log_k), None)
-        section = shift_section(kappa, direction, len(log_k))
+        section = shift_section(kappa, Direction.BACKWARD, len(log_k))
         for n in range(section.dim):
             closed = _basis_orbit_norms(section, n)
             walk = _orbit_norms(section, _basis(section.dim, n, float), n)
@@ -520,19 +517,22 @@ class TestBasisOrbitNorms:
         assert _basis_orbit_norms(section, 31).shape == (32,)
 
 
+_SECTIONS = {"backward": lambda: backward(0.5, 64, 24), "flipped": lambda: flipped(0.5, 24)}
+
+
 class TestSectionApplyDtype:
-    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("name", list(_SECTIONS))
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_apply_keeps_the_input_dtype(self, direction, dtype):
-        section = shift_section(binomial_series(0.5, PowSign.MINUS, 64), direction, 24)
+    def test_apply_keeps_the_input_dtype(self, dtype, name):
+        section = _SECTIONS[name]()
         v = seeded_unit_vectors(24, 1, seed=3, complex_entries=dtype is np.complex128)[0]
         out = section.apply(v)
         assert v.dtype == dtype and out.dtype == dtype
         np.testing.assert_allclose(out, section.operator().entries @ v, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("direction", list(Direction))
-    def test_real_walk_matches_the_complex_walk(self, direction):
-        section = shift_section(binomial_series(0.5, PowSign.MINUS, 64), direction, 24)
+    @pytest.mark.parametrize("name", list(_SECTIONS))
+    def test_real_walk_matches_the_complex_walk(self, name):
+        section = _SECTIONS[name]()
         x = seeded_unit_vectors(24, 1, seed=4, complex_entries=False)[0]
         real = _orbit_norms(section, x, 30)
         np.testing.assert_allclose(real, _orbit_norms(section, x.astype(np.complex128), 30),
