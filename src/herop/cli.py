@@ -232,10 +232,7 @@ def _run_shift_membership(args, config: RunConfig) -> tuple[int, list, dict]:
         if not args.kappa:
             raise SpecSemanticError(0, "need --kappa (or the --a/--s shortcut)")
         kappa = elaborate(parse_kernel_spec(args.kappa), config.truncation)
-    direction = Direction.BACKWARD if args.direction == "backward" else Direction.FORWARD
-    runner = (
-        shift_membership_backward if direction is Direction.BACKWARD else shift_membership_forward
-    )
+    runner = shift_membership_backward if args.direction == "backward" else shift_membership_forward
     report = runner(alpha, kappa)
     return _exit_code([report.in_Cw, report.in_Cw_plus]), [], _fields(report)
 

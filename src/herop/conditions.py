@@ -94,6 +94,11 @@ _SIGN_TOL = 1e-14
 _CIRCLE_RADII = (0.5, 0.9, 0.99, 1.0)
 
 
+def _circle_mins(series: TruncatedSeries, samples: int) -> dict:
+    """{r: min |f|} over `samples` points of each circle |z| = r of _CIRCLE_RADII."""
+    return {r: float(np.min(np.abs(evaluate_on_circle(series, r, samples)))) for r in _CIRCLE_RADII}
+
+
 # --- standing hypotheses ---------------------------------------------------
 
 
@@ -122,10 +127,7 @@ def check_hypotheses_A(pair: KernelPair, circle_samples: int = 2048) -> Conditio
         witness["kernel_underflow_from"] = under
         return ConditionReport("HypA", Verdict.INDETERMINATE, witness, n)
 
-    grid_min = {}
-    for r in _CIRCLE_RADII:
-        vals = np.abs(evaluate_on_circle(alpha, r, circle_samples))
-        grid_min[r] = float(np.min(vals))
+    grid_min = _circle_mins(alpha, circle_samples)
     witness["circle_grid_min"] = {str(r): v for r, v in grid_min.items()}
     interior_min = min(v for r, v in grid_min.items() if r < 1.0)
     scale = float(np.max(np.abs(alpha.coeffs)))
@@ -171,7 +173,7 @@ def check_hypotheses_B(pair: KernelPair) -> ConditionReport:
     kc = k.coeffs[: n + 1]
     # a direct np.convolve, not series._convolve's blocked GEMM: the argsup
     # below decides Holds or TrendHolds on rounding ties, so gamma keeps its
-    # bits until the error bounds of ROADMAP item 5 can decide those ties
+    # bits until ROADMAP item 19's rounding-bound argsup decides those ties
     beta = np.trim_zeros(np.abs(alpha.coeffs[: n + 1]), "b")
     gamma = np.convolve(beta, kc)[: n + 1] if beta.size else np.zeros(n + 1)
     # nor past a gamma beyond float range (np.convolve raises no overflow
@@ -244,6 +246,14 @@ def classify_critical(pair: KernelPair) -> ConditionReport:
 # --- kernel decay and algebra side conditions -------------------------------
 
 
+def _positive(series: TruncatedSeries, what: str) -> tuple[np.ndarray, int]:
+    """(c, n) of a window c_0..c_n: ValueError "all <what> must be positive"
+    unless every c_j is."""
+    if np.any(series.coeffs <= 0.0):
+        raise ValueError(f"all {what} must be positive")
+    return series.coeffs, series.degree
+
+
 def _pair_decay_sups(w: np.ndarray, m_grid: Sequence[int]) -> np.ndarray:
     """max over 2m <= n <= N of sum_{m <= j <= n/2} w_j w_{n-j} / w_n for each
     m of the ascending m_grid.  One product gives the largest m's half sums;
@@ -274,10 +284,7 @@ def muller_condition_estimate(
     achieves less than half the smallest; the companion requirements
     (n-th root of k_n near 1, bounded consecutive ratio) are reported too.
     """
-    kc = k.coeffs
-    n = k.degree
-    if np.any(kc <= 0.0):
-        raise ValueError("all kernel coefficients must be positive")
+    kc, n = _positive(k, "kernel coefficients")
     m_grid = sorted(int(m) for m in m_grid)
     if not m_grid or m_grid[0] < 1 or 2 * max(m_grid) > n:
         raise ValueError("m_grid must satisfy 1 <= m and 2*max(m_grid) <= N")
@@ -300,10 +307,7 @@ def muller_sufficient_check(k: TruncatedSeries, a_grid: Sequence[float]) -> Cond
     """Monotonicity test sufficient for the pair-decay condition: for some
     a > 1 the sequence (k_{n+1}/k_n) * (1 + 1/(n+1))**a is non-decreasing,
     i.e. k_n * (n+1)**a is log-convex."""
-    kc = k.coeffs
-    n = k.degree
-    if np.any(kc <= 0.0):
-        raise ValueError("all kernel coefficients must be positive")
+    kc, n = _positive(k, "kernel coefficients")
     if any(a <= 1.0 for a in a_grid):
         raise ValueError("a_grid entries must exceed 1")
     per_a = {}
@@ -324,10 +328,8 @@ def muller_sufficient_check(k: TruncatedSeries, a_grid: Sequence[float]) -> Cond
 def _weights(omega: TruncatedSeries) -> tuple[np.ndarray, np.ndarray, int]:
     """(w, 1/w, n) of a weight window w_0..w_n: ValueError unless every weight
     is positive, NumericalFailure at the first reciprocal that is not finite."""
-    w = omega.coeffs
-    if np.any(w <= 0.0):
-        raise ValueError("all weights must be positive")
-    return w, _finite(1.0 / w, "weight reciprocal is not finite"), omega.degree
+    w, n = _positive(omega, "weights")
+    return w, _finite(1.0 / w, "weight reciprocal is not finite"), n
 
 
 def banach_algebra_condition(omega: TruncatedSeries) -> ConditionReport:
@@ -569,13 +571,6 @@ class SignPattern:
 _MAX_HALVINGS = 60
 
 
-def _circle_grid_min(coeffs: np.ndarray, samples: int = 1024) -> float:
-    series = TruncatedSeries(coeffs, None)
-    return min(
-        float(np.min(np.abs(evaluate_on_circle(series, r, samples)))) for r in _CIRCLE_RADII
-    )
-
-
 def generate_sign_pattern_kernel(
     pattern: SignPattern, n_total: int
 ) -> tuple[KernelPair, ConditionReport]:
@@ -598,81 +593,64 @@ def generate_sign_pattern_kernel(
         seed[pos] = -delta if sign == -1 else 0.0
 
     eps = pattern.epsilon
-    halvings = 0
-    last_witness: dict = {}
     plus_slots = [pos for pos, sign in zip(range(2, deg + 1), pattern.signs) if sign == 1]
 
     if not plus_slots:
         # sign-definite symbol: its full inverse is positive term by term,
         # so the polynomial itself serves and no tail continuation is needed
+        witness: dict = {"epsilon": eps, "halvings": 0}
         alpha_series = TruncatedSeries(
             np.concatenate([seed, np.zeros(n_total - deg)]), Polynomial(deg)
         )
         pair = reciprocal(alpha_series, n_total)
-        witness = {
-            "epsilon": pattern.epsilon,
-            "halvings": 0,
-            "achieved_epsilon": pattern.epsilon,
-            "inversion_residual": pair.inversion_residual,
-            "alpha_head": [float(v) for v in pair.alpha.coeffs[: deg + 1]],
-            "min_kernel_coeff": float(np.min(pair.k.coeffs[1:])),
-        }
-        ok = (
-            float(np.min(pair.k.coeffs[1:])) > 0.0
-            and pair.alpha.coeffs[1] < 0.0
-            and pair.inversion_residual <= 1e-10
-        )
-        report = ConditionReport(
-            "SignPattern", Verdict.HOLDS if ok else Verdict.FAILS, witness, n_total
-        )
-        return pair, report
+    else:
+        halvings = 0
+        while True:
+            cand = seed.copy()
+            for pos in plus_slots:
+                cand[pos] = eps
+            k_head = _invert_coeffs(cand, deg)
+            min_k = float(np.min(k_head[1:])) if deg >= 1 else 1.0
+            a_min = min(_circle_mins(TruncatedSeries(cand), 1024).values())
+            k_min = min(_circle_mins(TruncatedSeries(k_head), 1024).values())
+            witness = {
+                "epsilon": eps,
+                "halvings": halvings,
+                "min_truncated_inverse_coeff": min_k,
+                "circle_min_alpha": a_min,
+                "circle_min_k": k_min,
+            }
+            if min_k > 0.0 and a_min > 1e-9 and k_min > 1e-9:
+                break
+            halvings += 1
+            eps /= 2.0
+            if halvings > _MAX_HALVINGS:
+                raise GenerationFailedError("halving budget exhausted", witness)
 
-    while True:
-        cand = seed.copy()
-        for pos in plus_slots:
-            cand[pos] = eps
-        k_head = _invert_coeffs(cand, deg)
-        min_k = float(np.min(k_head[1:])) if deg >= 1 else 1.0
-        a_min = _circle_grid_min(cand)
-        k_min = _circle_grid_min(k_head)
-        last_witness = {
-            "epsilon": eps,
-            "halvings": halvings,
-            "min_truncated_inverse_coeff": min_k,
-            "circle_min_alpha": a_min,
-            "circle_min_k": k_min,
-        }
-        if min_k > 0.0 and a_min > 1e-9 and k_min > 1e-9:
-            break
-        halvings += 1
-        eps /= 2.0
-        if halvings > _MAX_HALVINGS:
-            raise GenerationFailedError("halving budget exhausted", last_witness)
-
-    n_tail = np.arange(deg + 1, n_total + 1, dtype=float)
-    k_full = np.concatenate(
-        [k_head, pattern.tail_amplitude * n_tail ** (-pattern.tail_exponent)]
-    )
-    k_series = TruncatedSeries(
-        k_full, PowerTail(pattern.tail_amplitude, pattern.tail_exponent, deg + 1)
-    )
-    pair = invert_kernel(k_series)
+        n_tail = np.arange(deg + 1, n_total + 1, dtype=float)
+        k_full = np.concatenate(
+            [k_head, pattern.tail_amplitude * n_tail ** (-pattern.tail_exponent)]
+        )
+        k_series = TruncatedSeries(
+            k_full, PowerTail(pattern.tail_amplitude, pattern.tail_exponent, deg + 1)
+        )
+        pair = invert_kernel(k_series)
 
     alpha = pair.alpha.coeffs
     sign_ok = alpha[1] < 0.0 and all(
         (alpha[pos] > 0.0) == (sign == 1)
         for pos, sign in zip(range(2, deg + 1), pattern.signs)
     )
-    witness = dict(last_witness)
+    min_kernel = float(np.min(pair.k.coeffs[1:]))
     witness.update(
         {
             "achieved_epsilon": eps,
             "inversion_residual": pair.inversion_residual,
             "alpha_head": [float(v) for v in alpha[: deg + 1]],
-            "min_kernel_coeff": float(np.min(k_full[1:])),
+            "min_kernel_coeff": min_kernel,
         }
     )
-    ok = sign_ok and float(np.min(k_full[1:])) > 0.0 and pair.inversion_residual <= 1e-10
+    ok = sign_ok and min_kernel > 0.0 and pair.inversion_residual <= 1e-10
     report = ConditionReport(
         "SignPattern", Verdict.HOLDS if ok else Verdict.FAILS, witness, n_total
     )

@@ -573,7 +573,7 @@ def shift_membership_forward(
     sym_tail = abs_tail_bound(alpha, a.size - 1)
     dec = bool(np.all(np.diff(kc) <= 1e-15))
     certified = sym_tail is not None and math.isfinite(sym_tail) and (dec or sym_tail == 0.0)
-    tails = np.zeros(m_max + 1)  # read only when certified
+    tails = np.zeros(m_max + 1)  # nonzero only when certified
     if certified and dec and sym_tail != 0.0:
         tails = kc[np.arange(m_max + 1) + a.size - 1] * sym_tail
 
@@ -585,16 +585,12 @@ def shift_membership_forward(
 
     i_min = int(np.argmin(values))
     min_v = float(values[i_min])
+    # the backward test's slack, scaled by the sums |alpha| * kappa
+    signs_ok = bool(np.all(values >= -(_SIGN_TOL * np.maximum(weak_values, 1.0) + tails)))
     if certified:
-        slack = tails + _SIGN_TOL
-        if np.all(values >= -slack):
-            in_plus = Verdict.HOLDS
-        elif np.any(values < -slack):
-            in_plus = Verdict.FAILS
-        else:
-            in_plus = Verdict.INDETERMINATE
+        in_plus = Verdict.HOLDS if signs_ok else Verdict.FAILS
     else:
-        in_plus = Verdict.TREND_HOLDS if min_v >= -_SIGN_TOL else Verdict.TREND_FAILS
+        in_plus = Verdict.TREND_HOLDS if signs_ok else Verdict.TREND_FAILS
     witness = {
         "not_a_part": True,  # forward sections are compressions
         "certified_tails": certified,

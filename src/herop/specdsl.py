@@ -157,8 +157,6 @@ class _Parser:
         return node
 
     def expr(self, depth: int) -> KernelSpecAst:
-        if depth > _MAX_DEPTH:
-            raise SpecSyntaxError(self.pos, f"nesting depth <= {_MAX_DEPTH}", self._found())
         node = self.term(depth)
         while True:
             ch = self._peek()

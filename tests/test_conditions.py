@@ -395,6 +395,17 @@ class TestSignPatternGenerator:
         assert report.verdict is Verdict.HOLDS
         assert report.witness["halvings"] == 0
         assert classify_np(pair.alpha).verdict is Verdict.HOLDS
+        assert set(report.witness) == {"epsilon", "halvings", "achieved_epsilon",
+                                       "inversion_residual", "alpha_head", "min_kernel_coeff"}
+        assert report.witness["min_kernel_coeff"] == min(pair.k.coeffs[1:])
+
+    def test_halving_report_keys(self):
+        pair, report = generate_sign_pattern_kernel(SignPattern.from_string("+-"), 256)
+        assert report.verdict is Verdict.HOLDS
+        assert set(report.witness) == {"epsilon", "halvings", "min_truncated_inverse_coeff",
+                                       "circle_min_alpha", "circle_min_k", "achieved_epsilon",
+                                       "inversion_residual", "alpha_head", "min_kernel_coeff"}
+        assert report.witness["min_kernel_coeff"] == min(pair.k.coeffs[1:])
 
     def test_single_plus_against_composition_formula(self):
         pattern = SignPattern.from_string("+")

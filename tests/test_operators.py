@@ -700,6 +700,20 @@ class TestShiftMembershipForward:
         report = shift_membership_forward(poly(1.0, -1.0), kappa)
         assert report.in_Cw_plus is Verdict.HOLDS
 
+    @settings(max_examples=60, deadline=None)
+    @given(j=st.integers(1, 3), c=st.floats(1e-3, 1e3), n=st.integers(8, 2048))
+    @example(j=2, c=1.0, n=1024)
+    def test_exact_zero_values_hold(self, j, c, n):
+        """(1-t)^j against c (1-t)^-j: each exact value sum_i alpha_i kappa_{m+i}
+        is a j-th difference of a polynomial of degree j - 1 in m, so 0, and
+        their rounding must not read as a sign.  An increasing kappa against
+        1 - t still fails."""
+        alpha = poly(*np.polynomial.polynomial.polypow([1.0, -1.0], j))
+        kappa = elaborate(parse_kernel_spec(f"pow1mt({-j})*poly[{c!r}]"), n)
+        assert shift_membership_forward(alpha, kappa).in_Cw_plus is Verdict.HOLDS
+        rising = elaborate(parse_kernel_spec(f"pow1mt({-j - 1})*poly[{c!r}]"), n)
+        assert shift_membership_forward(poly(1.0, -1.0), rising).in_Cw_plus is Verdict.FAILS
+
     def test_half_order_against_brute_force(self):
         n_big = 100_000
         alpha = binomial_series(0.5, PowSign.PLUS, 512)
