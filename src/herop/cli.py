@@ -39,7 +39,7 @@ from .operators import (
     shift_membership_forward,
     shift_section,
 )
-from .series import NumericalFailure, TruncatedSeries, invert_kernel, kernel_underflow_index, reciprocal
+from .series import NumericalFailure, TruncatedSeries, _inverse, kernel_underflow_index, reciprocal
 from .specdsl import SpecSemanticError, elaborate, parse_kernel_spec
 
 __all__ = ["main", "RunConfig", "dumps_canonical"]
@@ -246,12 +246,12 @@ def _kernel_text(args) -> str:  # model build's and ergodic probe's kernel
 
 def _run_model_build(args, config: RunConfig) -> tuple[int, list, dict]:
     k = elaborate(parse_kernel_spec(_kernel_text(args)), config.truncation)
-    pair = invert_kernel(k)
+    alpha = _inverse(k, k.degree)
     if args.operator:
         T = read_matrix_csv(args.operator)
     else:
         T = shift_section(k, Direction.BACKWARD, 32 if args.section is None else args.section)
-    bundle = build_model(pair.alpha, k, T, M=args.degree, model_tol=config.model_tol)
+    bundle = build_model(alpha, k, T, M=args.degree, model_tol=config.model_tol)
     mini = minimality_check(bundle)
     if config.csv_dir:
         os.makedirs(config.csv_dir, exist_ok=True)
@@ -262,7 +262,7 @@ def _run_model_build(args, config: RunConfig) -> tuple[int, list, dict]:
             if isinstance(mat, Transform) or rows.size:
                 write_matrix_csv(os.path.join(config.csv_dir, f"{name}.csv"), rows)
     probes = seeded_unit_vectors(T.dim, 16, seed=config.seed)
-    relation = verify_relation_DCW(pair.alpha, T, bundle.C, bundle.W, probes)
+    relation = verify_relation_DCW(alpha, T, bundle.C, bundle.W, probes)
     diag = dict(bundle.diagnostics)
     checked = ("isometry_residual", "intertwine_residual", "S_welldef_residual")
     passed = all(diag[key] <= config.model_tol for key in checked)

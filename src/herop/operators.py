@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .conditions import _SIGN_TOL, Verdict, _sup_trend
-from .series import NumericalFailure, TruncatedSeries, _convolve, _dot, _finite, abs_tail_bound
+from .series import NumericalFailure, TruncatedSeries, _convolve, _dot, _finite, _product, abs_tail_bound
 
 __all__ = [
     "DenseOperator",
@@ -232,16 +232,9 @@ class ShiftSection:
 
     def powers(self) -> Iterator[tuple[float, None]]:
         """DenseOperator.powers in closed form, norms only: ||T^n||_F for
-        n = 1..d.  The Grams go out as None: gram_sum adds them."""
+        n = 1..d.  The Grams go out as None: hereditary_apply adds them."""
         for fro in self._fro_norms:
             yield fro, None
-
-    def gram_sum(self, a: np.ndarray) -> np.ndarray:
-        """The diagonal of sum_{n < len(a)} a_n T*^n T^n, where T*^n T^n is
-        diag(k_{j-n}/k_j) at j >= n: (a * k)_j / k_j, one product whose
-        entries keep the error bound gamma_d (|a| * k)_j / k_j."""
-        k, d = self.kappa.coeffs[: self.dim], self.dim
-        return _convolve(a, k, d) / k
 
     def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """T v in the dtype of v and the (real) couplings: real stays real."""
@@ -409,9 +402,7 @@ def hereditary_apply(
     # sup_tail, not weighted_tail, admits (b), so growing binomial windows stay Truncated
     certifiable = alpha.certifier.sup_tail(coeffs, limit) is not None
 
-    # a section's sum is one gram_sum, formed after the policy is chosen
-    # from the norms alone
-    section = isinstance(T, ShiftSection)
+    section = isinstance(T, ShiftSection)  # summed as one product once its norms chose the policy
     value = None if section else coeffs[0] * np.eye(d, dtype=np.complex128)
     terms = abs(coeffs[0]) * d
     fro_norms = [1.0]  # Frobenius norms of T^n, n = 0.., T^0 = I counted as 1
@@ -435,8 +426,10 @@ def hereditary_apply(
         if cert is not None and cert[0] == n:
             policy = GeometricTail(M=n, tail_bound=cert[1])
             break
-    if section:  # a real diagonal, Hermitian with no check
-        value = SparseMatrix.diagonal(T.gram_sum(coeffs[: kept + 1]))
+    if section:  # T*^n T^n = diag(k_{j-n}/k_j): the real diagonal (a * k)_j / k_j, a the kept window
+        k = T.kappa.coeffs[:d]
+        h = _product(alpha, T.kappa, d) if kept + 1 == d else _convolve(coeffs[: kept + 1], k, d)
+        value = SparseMatrix.diagonal(h / k)
     else:
         value = _owned(_symmetrize(value, terms, 2e-12))
     if policy is None:
@@ -500,15 +493,12 @@ def _aligned_symbol_window(alpha: TruncatedSeries, kappa: TruncatedSeries) -> tu
 def _gamma_and_product(
     alpha: TruncatedSeries, kappa: TruncatedSeries, ac: np.ndarray, kc: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(|alpha| * kappa, alpha * kappa) to degree n on the aligned windows.
-    alpha * kappa is the generators' closed form when they have one (a
-    binomial pair), else a direct product.  An NP-signed window (alpha_0 > 0,
+    """(|alpha| * kappa, alpha * kappa) to degree n on the aligned windows,
+    alpha * kappa from series._product.  An NP-signed window (alpha_0 > 0,
     alpha_n <= 0 after it) has |alpha| = 2 alpha_0 - alpha, so gamma is
     2 alpha_0 kappa - alpha * kappa, a difference with no cancellation; any
     other symbol takes gamma as a second direct product."""
-    prod = alpha.certifier.product(kappa.certifier, n)
-    if prod is None:
-        prod = _convolve(ac, kc, n + 1)
+    prod = _product(alpha, kappa, n + 1)
     if ac[0] > 0.0 and not np.any(ac[1:] > 0.0):
         return 2.0 * ac[0] * kc - prod, prod
     return _convolve(np.abs(ac), kc, n + 1), prod

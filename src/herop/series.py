@@ -376,9 +376,16 @@ def binomial_series(a: float, sign: PowSign, n_max: int) -> TruncatedSeries:
 
 
 def cauchy_product(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Formal product truncated at the shorter of the two windows."""
+    """Formal product truncated at the shorter window, as direct sums: a spec's product keeps its bits."""
     n = min(f.trunc_len, g.trunc_len)
     return TruncatedSeries(_convolve(f.coeffs, g.coeffs, n), Derived("cauchy_product"))
+
+
+def _product(f: TruncatedSeries, g: TruncatedSeries, n: int) -> np.ndarray:
+    """First n coefficients of f * g: Generator.product's closed form when the
+    generators give one, else _convolve's direct sums."""
+    closed = f.certifier.product(g.certifier, n - 1)
+    return _convolve(f.coeffs, g.coeffs, n) if closed is None else closed
 
 
 # Products whose trimmed factors both reach this length take the blocked
@@ -532,6 +539,7 @@ def make_kernel_pair(alpha: TruncatedSeries, k: TruncatedSeries) -> KernelPair:
     """Assemble a KernelPair from an explicit (alpha, k) window pair,
     recomputing the residual and all flags."""
     n = min(alpha.trunc_len, k.trunc_len)
+    # direct sums: the residual measures the inversion, which a closed form would read as 0
     conv = _convolve(alpha.coeffs, k.coeffs, n)
     conv[0] -= 1.0
     residual = float(np.max(np.abs(conv)))
@@ -556,13 +564,13 @@ def make_kernel_pair(alpha: TruncatedSeries, k: TruncatedSeries) -> KernelPair:
     return KernelPair(alpha, k, residual, flags, tuple(violations))
 
 
-def _inverse(f: TruncatedSeries, n_max: int, note: str) -> TruncatedSeries:
+def _inverse(f: TruncatedSeries, n_max: int) -> TruncatedSeries:
     """1/f to degree n_max: the generator's closed form when it has one,
     otherwise the convolution recurrence on the zero-extended window."""
     closed = f.certifier.inverse(f.coeffs, n_max)
     if closed is not None:
         return closed
-    return TruncatedSeries(_invert_coeffs(f.padded(n_max + 1), n_max), Derived(note))
+    return TruncatedSeries(_invert_coeffs(f.padded(n_max + 1), n_max), Derived("inverse"))
 
 
 def reciprocal(alpha: TruncatedSeries, n_max: int) -> KernelPair:
@@ -579,13 +587,13 @@ def reciprocal(alpha: TruncatedSeries, n_max: int) -> KernelPair:
     if alpha.trunc_len < n_max + 1:
         gen = alpha.generator if isinstance(alpha.generator, Polynomial) else Derived("zero-extended")
         alpha = TruncatedSeries(alpha.padded(n_max + 1), gen)
-    return make_kernel_pair(alpha, _inverse(alpha, n_max, "reciprocal"))
+    return make_kernel_pair(alpha, _inverse(alpha, n_max))
 
 
 def invert_kernel(k: TruncatedSeries, n_max: Optional[int] = None) -> KernelPair:
     """Given a kernel window k, recover alpha = 1/k and assemble the pair."""
     n_max = k.degree if n_max is None else n_max
-    return make_kernel_pair(_inverse(k, n_max, "invert_kernel"), k)
+    return make_kernel_pair(_inverse(k, n_max), k)
 
 
 # --- Cesaro numbers -------------------------------------------------------

@@ -29,10 +29,10 @@ from .series import (
     PowSign,
     PowerTail,
     TruncatedSeries,
+    _inverse,
     binomial_series,
     cauchy_product,
     read_coefficient_file,
-    reciprocal,
 )
 
 __all__ = [
@@ -299,7 +299,7 @@ def elaborate(node: KernelSpecAst, n_max: int) -> TruncatedSeries:
         return TruncatedSeries(out, Polynomial(min(len(node.coeffs) - 1, n_max)))
     if isinstance(node, Inv):
         child = elaborate(node.child, n_max)
-        return reciprocal(child, n_max).k
+        return _inverse(child, n_max)
     if isinstance(node, Mul):
         return cauchy_product(elaborate(node.left, n_max), elaborate(node.right, n_max))
     if isinstance(node, FileRef):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herop import cli
+from herop import cli, operators, series
 from herop.cli import RunConfig, dumps_canonical, main
 from herop.conditions import check_hypotheses_A, check_hypotheses_B
 from herop.model import build_model
@@ -854,6 +854,46 @@ def test_short_probes_print_the_plain_dot_bytes(capsys, monkeypatch):
         monkeypatch.setattr(module, "_vector_norm", lambda v: float(np.linalg.norm(v)))
     monkeypatch.setattr(ergodic, "_dot", np.dot)
     assert run_cli(capsys, *argv) == fixed
+
+
+class TestNoUnreadPair:
+    """model build reads alpha = 1/k alone, and inv(...) reads the kernel
+    alone: neither assembles a KernelPair.  Each prints what the route
+    through the assembled pair printed, whose section defect took the
+    direct product of the two windows."""
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("make_kernel_pair called")
+
+    @pytest.mark.parametrize("kernel", ["pow1mt(-0.5)", "tail(poly[1,0.4,0.16],0.05,2.0,3)"])
+    @pytest.mark.parametrize("where", ["section", "operator"])
+    def test_model_build(self, monkeypatch, tmp_path, where, kernel):
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        write_matrix_csv(str(tmp_path / "T.csv"), g * (0.7 / np.linalg.norm(g, 2)))
+        target = ["--section", "64"] if where == "section" else ["--operator", str(tmp_path / "T.csv")]
+
+        def run(out_dir):
+            result = run_cli_checked("model", "build", "--kernel", kernel, *target, "-N", "255",
+                                     "--csv-dir", str(tmp_path / out_dir))
+            return result, _read_tree(tmp_path / out_dir)
+
+        with monkeypatch.context() as pair_route:
+            pair_route.setattr(cli, "_inverse", lambda k, n_max: series.invert_kernel(k, n_max).alpha)
+            pair_route.setattr(operators, "_product", lambda f, g, n: series._convolve(f.coeffs, g.coeffs, n))
+            reference = run("pair")
+        monkeypatch.setattr(series, "make_kernel_pair", self._refuse)
+        assert run("alpha") == reference and reference[0][0] == 0
+
+    @pytest.mark.parametrize("spec", ["inv(poly[1,-0.5])", "inv(pow1mt(0.5)*poly[1,0.3])"])
+    def test_inverse_spec(self, monkeypatch, spec):
+        child = elaborate(parse_kernel_spec(spec[4:-1]), 512)
+        reference = reciprocal(child, 512).k
+        monkeypatch.setattr(series, "make_kernel_pair", self._refuse)
+        got = elaborate(parse_kernel_spec(spec), 512)
+        np.testing.assert_array_equal(got.coeffs, reference.coeffs)
+        assert got.generator == reference.generator
 
 
 def test_probe_and_bundle_leave_numpy_ma_unimported(src_env):

@@ -424,12 +424,16 @@ class TestSignPatternGenerator:
         np.testing.assert_array_equal(a[0].alpha.coeffs, b[0].alpha.coeffs)
 
     def test_budget_exhaustion_raises(self):
-        # an absurd tail amplitude cannot be repaired by shrinking epsilon
-        pattern = SignPattern(( -1, ), epsilon=1e-3, tail_amplitude=1e9, tail_exponent=2.0)
-        pair, report = generate_sign_pattern_kernel(pattern, 64)
-        # huge tails keep the kernel positive but break the inversion pattern
-        # only through the report, never silently
-        assert report.verdict in (Verdict.HOLDS, Verdict.FAILS)
+        # at epsilon = 1e300, 60 halvings leave the "+" slot at 8.67e281,
+        # where the truncated inverse is still negative: the budget runs out
+        pattern = SignPattern.from_string("+-", epsilon=1e300)
+        with pytest.raises(conditions.GenerationFailedError, match="halving budget exhausted") as exc:
+            generate_sign_pattern_kernel(pattern, 64)
+        witness = exc.value.witness
+        assert set(witness) == {"epsilon", "halvings", "min_truncated_inverse_coeff",
+                                "circle_min_alpha", "circle_min_k"}
+        assert witness["halvings"] == conditions._MAX_HALVINGS and witness["epsilon"] == 1e300 / 2.0**60
+        assert witness["min_truncated_inverse_coeff"] < 0.0
 
     def test_epsilon_halving_reported(self):
         pattern = SignPattern.from_string("+", epsilon=10.0)

@@ -51,6 +51,8 @@ from herop.series import (
     TruncatedSeries,
     binomial_series,
     invert_kernel,
+    _convolve,
+    _inverse,
 )
 
 
@@ -1184,10 +1186,17 @@ def assert_norms_match_the_walk(section):
     np.testing.assert_allclose(norms, walk_norms, rtol=1e-13, atol=0.0)
 
 
+def direct_section_sum(section, a):
+    """The diagonal (a * k)_j / k_j of sum_n a_n T*^n T^n on a section, as
+    direct sums."""
+    k = section.kappa.coeffs[: section.dim]
+    return _convolve(a, k, section.dim) / k
+
+
 def assert_sum_within_gamma(section, coeffs, h, walk_h):
     """h and walk_h, two sums of the terms coeffs[n] T*^n T^n, within
     4 (d + len(coeffs)) u of the sum of their absolute values."""
-    bound = 4 * (section.dim + coeffs.size) * 2.0**-53 * section.gram_sum(np.abs(coeffs))
+    bound = 4 * (section.dim + coeffs.size) * 2.0**-53 * direct_section_sum(section, np.abs(coeffs))
     assert np.all(np.abs(h - walk_h) <= bound)
 
 
@@ -1266,7 +1275,7 @@ class TestSectionSumsMatchTheWalk:
         walk_h = coeffs[0] * np.ones(d)
         for c, (_, gram) in zip(coeffs[1:], WalkedSection(section).diagonals()):
             walk_h += c * gram
-        assert_sum_within_gamma(section, coeffs, section.gram_sum(coeffs), walk_h)
+        assert_sum_within_gamma(section, coeffs, direct_section_sum(section, coeffs), walk_h)
 
     @pytest.mark.parametrize(
         "weights, what, degree",
@@ -1283,6 +1292,77 @@ class TestSectionSumsMatchTheWalk:
         with pytest.raises(NumericalFailure, match=f"{what} overflowed at degree {degree}") as exc:
             hereditary_apply(poly(1.0, -0.5, 0.1), section)
         assert exc.value.witness == {"degree": degree}
+
+
+def _direct_product(f, g, n):  # series._product without its closed form
+    return _convolve(f.coeffs, g.coeffs, n)
+
+
+def _choices(bundle):  # what build_model chose, or how it refused
+    if isinstance(bundle, Exception):
+        return type(bundle), str(bundle)
+    return bundle.diagnostics["policy"], bundle.M, bundle.defect_rank, bundle.w_rank
+
+
+def _binomial_window_rounding(e, n):
+    """First-order bound on the relative error of each coefficient of the
+    window (1-t)**e to degree n, as the recurrence c_m = c_(m-1) (m - e - 1) / m
+    rounds it: m - e, its difference with 1, the quotient and the product
+    each round once.  Small |e| cancels in m - e - 1 at m = 1, so c_1 is off
+    by up to u / |e| relative; a factor that is exactly 0 ends the window's
+    non-zero part."""
+    m = np.arange(1.0, n + 1.0)
+    gap = np.abs(m - e - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(gap > 0.0, np.abs(m - e) / gap + 3.0, 0.0)
+    return 2.0**-53 * np.concatenate([[0.0], np.cumsum(step)])
+
+
+class TestClosedFormSectionSum:
+    """A whole-section hereditary sum takes series._product: for a binomial
+    pair with alpha = 1/k, the closed form (1-t)**0, so the diagonal is e_0
+    exactly.  Against _convolve's direct sums it is within
+    gamma_(d+1) (|alpha| * k)_j / k_j plus what the rounding of the two
+    windows moves, and build_model chooses the same policy, degree cap and
+    ranks.  Any other kernel, and any kept window shorter than d, gives the
+    direct sums bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["binomial", "binomial", "tail", "inv-poly", "product"]),
+        s=st.floats(1e-6, 2.0),
+        d=st.integers(2, 4096),
+        extra=st.integers(0, 400),
+        cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    @example(kind="binomial", s=0.5, d=4096, extra=351, cut=None)
+    @example(kind="binomial", s=2.0, d=3, extra=0, cut=0.0)
+    def test_against_the_direct_sums(self, kind, s, d, extra, cut):
+        spec = {"binomial": f"pow1mt({-s!r})", "tail": "tail(poly[1,0.4,0.16],0.05,2.0,3)",
+                "inv-poly": "inv(poly[1,-0.9])", "product": f"pow1mt({-s!r})*poly[1,0.3]"}[kind]
+        k = elaborate(parse_kernel_spec(spec), d - 1 + extra)
+        alpha = _inverse(k, k.degree)
+        if cut is not None and d > 2:  # a symbol window that ends before T^(d-1)
+            alpha = TruncatedSeries(alpha.coeffs[: 2 + int(cut * (d - 3))], alpha.generator)
+        T = shift_section(k, Direction.BACKWARD, d)
+        kd = k.coeffs[:d]
+        result, _ = hereditary_or_partial(alpha, T)
+        policy = result.policy_used
+        kept = policy.order - 1 if isinstance(policy, ExactNilpotent) else policy.M
+        h, direct = result.value.vals, _convolve(alpha.coeffs[: kept + 1], kd, d) / kd
+        if kind != "binomial" or kept + 1 < d:
+            np.testing.assert_array_equal(h, direct)
+            return
+        np.testing.assert_array_equal(h, np.eye(1, d)[0])
+        gamma = (d + 1) * 2.0**-53 / (1.0 - (d + 1) * 2.0**-53)
+        a_abs = np.abs(alpha.coeffs[:d])
+        windows = (_convolve(_binomial_window_rounding(s, d - 1) * a_abs, kd, d)
+                   + _convolve(a_abs, _binomial_window_rounding(-s, d - 1) * kd, d))
+        assert np.all(np.abs(h - direct) <= (gamma * _convolve(a_abs, kd, d) + windows) / kd)
+        bundle = build_or_refusal(alpha, k, T)
+        with unittest.mock.patch.object(operators, "_product", _direct_product):
+            ref = build_or_refusal(alpha, k, T)
+        assert _choices(bundle) == _choices(ref)
 
 
 def build_or_refusal(alpha, k, T, M=None):
@@ -1679,7 +1759,7 @@ def _reference_hereditary_apply(alpha, T, tol):
             policy = GeometricTail(M=n, tail_bound=tail)
             break
     if section:
-        value = SparseMatrix.diagonal(T.gram_sum(coeffs[: kept + 1]))
+        value = SparseMatrix.diagonal(direct_section_sum(T, coeffs[: kept + 1]))
     else:
         value = operators._owned(operators._symmetrize(value, terms, 2e-12))
     if policy is None:
