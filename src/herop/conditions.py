@@ -586,16 +586,11 @@ def generate_sign_pattern_kernel(
     if n_total <= deg + 1:
         raise ValueError("n_total must exceed pattern length + 2")
     delta = 1.0 / (2.0 * (deg + 1))  # keeps off-origin mass below 1/2
-    seed = np.zeros(deg + 1)
-    seed[0] = 1.0
-    seed[1] = -delta
-    for pos, sign in zip(range(2, deg + 1), pattern.signs):
-        seed[pos] = -delta if sign == -1 else 0.0
-
+    plus = np.array(pattern.signs) == 1  # slots 2..deg
+    seed = np.concatenate([[1.0, -delta], np.where(plus, 0.0, -delta)])
     eps = pattern.epsilon
-    plus_slots = [pos for pos, sign in zip(range(2, deg + 1), pattern.signs) if sign == 1]
 
-    if not plus_slots:
+    if not plus.any():
         # sign-definite symbol: its full inverse is positive term by term,
         # so the polynomial itself serves and no tail continuation is needed
         witness: dict = {"epsilon": eps, "halvings": 0}
@@ -607,21 +602,24 @@ def generate_sign_pattern_kernel(
         halvings = 0
         while True:
             cand = seed.copy()
-            for pos in plus_slots:
-                cand[pos] = eps
-            k_head = _invert_coeffs(cand, deg)
-            min_k = float(np.min(k_head[1:])) if deg >= 1 else 1.0
-            a_min = min(_circle_mins(TruncatedSeries(cand), 1024).values())
-            k_min = min(_circle_mins(TruncatedSeries(k_head), 1024).values())
-            witness = {
-                "epsilon": eps,
-                "halvings": halvings,
-                "min_truncated_inverse_coeff": min_k,
-                "circle_min_alpha": a_min,
-                "circle_min_k": k_min,
-            }
-            if min_k > 0.0 and a_min > 1e-9 and k_min > 1e-9:
-                break
+            cand[2:][plus] = eps
+            try:
+                k_head = _invert_coeffs(cand, deg)
+            except NumericalFailure as exc:  # an overflowing truncated inverse fails the candidate
+                witness = {"epsilon": eps, "halvings": halvings, "overflow_degree": exc.witness["degree"]}
+            else:
+                min_k = float(np.min(k_head[1:]))  # deg >= 2
+                a_min = min(_circle_mins(TruncatedSeries(cand), 1024).values())
+                k_min = min(_circle_mins(TruncatedSeries(k_head), 1024).values())
+                witness = {
+                    "epsilon": eps,
+                    "halvings": halvings,
+                    "min_truncated_inverse_coeff": min_k,
+                    "circle_min_alpha": a_min,
+                    "circle_min_k": k_min,
+                }
+                if min_k > 0.0 and a_min > 1e-9 and k_min > 1e-9:
+                    break
             halvings += 1
             eps /= 2.0
             if halvings > _MAX_HALVINGS:
@@ -637,10 +635,7 @@ def generate_sign_pattern_kernel(
         pair = invert_kernel(k_series)
 
     alpha = pair.alpha.coeffs
-    sign_ok = alpha[1] < 0.0 and all(
-        (alpha[pos] > 0.0) == (sign == 1)
-        for pos, sign in zip(range(2, deg + 1), pattern.signs)
-    )
+    sign_ok = alpha[1] < 0.0 and bool(np.all((alpha[2 : deg + 1] > 0.0) == plus))
     min_kernel = float(np.min(pair.k.coeffs[1:]))
     witness.update(
         {

@@ -142,7 +142,7 @@ def cesaro_probe(
     dimension must exceed the largest grid point so power norms are exact).
     Moving-basis orbits are closed-form on shift sections (a ratio of
     weights); fixed vectors, and every orbit of any other operator, are
-    walked by repeated apply.
+    walked by repeated apply, on a section over the live coordinates only.
     """
     if not (0 < a < math.inf and 1 <= p < math.inf):
         raise ValueError("require finite a > 0 and p >= 1")

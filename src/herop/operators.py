@@ -72,7 +72,8 @@ _NILPOTENT_TOL = 1e-300
 
 # every operator object has dim, operator(), the dense matrix it stands for, and
 # apply(v, out=None), which writes T v into out when it is given (out must not
-# overlap v) and returns it, else returns T v in a new array
+# overlap v) and returns it, else returns T v in a new array; a ShiftSection also
+# takes a leading part of v and applies T's part there, itself a section
 Operator = Union["DenseOperator", "ShiftSection", "BlockDiagOperator", "SparseMatrix"]
 
 
@@ -237,8 +238,9 @@ class ShiftSection:
             yield fro, None
 
     def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """T v in the dtype of v and the (real) couplings: real stays real."""
-        c = self.couplings
+        """T v in the dtype of v and the (real) couplings: real stays real.  A
+        leading part v of length m <= d takes the first m - 1 couplings."""
+        c = self.couplings[: v.shape[0] - 1]
         if out is None:
             out = np.empty(v.shape, np.result_type(v.dtype, c.dtype))
         np.multiply(c, v[1:], out=out[:-1])
@@ -267,7 +269,12 @@ def _orbit_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
     """||T^j x|| for j = 0..n_max by repeated T.apply; once a power vanishes
     exactly, the walk stops and the rest stay zero.  The walk keeps the
     dtype that the first T.apply returns, so a real vector on a section
-    stays real; after it, two buffers take turns as apply's out."""
+    stays real; after it, two buffers take turns as apply's out.  On a
+    section T^j x is zero from d - j on, so whenever d - j is a multiple of
+    64 both buffers are cut to it: each apply takes T's part on the live
+    coordinates and fewer than 64 zeros, and each norm reads them.  OpenBLAS's
+    ddot sums whole blocks of 16 or 32 in SIMD lanes and series._dot chunks
+    at 8192, so the cut keeps the bits of the whole vector's norm."""
     v = np.asarray(x)
     out = np.zeros(n_max + 1)
     # x may have any dtype: integers and bools count as floats, as in np.linalg.norm
@@ -276,9 +283,13 @@ def _orbit_norms(T, x: np.ndarray, n_max: int) -> np.ndarray:
         return out
     v = T.apply(v)
     spare = np.empty_like(v)
+    d = v.shape[0]
+    cut = (d - 1) % 64 + 1 if isinstance(T, ShiftSection) else 0  # first j with d - j a multiple of 64
     for j in range(1, n_max + 1):
-        out[j] = _vector_norm(v)
-        if out[j] == 0.0 or j == n_max:
+        if j == cut:
+            v, spare, cut = v[: d - j], spare[: d - j], cut + 64
+        norm = out[j] = _vector_norm(v)
+        if norm == 0.0 or j == n_max:
             break
         v, spare = T.apply(v, out=spare), v
     return out

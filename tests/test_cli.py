@@ -569,6 +569,12 @@ class TestSubcommands:
         assert head[2] > 0 and head[3] < 0 and head[4] > 0
         assert payload["inversion_residual"] <= 1e-10
 
+    def test_example_signs_overflow_exhausts_the_budget(self):
+        code, out, err = run_cli_checked("example", "signs", "--pattern", "+-+", "--eps", "1e300")
+        payload = json.loads(out)
+        assert code == 1 and err == "" and payload["error"] == "halving budget exhausted"
+        assert payload["witness"] == {"epsilon": 1e300 / 2.0**60, "halvings": 60, "overflow_degree": 4}
+
     def test_example_signs_with_leading_dashes(self, capsys):
         code, out = run_cli(capsys, "example", "signs", "--pattern", " --", "-N", "256")
         assert code == 0

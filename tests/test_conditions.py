@@ -435,6 +435,23 @@ class TestSignPatternGenerator:
         assert witness["halvings"] == conditions._MAX_HALVINGS and witness["epsilon"] == 1e300 / 2.0**60
         assert witness["min_truncated_inverse_coeff"] < 0.0
 
+    def test_overflowing_inverse_is_a_failed_candidate(self):
+        # at epsilon = 1e300 the truncated inverse of "+-+" overflows at degree 4, and
+        # still does after 60 halvings: the budget runs out, with the degree as witness
+        pattern = SignPattern.from_string("+-+", epsilon=1e300)
+        with pytest.raises(conditions.GenerationFailedError, match="halving budget exhausted") as exc:
+            generate_sign_pattern_kernel(pattern, 64)
+        assert exc.value.witness == {"epsilon": 1e300 / 2.0**60, "halvings": 60, "overflow_degree": 4}
+
+    def test_overflowing_inverse_is_halved_away(self):
+        # "+" then 80 "-" at epsilon = 1e8 overflows at degree 78; halving repairs it.
+        # The first candidate: 1, -delta, epsilon, then 80 times -delta, delta = 1/(2 (82 + 1))
+        pattern = SignPattern.from_string("+" + "-" * 80, epsilon=1e8)
+        with pytest.raises(NumericalFailure, match="inversion overflowed at degree 78"):
+            conditions._invert_coeffs(np.array([1.0, -1 / 166, 1e8, *[-1 / 166] * 80]), 82)
+        _, report = generate_sign_pattern_kernel(pattern, 256)
+        assert report.verdict is Verdict.HOLDS and report.witness["halvings"] == 42
+
     def test_epsilon_halving_reported(self):
         pattern = SignPattern.from_string("+", epsilon=10.0)
         pair, report = generate_sign_pattern_kernel(pattern, 64)

@@ -352,13 +352,15 @@ def _allocating_apply(T, v):
     return T.entries @ v
 
 
-def _reference_walk(T, x, n_max):
+def _reference_walk(T, x, n_max, norm=np.linalg.norm):
+    """The walk with every power at full length, zeros included, each
+    normed whole."""
     v = np.asarray(x)
     out = np.zeros(n_max + 1)
-    out[0] = float(np.linalg.norm(v))
+    out[0] = float(norm(v))
     for j in range(1, n_max + 1):
         v = _allocating_apply(T, v)
-        out[j] = float(np.linalg.norm(v))
+        out[j] = float(norm(v))
         if out[j] == 0.0:
             break
     return out
@@ -456,6 +458,49 @@ class TestWalkAgainstTheAllocatingWalk:
             T = BlockDiagOperator((T, _normal_contraction(2, seed=1)))
         x = seeded_unit_vectors(T.dim, 1, seed=len(log_k), complex_entries=complex_entries)[0]
         assert _same_bits(_orbit_norms(T, x, T.dim + 2), _reference_walk(T, x, T.dim + 2))
+
+
+class TestSectionWalkTakesTheLivePart:
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_whole_orbit_past_a_dot_chunk(self, complex_entries):
+        """Every cut from 20001 down, across both chunk boundaries of
+        series._dot, keeps the bits of the full-length norms, each taken by
+        _vector_norm (np.linalg.norm sums a long vector in another order)."""
+        T = backward(0.5, 20002, 20001)
+        z = np.random.default_rng(3).standard_normal((2, 20001)) * np.geomspace(1.0, 1e3, 20001)
+        x = z[0] + 1j * z[1] if complex_entries else z[0]
+        assert _same_bits(_orbit_norms(T, x, 20002), _reference_walk(T, x, 20002, norm=_vector_norm))
+
+    @pytest.mark.parametrize("m", [1, 2, 17, 23, 24])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_leading_part_is_the_smaller_section(self, m, complex_entries):
+        T = backward(0.5, 64, 24)
+        v = seeded_unit_vectors(24, 1, seed=m, complex_entries=complex_entries)[0][:m]
+        part = ShiftSection(T.kappa, v.size)
+        assert _same_bits(T.apply(v), part.apply(v))
+        buf, part_buf = np.full_like(v, np.nan), np.full_like(v, np.nan)
+        assert T.apply(v, out=buf) is buf and part.apply(v, out=part_buf) is part_buf
+        assert _same_bits(buf, part_buf)
+
+    @pytest.mark.parametrize("in_block", [False, True], ids=["section", "block-diagonal"])
+    def test_kth_apply_takes_the_live_part_up_to_a_multiple_of_64(self, monkeypatch, in_block):
+        """T^k x is zero from d - k on: on a section the k-th apply takes the
+        first d - k entries rounded up to a multiple of 64 (at most d); a
+        section inside a block-diagonal operator is applied whole."""
+        section, lengths = backward(0.5, 256, 200), []
+        apply = ShiftSection.apply
+
+        def counted(self, v, out=None):
+            lengths.append(v.shape[0])
+            return apply(self, v, out=out)
+
+        monkeypatch.setattr(ShiftSection, "apply", counted)
+        T = BlockDiagOperator((section,)) if in_block else section
+        norms = _orbit_norms(T, seeded_unit_vectors(200, 1, seed=9)[0], 210)
+        assert np.all(norms[:200] > 0.0) and np.all(norms[200:] == 0.0)
+        live = [min(200, -(-(200 - k) // 64) * 64) for k in range(200)]
+        assert lengths == ([200] * 200 if in_block else live)
+        assert live[:8] == [200] * 8 and live[8] == 192 and live[-1] == 64
 
 
 class TestApplyOut:
